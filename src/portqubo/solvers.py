@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .model import PortfolioInstance, Solution, solution_from_bits
+from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, solution_from_bits
 from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
@@ -124,36 +125,63 @@ class FlipEvaluator:
         self.energy = float(
             self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields
         )
+        self._signs = np.empty(q.dim)
+        self._gains = np.empty(q.dim)
 
     def gain(self, i: int) -> float:
         """Energy change of flipping bit i."""
-        s = 1.0 - 2.0 * self.x[i]
-        return float(s * (self.diag[i] + self.fields[i]))
+        s = 1.0 - 2.0 * self.x.item(i)
+        return s * (self.diag.item(i) + self.fields.item(i))
 
     def all_gains(self) -> np.ndarray:
-        return (1.0 - 2.0 * self.x) * (self.diag + self.fields)
+        """Energy change of flipping each bit, in a buffer the next call reuses."""
+        np.multiply(self.x, -2.0, out=self._signs)
+        self._signs += 1.0
+        np.add(self.diag, self.fields, out=self._gains)
+        self._gains *= self._signs
+        return self._gains
 
     def flip(self, i: int) -> float:
         """Apply the flip and return the new energy."""
-        s = 1.0 - 2.0 * self.x[i]
-        self.energy += s * (self.diag[i] + self.fields[i])
+        s = 1.0 - 2.0 * self.x.item(i)
+        self.energy += s * (self.diag.item(i) + self.fields.item(i))
         self.x[i] += s
-        self.fields += s * self.coupling[:, i]
+        _update_fields(self.fields, self.coupling[i], s)
         return self.energy
 
     def bits(self) -> tuple[int, ...]:
         return tuple(int(b) for b in self.x)
 
 
-def _lex_better(candidate: tuple[int, ...], incumbent: tuple[int, ...]) -> bool:
-    return candidate < incumbent
+def _update_fields(fields: np.ndarray, row: np.ndarray, s: float) -> None:
+    """fields += s * row for s = +-1, in place and bitwise equal to adding the
+    product; row i of the symmetric coupling is contiguous, unlike column i."""
+    if s > 0.0:
+        fields += row
+    else:
+        fields -= row
 
 
-def _estimate_betas(q: QuboMatrix, rng: np.random.Generator) -> tuple[float, float]:
-    """Betas giving ~0.8 initial and ~1e-4 final acceptance of the mean |dE|."""
-    d, w = q.to_symmetric_parts()
-    states = rng.integers(0, 2, size=(100, q.dim)).astype(np.float64)
-    idx = rng.integers(0, q.dim, size=100)
+def _result(best_x, energy: float, evaluations: int, t0: float, seed: int, trace) -> SolveResult:
+    """SolveResult of a heuristic whose best-ever 0/1 assignment is `best_x`
+    (None when no energy compared below infinity)."""
+    return SolveResult(
+        bits=None if best_x is None else tuple(int(b) for b in best_x),
+        energy=energy,
+        evaluations=evaluations,
+        wall_time_s=time.perf_counter() - t0,
+        seed=seed,
+        energy_trace=trace,
+    )
+
+
+def _estimate_betas(
+    d: np.ndarray, w: np.ndarray, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Betas giving ~0.8 initial and ~1e-4 final acceptance of the mean |dE|,
+    from the (diagonal, coupling) pair of `QuboMatrix.to_symmetric_parts`."""
+    states = rng.integers(0, 2, size=(100, len(d))).astype(np.float64)
+    idx = rng.integers(0, len(d), size=100)
     fields = states @ w
     signs = 1.0 - 2.0 * states[np.arange(100), idx]
     deltas = np.abs(signs * (d[idx] + fields[np.arange(100), idx]))
@@ -179,66 +207,50 @@ def solve_sa(
     acceptance exp(-beta * dE), best-ever assignment kept across restarts."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
+    diag, coupling = q.to_symmetric_parts()
     if config.beta_initial is None:
-        beta_i, beta_f = _estimate_betas(q, rng)
+        beta_i, beta_f = _estimate_betas(diag, coupling, rng)
     else:
         beta_i, beta_f = config.beta_initial, config.beta_final
     betas = _beta_schedule(config, beta_i, beta_f).tolist()
     dim = q.dim
-    diag, coupling = q.to_symmetric_parts()
     d = diag.tolist()
-    # Plain-list state keeps the per-flip bookkeeping free of per-element
-    # array indexing overhead; the arithmetic is elementwise, so results are
-    # bit-identical to the vectorized form.
-    rows = coupling.tolist()
-    indices = range(dim)
+    rows = list(coupling)
     best_energy = math.inf
-    best_bits: tuple[int, ...] | None = None
+    best_x: list[float] | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
     for _ in range(config.restarts):
         x_arr = rng.integers(0, 2, size=dim).astype(np.float64)
-        fields_arr = coupling @ x_arr
-        energy = float(q.offset + diag @ x_arr + 0.5 * x_arr @ fields_arr)
+        fields = coupling @ x_arr
+        # reads Python floats from the buffer the in-place updates write
+        field = memoryview(fields)
+        energy = float(q.offset + diag @ x_arr + 0.5 * x_arr @ fields)
         x = x_arr.tolist()
-        fields = fields_arr.tolist()
         if energy < best_energy:
-            best_energy, best_bits = energy, tuple(int(b) for b in x)
+            best_energy, best_x = energy, x.copy()
             trace.append((evaluations, best_energy))
         for beta in betas:
             perm = rng.permutation(dim).tolist()
             thresholds = rng.exponential(size=dim).tolist()
             evaluations += dim
-            for k in indices:
-                i = perm[k]
+            for k, i in enumerate(perm):
                 s = 1.0 - 2.0 * x[i]
-                gain = s * (d[i] + fields[i])
+                gain = s * (d[i] + field[i])
                 if gain <= 0.0 or beta * gain < thresholds[k]:
                     x[i] += s
                     energy += gain
-                    row = rows[i]
-                    for j in indices:
-                        fields[j] += s * row[j]
+                    _update_fields(fields, rows[i], s)
                     if energy < best_energy:
-                        best_energy = energy
-                        best_bits = tuple(int(b) for b in x)
+                        best_energy, best_x = energy, x.copy()
                         trace.append((evaluations - dim + k + 1, best_energy))
-                    elif energy == best_energy:
-                        bits = tuple(int(b) for b in x)
-                        if _lex_better(bits, best_bits):
-                            best_bits = bits
+                    elif energy == best_energy and x < best_x:
+                        best_x = x.copy()
             if deadline is not None and time.perf_counter() > deadline:
                 break
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return SolveResult(
-        bits=best_bits,
-        energy=best_energy,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        seed=config.seed,
-        energy_trace=trace,
-    )
+    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 def solve_tabu(
@@ -251,55 +263,47 @@ def solve_tabu(
     dim = q.dim
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
     if tenure >= dim:
-        import warnings
-
         warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=2)
     max_iterations = (
         config.max_iterations if config.max_iterations is not None else 50 * dim
     )
     rng = np.random.default_rng(config.seed)
     best_energy = math.inf
-    best_bits: tuple[int, ...] | None = None
+    best_x: np.ndarray | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
+    admissible = np.empty(dim, dtype=bool)
+    aspires = np.empty(dim, dtype=bool)
+    masked = np.empty(dim)
     for restart in range(config.restarts):
-        if restart == 0:
-            state = FlipEvaluator(q)
-        else:
-            state = FlipEvaluator(q, rng.integers(0, 2, size=dim))
+        state = FlipEvaluator(q, None if restart == 0 else rng.integers(0, 2, size=dim))
         if state.energy < best_energy:
-            best_energy, best_bits = state.energy, state.bits()
+            best_energy, best_x = state.energy, state.x.copy()
             trace.append((evaluations, best_energy))
         tabu_until = np.zeros(dim, dtype=np.int64)
         for step in range(1, max_iterations + 1):
             gains = state.all_gains()
             evaluations += dim
-            admissible = (tabu_until < step) | (state.energy + gains < best_energy)
-            if admissible.any():
-                masked = np.where(admissible, gains, np.inf)
-            else:
-                masked = gains
-            i = int(np.argmin(masked))
+            np.less(tabu_until, step, out=admissible)
+            np.add(gains, state.energy, out=masked)
+            np.less(masked, best_energy, out=aspires)
+            admissible |= aspires
+            # with no admissible move, every move is a candidate
+            masked.fill(np.inf)
+            np.copyto(masked, gains, where=admissible if admissible.any() else True)
+            i = int(masked.argmin())
             state.flip(i)
             tabu_until[i] = step + tenure
             if state.energy < best_energy:
-                best_energy = state.energy
-                best_bits = state.bits()
+                best_energy, best_x = state.energy, state.x.copy()
                 trace.append((evaluations, best_energy))
-            elif state.energy == best_energy and _lex_better(state.bits(), best_bits):
-                best_bits = state.bits()
+            elif state.energy == best_energy and state.x.tolist() < best_x.tolist():
+                best_x = state.x.copy()
             if deadline is not None and time.perf_counter() > deadline:
                 break
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return SolveResult(
-        bits=best_bits,
-        energy=best_energy,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        seed=config.seed,
-        energy_trace=trace,
-    )
+    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 def _population_energies(pop: np.ndarray, upper: np.ndarray, offset: float) -> np.ndarray:
@@ -357,18 +361,11 @@ def solve_ga(
             trace.append((evaluations, best_energy))
         elif energies[gen_best] == best_energy:
             bits = tuple(int(b) for b in pop[gen_best])
-            if _lex_better(bits, best_bits):
+            if bits < best_bits:
                 best_bits = bits
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return SolveResult(
-        bits=best_bits,
-        energy=best_energy,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        seed=config.seed,
-        energy_trace=trace,
-    )
+    return _result(best_bits, best_energy, evaluations, t0, config.seed, trace)
 
 
 def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
@@ -394,7 +391,7 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     if instance.return_mode == "at_least":
         feasible = returns >= instance.r_star
     elif instance.return_mode == "equality":
-        feasible = np.abs(returns - instance.r_star) <= 1e-9
+        feasible = np.abs(returns - instance.r_star) <= EQUALITY_RETURN_TOL
     else:
         feasible = np.ones(count, dtype=bool)
     if not feasible.any():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -72,3 +73,106 @@ def random_qubo(rng: np.random.Generator, dim: int, density: float = 1.0) -> Qub
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _reference_betas(q: QuboMatrix, config, rng: np.random.Generator):
+    if config.beta_initial is not None:
+        beta_i, beta_f = config.beta_initial, config.beta_final
+    else:
+        d, w = q.to_symmetric_parts()
+        states = rng.integers(0, 2, size=(100, q.dim)).astype(np.float64)
+        idx = rng.integers(0, q.dim, size=100)
+        fields = states @ w
+        signs = 1.0 - 2.0 * states[np.arange(100), idx]
+        mean_delta = float(np.abs(signs * (d[idx] + fields[np.arange(100), idx])).mean())
+        if mean_delta <= 0:
+            beta_i, beta_f = 1.0, 1e4
+        else:
+            beta_i, beta_f = math.log(1 / 0.8) / mean_delta, math.log(1 / 1e-4) / mean_delta
+    if config.sweeps == 1:
+        return [beta_f]
+    t = np.arange(config.sweeps) / (config.sweeps - 1)
+    if config.schedule == "geometric":
+        return (beta_i * (beta_f / beta_i) ** t).tolist()
+    return (beta_i + (beta_f - beta_i) * t).tolist()
+
+
+def reference_sa(q: QuboMatrix, config):
+    """Independent simulated annealing with plain-list state and a per-element
+    field update; draws the same random numbers as `solve_sa`. Returns
+    (bits, energy, evaluations, energy_trace)."""
+    rng = np.random.default_rng(config.seed)
+    betas = _reference_betas(q, config, rng)
+    dim = q.dim
+    diag, coupling = q.to_symmetric_parts()
+    d = diag.tolist()
+    rows = coupling.tolist()
+    best_energy, best_bits, trace, evaluations = math.inf, None, [], 0
+    for _ in range(config.restarts):
+        x_arr = rng.integers(0, 2, size=dim).astype(np.float64)
+        fields_arr = coupling @ x_arr
+        energy = float(q.offset + diag @ x_arr + 0.5 * x_arr @ fields_arr)
+        x, fields = x_arr.tolist(), fields_arr.tolist()
+        if energy < best_energy:
+            best_energy, best_bits = energy, tuple(int(b) for b in x)
+            trace.append((evaluations, best_energy))
+        for beta in betas:
+            perm = rng.permutation(dim).tolist()
+            thresholds = rng.exponential(size=dim).tolist()
+            evaluations += dim
+            for k in range(dim):
+                i = perm[k]
+                s = 1.0 - 2.0 * x[i]
+                gain = s * (d[i] + fields[i])
+                if gain <= 0.0 or beta * gain < thresholds[k]:
+                    x[i] += s
+                    energy += gain
+                    for j in range(dim):
+                        fields[j] += s * rows[i][j]
+                    bits = tuple(int(b) for b in x)
+                    if energy < best_energy:
+                        best_energy, best_bits = energy, bits
+                        trace.append((evaluations - dim + k + 1, best_energy))
+                    elif energy == best_energy and bits < best_bits:
+                        best_bits = bits
+    return best_bits, best_energy, evaluations, trace
+
+
+def reference_tabu(q: QuboMatrix, config):
+    """Independent tabu search: gains, aspiration and masked argmin built from
+    fresh arrays each step, fields updated from the coupling column; draws the
+    same random numbers as `solve_tabu`. Returns (bits, energy, evaluations,
+    energy_trace)."""
+    dim = q.dim
+    tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
+    max_iterations = config.max_iterations if config.max_iterations is not None else 50 * dim
+    rng = np.random.default_rng(config.seed)
+    diag, coupling = q.to_symmetric_parts()
+    best_energy, best_bits, trace, evaluations = math.inf, None, [], 0
+    for restart in range(config.restarts):
+        start = np.zeros(dim) if restart == 0 else rng.integers(0, 2, size=dim)
+        x = np.asarray(start, dtype=np.float64).copy()
+        fields = coupling @ x
+        energy = float(q.offset + diag @ x + 0.5 * x @ fields)
+        if energy < best_energy:
+            best_energy, best_bits = energy, tuple(int(b) for b in x)
+            trace.append((evaluations, best_energy))
+        tabu_until = np.zeros(dim, dtype=np.int64)
+        for step in range(1, max_iterations + 1):
+            gains = (1.0 - 2.0 * x) * (diag + fields)
+            evaluations += dim
+            admissible = (tabu_until < step) | (energy + gains < best_energy)
+            masked = np.where(admissible, gains, np.inf) if admissible.any() else gains
+            i = int(np.argmin(masked))
+            s = 1.0 - 2.0 * x[i]
+            energy += s * (diag[i] + fields[i])
+            x[i] += s
+            fields += s * coupling[:, i]
+            tabu_until[i] = step + tenure
+            bits = tuple(int(b) for b in x)
+            if energy < best_energy:
+                best_energy, best_bits = energy, bits
+                trace.append((evaluations, best_energy))
+            elif energy == best_energy and bits < best_bits:
+                best_bits = bits
+    return best_bits, best_energy, evaluations, trace

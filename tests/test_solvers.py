@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portqubo import (
     AnnealConfig,
@@ -23,7 +25,7 @@ from portqubo import (
     solve_tabu,
 )
 
-from conftest import naive_bruteforce, random_qubo
+from conftest import naive_bruteforce, random_qubo, reference_sa, reference_tabu
 
 
 def _universe(mu, sigma):
@@ -167,6 +169,54 @@ class TestSimulatedAnnealing:
             ),
         )
         assert result.energy == pytest.approx(qubo_energy(q, result.bits), rel=1e-9)
+
+
+def _outcome(result):
+    return result.bits, result.energy, result.evaluations, result.energy_trace
+
+
+_SA_CONFIGS = (
+    AnnealConfig(sweeps=40, restarts=2, seed=5),
+    AnnealConfig(sweeps=30, restarts=2, seed=6, schedule="linear"),
+    AnnealConfig(sweeps=25, restarts=2, seed=7, beta_initial=0.05, beta_final=3.0),
+    AnnealConfig(sweeps=1, restarts=3, seed=8),
+)
+_TABU_CONFIGS = (
+    TabuConfig(seed=5, restarts=3),
+    TabuConfig(seed=6, restarts=2, tenure=3, max_iterations=40),
+)
+
+
+@pytest.mark.filterwarnings("ignore:tabu tenure")
+class TestMatchesReference:
+    """SA and tabu reproduce the plain loops in conftest bit for bit."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 33, 60])
+    def test_sa(self, dim, density):
+        q = random_qubo(np.random.default_rng(dim), dim, density)
+        for config in _SA_CONFIGS:
+            assert _outcome(solve_sa(q, config)) == reference_sa(q, config)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 33, 60])
+    def test_tabu(self, dim, density):
+        q = random_qubo(np.random.default_rng(dim), dim, density)
+        for config in _TABU_CONFIGS:
+            assert _outcome(solve_tabu(q, config)) == reference_tabu(q, config)
+
+    @given(
+        dim=st.integers(1, 24),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_problems(self, dim, density, seed):
+        q = random_qubo(np.random.default_rng(seed), dim, density)
+        sa_config = AnnealConfig(sweeps=20, restarts=2, seed=seed)
+        tabu_config = TabuConfig(seed=seed, restarts=2, max_iterations=30)
+        assert _outcome(solve_sa(q, sa_config)) == reference_sa(q, sa_config)
+        assert _outcome(solve_tabu(q, tabu_config)) == reference_tabu(q, tabu_config)
 
 
 class TestTabu:
