@@ -50,6 +50,13 @@ class AssetUniverse:
             raise ValueError(f"mu has shape {mu.shape}, expected ({n},)")
         if sigma.shape != (n, n):
             raise ValueError(f"sigma has shape {sigma.shape}, expected ({n}, {n})")
+        if len(set(symbols)) != n:
+            duplicates = sorted({s for s in symbols if symbols.count(s) > 1})
+            raise ValueError(f"symbols has duplicates: {', '.join(duplicates)}")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu has non-finite entries")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma has non-finite entries")
         if np.abs(sigma - sigma.T).max() > 1e-9:
             raise ValueError("sigma is not symmetric within 1e-9")
         eigvals = np.linalg.eigvalsh(sigma)

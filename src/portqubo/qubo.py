@@ -337,7 +337,9 @@ def write_qubo(q: QuboMatrix, path) -> None:
 
 
 def read_qubo(path) -> QuboMatrix:
-    """Read the text QUBO format written by :func:`write_qubo`."""
+    """Read the text QUBO format written by :func:`write_qubo`. The file has
+    one problem line, as many coefficient lines as its nnz, and no `i j` pair
+    twice."""
     dim = None
     offset = 0.0
     coeffs: dict[tuple[int, int], float] = {}
@@ -350,15 +352,26 @@ def read_qubo(path) -> QuboMatrix:
             if parts[0] == "p":
                 if len(parts) != 5 or parts[1] != "qubo":
                     raise ValueError(f"{path}:{lineno}: malformed problem line {line!r}")
+                if dim is not None:
+                    raise ValueError(f"{path}:{lineno}: second problem line")
                 dim = int(parts[2])
+                nnz = int(parts[3])
                 offset = float(parts[4])
+                problem_lineno = lineno
                 continue
             if dim is None:
                 raise ValueError(f"{path}:{lineno}: coefficient before problem line")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: malformed coefficient line {line!r}")
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            coeffs[(i, j)] = v
+            key = (int(parts[0]), int(parts[1]))
+            if key in coeffs:
+                raise ValueError(f"{path}:{lineno}: duplicate coefficient {key[0]} {key[1]}")
+            coeffs[key] = float(parts[2])
     if dim is None:
         raise ValueError(f"{path}: no problem line found")
+    if len(coeffs) != nnz:
+        raise ValueError(
+            f"{path}:{problem_lineno}: problem line declares {nnz} coefficients, "
+            f"file has {len(coeffs)}"
+        )
     return QuboMatrix(dim=dim, coeffs=coeffs, offset=offset)

@@ -11,7 +11,6 @@ given its seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -25,7 +24,10 @@ from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
 BRUTEFORCE_DIM_GUARD = 24
-_BRUTEFORCE_BLOCK = 1 << 20
+# assignment rows per block times dim; dim <= 16 fits in one block
+_BRUTEFORCE_BLOCK_ELEMENTS = 1 << 20
+# extensions per block times n * N; bounds the subset oracle's working memory
+_SUBSET_BLOCK_ELEMENTS = 1 << 21
 
 
 class InfeasibleInstanceError(RuntimeError):
@@ -118,15 +120,19 @@ class FlipEvaluator:
         self.diag, self.coupling = q.to_symmetric_parts()
         self.offset = q.offset
         self.dim = q.dim
+        self._signs = np.empty(q.dim)
+        self._gains = np.empty(q.dim)
+        self.reset(bits)
+
+    def reset(self, bits=None) -> None:
+        """Start again from `bits` (all zeros when None)."""
         if bits is None:
-            bits = np.zeros(q.dim)
+            bits = np.zeros(self.dim)
         self.x = np.asarray(bits, dtype=np.float64).copy()
         self.fields = self.coupling @ self.x
         self.energy = float(
             self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields
         )
-        self._signs = np.empty(q.dim)
-        self._gains = np.empty(q.dim)
 
     def gain(self, i: int) -> float:
         """Energy change of flipping bit i."""
@@ -275,8 +281,10 @@ def solve_tabu(
     admissible = np.empty(dim, dtype=bool)
     aspires = np.empty(dim, dtype=bool)
     masked = np.empty(dim)
+    state = FlipEvaluator(q)
     for restart in range(config.restarts):
-        state = FlipEvaluator(q, None if restart == 0 else rng.integers(0, 2, size=dim))
+        if restart:
+            state.reset(rng.integers(0, 2, size=dim))
         if state.energy < best_energy:
             best_energy, best_x = state.energy, state.x.copy()
             trace.append((evaluations, best_energy))
@@ -368,9 +376,60 @@ def solve_ga(
     return _result(best_bits, best_energy, evaluations, t0, config.seed, trace)
 
 
+@dataclass
+class _Prefixes:
+    """A block of sorted k-prefixes of n-subsets, in lexicographic order, with
+    the running sums that extending them by one asset needs. The cross vector
+    of a prefix is c = sum_{j in prefix} (S + S')[j, :]; a block keeps those
+    of the prefixes without their last asset, one row per parent prefix."""
+
+    idx: np.ndarray  # (rows, k) asset indices
+    risk: np.ndarray  # x'Sx of each prefix
+    ret: np.ndarray | None  # mu'x of each prefix; None when unconstrained
+    cross: np.ndarray  # (parents, N) cross vectors of the parent prefixes
+    via: np.ndarray  # row of `cross` for each prefix
+    last: np.ndarray  # last asset of each prefix; -1 for the empty prefix
+    ends: np.ndarray  # cumulative count of each prefix's extensions
+    done: int = 0  # prefixes already extended
+
+
+def _prefixes(idx, risk, ret, cross, via, last, n_assets: int, n: int) -> _Prefixes:
+    # the next asset must leave room for the n - k - 1 after it
+    counts = (n_assets - n + idx.shape[1]) - last
+    return _Prefixes(idx, risk, ret, cross, via, last, np.cumsum(counts))
+
+
+def _return_margin(returns: np.ndarray, instance: PortfolioInstance) -> np.ndarray:
+    """Slack of the return constraint: >= 0 exactly where `returns >= r_star`
+    (at_least) or `|returns - r_star| <= tol` (equality) holds, because a
+    float difference is 0 only between equal floats."""
+    if instance.return_mode == "at_least":
+        return returns - instance.r_star
+    return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
+
+
 def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
-    """Ground-truth oracle: enumerate every n-subset, filter by the return
-    constraint, return the minimum-risk feasible selection."""
+    """Ground-truth oracle: the minimum-risk n-subset that meets the return
+    constraint, ties broken by the lexicographically smallest bit vector.
+
+    Subsets are enumerated in lexicographic order by extending blocks of
+    k-prefixes one asset a > last at a time, depth first. A prefix carries its
+    risk r, its return and its cross vector c = sum_{j in prefix} (S + S')[j, :],
+    so extending it costs O(1): risk r + c[a] + S[a, a], return ret + mu[a].
+    Cross vectors are stored only for prefixes of up to n - 2 assets, and each
+    level makes about `_SUBSET_BLOCK_ELEMENTS // (n * N)` extensions at a
+    time, so memory does not grow with C(N, n).
+
+    These running sums round differently from direct sums, so the answer is
+    reselected exactly. Any summation order of the n^2 risk terms is within
+    n^4 * eps * max|S| / 2 of the true risk, so every feasible subset whose
+    running-sum risk is within 4 n^4 eps max|S| of the running minimum is
+    rescored as `S[c][:, c].sum()`, and the lowest rescored risk wins. A
+    subset whose running-sum return is within 4 n^2 eps max|mu| of the return
+    boundary is re-tested with `mu[c].sum()`. The chosen subset is therefore
+    the one that scoring every subset directly chooses, provided no sum
+    overflows.
+    """
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
     if count > SUBSET_ENUMERATION_GUARD:
@@ -381,36 +440,96 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     t0 = time.perf_counter()
     sigma = instance.universe.sigma
     mu = instance.universe.mu
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_assets), n)),
-        dtype=np.int64,
-        count=count * n,
-    ).reshape(count, n)
-    risks = sigma[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-    returns = mu[combos].sum(axis=1)
-    if instance.return_mode == "at_least":
-        feasible = returns >= instance.r_star
-    elif instance.return_mode == "equality":
-        feasible = np.abs(returns - instance.r_star) <= EQUALITY_RETURN_TOL
-    else:
-        feasible = np.ones(count, dtype=bool)
-    if not feasible.any():
+    constrained = instance.return_mode != "none"
+    # S + S' is 2S when S is exactly symmetric and keeps the rounding bound
+    # when it is symmetric only within the universe's tolerance; the extra
+    # zero row is the term of the empty prefix's last asset, -1
+    pair = np.zeros((n_assets + 1, n_assets))
+    np.add(sigma, sigma.T, out=pair[:n_assets])
+    diag = sigma.diagonal()
+    eps = np.finfo(np.float64).eps
+    risk_window = 4.0 * n**4 * eps * float(np.abs(sigma).max())
+    tol = EQUALITY_RETURN_TOL if instance.return_mode == "equality" else 0.0
+    return_band = 4.0 * n * n * eps * float(np.abs(mu).max()) + 2.0 * eps * tol
+    rows = max(1, _SUBSET_BLOCK_ELEMENTS // (n * n_assets))
+
+    lowest = math.inf
+    best_risk = math.inf
+    best_combo = None
+    zero = np.zeros(1)
+    stack = [
+        _prefixes(
+            np.empty((1, 0), dtype=np.int64),
+            zero,
+            zero if constrained else None,
+            np.zeros((1, n_assets)),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, -1),
+            n_assets,
+            n,
+        )
+    ]
+    while stack:
+        block = stack[-1]
+        # extend whole prefixes, about `rows` extensions at a time
+        p0 = block.done
+        base = int(block.ends[p0 - 1]) if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(block.ends, base + rows, side="right")))
+        block.done = p1
+        if p1 == len(block.ends):
+            stack.pop()
+        ends = block.ends[p0:p1]
+        counts = np.diff(ends, prepend=base)
+        parent = np.repeat(np.arange(p0, p1), counts)
+        # each prefix's extensions are its last asset + 1, + 2, ...
+        step = block.last[p0:p1] + 1 - (ends - counts - base)
+        a = np.arange(len(parent)) + np.repeat(step, counts)
+        risk = (
+            block.risk[parent]
+            + block.cross[block.via[parent], a]
+            + pair[block.last[parent], a]
+            + diag[a]
+        )
+        ret = block.ret[parent] + mu[a] if constrained else None
+        if block.idx.shape[1] + 1 < n:
+            cross = block.cross[block.via[p0:p1]] + pair[block.last[p0:p1]]
+            idx = np.column_stack((block.idx[parent], a))
+            stack.append(_prefixes(idx, risk, ret, cross, parent - p0, a, n_assets, n))
+            continue
+
+        def combos(sel):
+            return np.column_stack((block.idx[parent[sel]], a[sel]))
+
+        if constrained:
+            margin = _return_margin(ret, instance)
+            feasible = margin > return_band
+            unsure = np.flatnonzero(np.abs(margin) <= return_band)
+            if unsure.size:
+                feasible[unsure] = _return_margin(mu[combos(unsure)].sum(axis=1), instance) >= 0
+            if not feasible.any():
+                continue
+            lowest = min(lowest, float(risk[feasible].min()))
+            near = np.flatnonzero(feasible & (risk <= lowest + risk_window))
+        else:
+            lowest = min(lowest, float(risk.min()))
+            near = np.flatnonzero(risk <= lowest + risk_window)
+        if not near.size:
+            continue
+        near_combos = combos(near)
+        exact = sigma[near_combos[:, :, None], near_combos[:, None, :]].sum(axis=(1, 2))
+        # extensions arrive in lexicographic order of the subset, the reverse
+        # of the order of its bit vector, so the last of equal risks wins
+        k = len(exact) - 1 - int(np.argmin(exact[::-1]))
+        if exact[k] <= best_risk:
+            best_risk, best_combo = float(exact[k]), near_combos[k]
+    if best_combo is None:
         raise InfeasibleInstanceError("instance infeasible: no subset meets the return target")
-    feas_idx = np.flatnonzero(feasible)
-    feas_risks = risks[feas_idx]
-    min_risk = feas_risks.min()
-    tied = feas_idx[feas_risks == min_risk]
-    best = None
-    for idx in tied:
-        bits = np.zeros(n_assets, dtype=np.int64)
-        bits[combos[idx]] = 1
-        key = tuple(bits)
-        if best is None or key < best:
-            best = key
+    bits = np.zeros(n_assets, dtype=np.int64)
+    bits[best_combo] = 1
     wall = time.perf_counter() - t0
     return solution_from_bits(
         instance,
-        best,
+        bits,
         solver="exact-subsets",
         wall_time_s=wall,
         enumerated=int(count),
@@ -430,8 +549,9 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)
     best_energy = math.inf
     best_code = 0
-    for start in range(0, total, _BRUTEFORCE_BLOCK):
-        stop = min(start + _BRUTEFORCE_BLOCK, total)
+    block = max(1, _BRUTEFORCE_BLOCK_ELEMENTS // dim)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
         codes = np.arange(start, stop, dtype=np.uint64)
         bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
         energies = ((bits @ upper) * bits).sum(axis=1) + q.offset

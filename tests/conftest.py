@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from portqubo import AssetUniverse, PortfolioInstance, QuboMatrix
+from portqubo.model import EQUALITY_RETURN_TOL
+from portqubo.solvers import InfeasibleInstanceError
 
 
 def naive_qubo_energy(q: QuboMatrix, bits) -> float:
@@ -176,3 +178,40 @@ def reference_tabu(q: QuboMatrix, config):
             elif energy == best_energy and bits < best_bits:
                 best_bits = bits
     return best_bits, best_energy, evaluations, trace
+
+
+def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]:
+    """Independent subset oracle: gathers every n-subset's n x n covariance
+    block at once, filters by the return constraint and returns the bits of
+    the minimum-risk feasible subset, lexicographically smallest on ties.
+    Memory grows with C(N, n) * n^2."""
+    n_assets, n = instance.n_assets, instance.n
+    count = math.comb(n_assets, n)
+    sigma = instance.universe.sigma
+    mu = instance.universe.mu
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_assets), n)),
+        dtype=np.int64,
+        count=count * n,
+    ).reshape(count, n)
+    risks = sigma[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
+    returns = mu[combos].sum(axis=1)
+    if instance.return_mode == "at_least":
+        feasible = returns >= instance.r_star
+    elif instance.return_mode == "equality":
+        feasible = np.abs(returns - instance.r_star) <= EQUALITY_RETURN_TOL
+    else:
+        feasible = np.ones(count, dtype=bool)
+    if not feasible.any():
+        raise InfeasibleInstanceError("instance infeasible: no subset meets the return target")
+    feas_idx = np.flatnonzero(feasible)
+    feas_risks = risks[feas_idx]
+    tied = feas_idx[feas_risks == feas_risks.min()]
+    best = None
+    for idx in tied:
+        bits = np.zeros(n_assets, dtype=np.int64)
+        bits[combos[idx]] = 1
+        key = tuple(int(b) for b in bits)
+        if best is None or key < best:
+            best = key
+    return best

@@ -116,6 +116,26 @@ def test_universe_accepts_near_singular():
     assert u.n_assets == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_universe_rejects_non_finite_mu(bad):
+    with pytest.raises(ValueError, match="mu"):
+        _universe([1.0, bad], np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_universe_rejects_non_finite_sigma(bad):
+    # a NaN passes both the symmetry and the eigenvalue comparison
+    sigma = np.eye(2)
+    sigma[1, 1] = bad
+    with pytest.raises(ValueError, match="sigma"):
+        _universe([1.0, 2.0], sigma)
+
+
+def test_universe_rejects_duplicate_symbols():
+    with pytest.raises(ValueError, match="symbols.*AAA"):
+        AssetUniverse(("AAA", "BBB", "AAA"), [1.0, 2.0, 3.0], np.eye(3))
+
+
 def test_instance_validates_n():
     with pytest.raises(ValueError):
         PortfolioInstance(_universe([1, 2], np.eye(2)), n=3)

@@ -339,6 +339,25 @@ class TestQuboFile:
         with pytest.raises(ValueError, match="before problem line"):
             read_qubo(path)
 
+    @pytest.mark.parametrize("nnz", [1, 3])
+    def test_nnz_mismatch_rejected(self, tmp_path, nnz):
+        path = tmp_path / "nnz.qubo"
+        path.write_text(f"c header\np qubo 2 {nnz} 0\n0 0 1\n0 1 -2\n")
+        with pytest.raises(ValueError, match=rf"nnz\.qubo:2: .*declares {nnz} .* has 2"):
+            read_qubo(path)
+
+    def test_duplicate_coefficient_rejected(self, tmp_path):
+        path = tmp_path / "dup.qubo"
+        path.write_text("p qubo 2 2 0\n0 1 -2\n0 1 3\n")
+        with pytest.raises(ValueError, match=r"dup\.qubo:3: duplicate coefficient 0 1"):
+            read_qubo(path)
+
+    def test_second_problem_line_rejected(self, tmp_path):
+        path = tmp_path / "two.qubo"
+        path.write_text("p qubo 2 1 0\n0 1 1\np qubo 5 1 3\n")
+        with pytest.raises(ValueError, match=r"two\.qubo:3: second problem line"):
+            read_qubo(path)
+
 
 class TestPenaltySufficiency:
     def test_doubling_reaches_feasible_argmin(self, rng):

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,16 @@ from portqubo import (
     solve_tabu,
 )
 
-from conftest import naive_bruteforce, random_qubo, reference_sa, reference_tabu
+from portqubo.data import SyntheticSpec, generate_synthetic
+
+from conftest import (
+    naive_bruteforce,
+    random_psd,
+    random_qubo,
+    reference_exhaustive_subsets,
+    reference_sa,
+    reference_tabu,
+)
 
 
 def _universe(mu, sigma):
@@ -68,6 +79,87 @@ class TestExhaustiveSubsets:
         inst = PortfolioInstance(_universe([1, 1, 1], np.diag([1.0, 2.0, 1.0])), n=1)
         sol = solve_exhaustive_subsets(inst)
         assert sol.x == (0, 0, 1)
+
+
+def _oracle_outcome(oracle, inst):
+    try:
+        return oracle(inst)
+    except InfeasibleInstanceError:
+        return "infeasible"
+
+
+class TestExhaustiveSubsetsMatchesReference:
+    """The prefix-extension oracle picks the subset that scoring every subset
+    directly picks (the gather-based enumerator in conftest)."""
+
+    @given(
+        n_assets=st.integers(1, 10),
+        distinct=st.integers(1, 10),
+        mode=st.sampled_from(["none", "at_least", "equality"]),
+        target=st.sampled_from(["sorted", "shuffled", "above", "below"]),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, n_assets, distinct, mode, target, decimals, seed):
+        rng = np.random.default_rng(seed)
+        distinct = min(distinct, n_assets)
+        # repeated assets make exactly tied subsets
+        pick = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n_assets - distinct)])
+        rng.shuffle(pick)
+        sigma = random_psd(rng, distinct)[np.ix_(pick, pick)]
+        mu = rng.uniform(-1.0, 3.0, distinct)
+        if decimals is not None:
+            mu = np.round(mu, decimals)
+        mu = mu[pick]
+        n = int(rng.integers(1, n_assets + 1))
+        r_star = 0.0
+        if mode != "none":
+            # the return of some subset, summed in either order
+            subset = rng.choice(n_assets, n, replace=False)
+            r_star = float(mu[np.sort(subset) if target != "shuffled" else subset].sum())
+            r_star += {"above": 1e-9, "below": -1e-9}.get(target, 0.0)
+        inst = PortfolioInstance(_universe(mu, sigma), n, r_star, mode)
+        got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
+        assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
+
+    @pytest.mark.parametrize(
+        "n_assets, n, mode",
+        [(16, 4, "none"), (18, 5, "none"), (20, 5, "none"), (22, 6, "none"),
+         (26, 7, "none"), (20, 5, "at_least")],
+    )
+    def test_benchmark_sizes(self, n_assets, n, mode):
+        universe = generate_synthetic(
+            SyntheticSpec(n_assets=n_assets, seed=n_assets * 100 + n, return_range=(0.0, 10.0))
+        )
+        r_star = 0.6 * float(np.sort(universe.mu)[::-1][:n].sum()) if mode != "none" else 0.0
+        inst = PortfolioInstance(universe, n, r_star, mode)
+        assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
+
+    def test_ties_across_blocks(self):
+        # every subset ties and C(60, 4) spans many blocks: the smallest bit
+        # vector is the lexicographically last subset
+        inst = PortfolioInstance(_universe(np.ones(60), 2.0 * np.eye(60)), n=4)
+        assert solve_exhaustive_subsets(inst).x == (0,) * 56 + (1,) * 4
+        # 15 assets, each twice
+        rng = np.random.default_rng(30)
+        pick = np.repeat(np.arange(15), 2)
+        sigma = random_psd(rng, 15)[np.ix_(pick, pick)]
+        mu = np.round(rng.uniform(0.0, 3.0, 15), 1)[pick]
+        inst = PortfolioInstance(_universe(mu, sigma), 4, float(mu[[0, 2, 4, 6]].sum()), "at_least")
+        assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
+
+    def test_memory_bounded(self):
+        # the all-subsets gather of C(24, 9) = 1.3M subsets peaks at about 908 MB
+        universe = generate_synthetic(SyntheticSpec(n_assets=24, seed=9))
+        inst = PortfolioInstance(universe, 9)
+        tracemalloc.start()
+        try:
+            solve_exhaustive_subsets(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestBruteforce:
