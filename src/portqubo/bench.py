@@ -25,13 +25,13 @@ from .data import (
 from .model import PortfolioInstance
 from .qubo import PenaltyParams, build_qubo, decode
 from .solvers import (
+    SUBSET_ENUMERATION_GUARD,
     InfeasibleInstanceError,
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import default_grid, estimate_lambda1, estimate_lambda2, grid_search
+from .tuning import default_grid, estimate_lambdas, grid_search
 
-ORACLE_GUARD = 10**6
 ORACLE_SOLVER_NAME = "oracle"
 
 CSV_COLUMNS = [
@@ -182,23 +182,17 @@ def _solver_entry(entry) -> tuple[str, str, dict]:
 def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance) -> PenaltyParams:
     if plan.penalty_policy == "explicit":
         return PenaltyParams(1.0, plan.explicit_lambda1, plan.explicit_lambda2)
-    l1_hat = estimate_lambda1(instance)
-    l2_hat = (
-        estimate_lambda2(instance)
-        if instance.return_mode != "none" and instance.n >= 2
-        else 0.0
-    )
+    est = estimate_lambdas(instance)
     if plan.penalty_policy == "estimate":
-        return PenaltyParams(1.0, l1_hat, l2_hat)
+        return PenaltyParams(1.0, est.lambda1_hat, est.lambda2_hat)
     # grid: refine around the estimates with the plan's first solver
     _, solver_type, options = _solver_entry(plan.solvers[0])
     solver = make_solver(solver_type, options)
-    grid2 = default_grid(l2_hat) if instance.return_mode != "none" else [0.0]
     best, _, _ = grid_search(
         instance,
         solver,
-        default_grid(l1_hat),
-        grid2,
+        default_grid(est.lambda1_hat),
+        default_grid(est.lambda2_hat),
         repeats=plan.grid_repeats,
         seeds=list(plan.seeds[: plan.grid_repeats]),
     )
@@ -237,8 +231,8 @@ def load_external_results(path) -> list[BenchRow]:
 def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     """Execute the full (instance, solver, seed) matrix plus oracle rows.
 
-    Individual run failures are recorded in their row; the matrix always
-    completes.
+    Individual run failures, and a QUBO build that fails for an instance, are
+    recorded in their rows; the matrix always completes.
     """
     rows: list[BenchRow] = []
     summaries: list[InstanceSummary] = []
@@ -248,7 +242,28 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     for entry in plan.instances:
         inst_id, instance = _instance_from_entry(entry)
         params = _resolve_penalties(plan, instance)
-        q, layout = build_qubo(instance, params)
+        try:
+            q, layout = build_qubo(instance, params)
+        except ValueError as exc:
+            q, layout, build_error = None, None, str(exc)
+        else:
+            build_error = None
+        template = BenchRow(
+            instance=inst_id,
+            n_assets=instance.n_assets,
+            n=instance.n,
+            r_star=instance.r_star,
+            qubo_dim=0 if q is None else q.dim,
+            lambda1=params.lambda1,
+            lambda2=params.lambda2,
+            solver="",
+            seed=None,
+            energy=math.nan,
+            risk=math.nan,
+            ret=math.nan,
+            feasible=False,
+            wall_time_s=0.0,
+        )
         inst_rows: list[BenchRow] = []
         for solver_entry in plan.solvers:
             display, solver_type, options = _solver_entry(solver_entry)
@@ -256,63 +271,29 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                 options.setdefault("time_limit_s", plan.time_limit_s)
             solver = make_solver(solver_type, options)
             for seed in plan.seeds:
-                try:
-                    result = solver(q, seed)
-                    sol = decode(instance, layout, result.bits, energy=result.energy)
-                    inst_rows.append(
-                        BenchRow(
-                            instance=inst_id,
-                            n_assets=instance.n_assets,
-                            n=instance.n,
-                            r_star=instance.r_star,
-                            qubo_dim=q.dim,
-                            lambda1=params.lambda1,
-                            lambda2=params.lambda2,
-                            solver=display,
-                            seed=seed,
+                row = replace(template, solver=display, seed=seed, error=build_error)
+                if q is not None:
+                    try:
+                        result = solver(q, seed)
+                        sol = decode(instance, layout, result.bits, energy=result.energy)
+                        row = replace(
+                            row,
                             energy=result.energy,
                             risk=sol.risk,
                             ret=sol.ret,
                             feasible=sol.feasible,
                             wall_time_s=0.0 if no_timing else result.wall_time_s,
                         )
-                    )
-                except Exception as exc:
-                    inst_rows.append(
-                        BenchRow(
-                            instance=inst_id,
-                            n_assets=instance.n_assets,
-                            n=instance.n,
-                            r_star=instance.r_star,
-                            qubo_dim=q.dim,
-                            lambda1=params.lambda1,
-                            lambda2=params.lambda2,
-                            solver=display,
-                            seed=seed,
-                            energy=math.nan,
-                            risk=math.nan,
-                            ret=math.nan,
-                            feasible=False,
-                            wall_time_s=0.0,
-                            error=str(exc),
-                        )
-                    )
-        proven = False
-        if math.comb(instance.n_assets, instance.n) <= ORACLE_GUARD:
+                    except Exception as exc:
+                        row = replace(row, error=str(exc))
+                inst_rows.append(row)
+        if math.comb(instance.n_assets, instance.n) <= SUBSET_ENUMERATION_GUARD:
             try:
                 oracle = solve_exhaustive_subsets(instance)
-                proven = True
                 inst_rows.append(
-                    BenchRow(
-                        instance=inst_id,
-                        n_assets=instance.n_assets,
-                        n=instance.n,
-                        r_star=instance.r_star,
-                        qubo_dim=q.dim,
-                        lambda1=params.lambda1,
-                        lambda2=params.lambda2,
+                    replace(
+                        template,
                         solver=ORACLE_SOLVER_NAME,
-                        seed=None,
                         energy=oracle.risk,
                         risk=oracle.risk,
                         ret=oracle.ret,
@@ -325,12 +306,11 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                 )
             except InfeasibleInstanceError:
                 pass
-        inst_external = [r for r in external_rows if r.instance == inst_id]
-        inst_rows.extend(inst_external)
-        feasible_rows = [r for r in inst_rows if r.feasible and not math.isnan(r.risk)]
-        if feasible_rows:
-            best_row = min(feasible_rows, key=lambda r: r.risk)
-            best_risk = best_row.risk
+        inst_rows.extend(r for r in external_rows if r.instance == inst_id)
+        summary = _summarize(inst_id, inst_rows)
+        summaries.append(summary)
+        best_risk = summary.best_risk
+        if best_risk is not None:
             inst_rows = [
                 replace(
                     r,
@@ -340,28 +320,31 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                 )
                 for r in inst_rows
             ]
-            summaries.append(
-                InstanceSummary(
-                    instance=inst_id,
-                    best_risk=best_risk,
-                    best_solver=best_row.solver,
-                    proven_optimal=proven,
-                    external=best_row.external,
-                )
-            )
-        else:
-            summaries.append(
-                InstanceSummary(
-                    instance=inst_id,
-                    best_risk=None,
-                    best_solver=None,
-                    proven_optimal=False,
-                    external=False,
-                )
-            )
         rows.extend(inst_rows)
     rows.sort(key=_row_sort_key)
     return BenchReport(rows=tuple(rows), summaries=tuple(summaries))
+
+
+def _summarize(inst_id: str, inst_rows: list[BenchRow]) -> InstanceSummary:
+    """Best-known feasible risk of one instance, the first row in order that
+    reaches it, and whether an optimal (oracle) row proves it."""
+    feasible = [r for r in inst_rows if r.feasible and not math.isnan(r.risk)]
+    if not feasible:
+        return InstanceSummary(
+            instance=inst_id,
+            best_risk=None,
+            best_solver=None,
+            proven_optimal=False,
+            external=False,
+        )
+    best = min(feasible, key=lambda r: r.risk)
+    return InstanceSummary(
+        instance=inst_id,
+        best_risk=best.risk,
+        best_solver=best.solver,
+        proven_optimal=any(r.optimal for r in inst_rows),
+        external=best.external,
+    )
 
 
 def _row_sort_key(row: BenchRow):
@@ -490,33 +473,9 @@ def parse_report_csv(path) -> BenchReport:
             )
     if not rows:
         raise DataFormatError(f"{path}: report has no rows")
-    summaries = []
     seen = []
     for r in rows:
         if r.instance not in seen:
             seen.append(r.instance)
-    for inst_id in seen:
-        inst_rows = [r for r in rows if r.instance == inst_id]
-        feasible = [r for r in inst_rows if r.feasible and not math.isnan(r.risk)]
-        if feasible:
-            best = min(feasible, key=lambda r: r.risk)
-            summaries.append(
-                InstanceSummary(
-                    instance=inst_id,
-                    best_risk=best.risk,
-                    best_solver=best.solver,
-                    proven_optimal=any(r.optimal for r in inst_rows),
-                    external=best.external,
-                )
-            )
-        else:
-            summaries.append(
-                InstanceSummary(
-                    instance=inst_id,
-                    best_risk=None,
-                    best_solver=None,
-                    proven_optimal=False,
-                    external=False,
-                )
-            )
-    return BenchReport(rows=tuple(rows), summaries=tuple(summaries))
+    summaries = tuple(_summarize(i, [r for r in rows if r.instance == i]) for i in seen)
+    return BenchReport(rows=tuple(rows), summaries=summaries)

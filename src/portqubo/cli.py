@@ -28,8 +28,7 @@ from .solvers import (
 )
 from .tuning import (
     default_grid,
-    estimate_lambda1,
-    estimate_lambda2,
+    estimate_lambdas,
     grid_search,
     grid_csv,
     lambda_sweep,
@@ -134,12 +133,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _instance_penalties(instance, lambda1, lambda2, estimate) -> PenaltyParams:
     if estimate or (lambda1 is None and lambda2 is None):
-        l1 = estimate_lambda1(instance)
-        l2 = (
-            estimate_lambda2(instance)
-            if instance.return_mode != "none" and instance.n >= 2
-            else 0.0
-        )
+        est = estimate_lambdas(instance)
+        l1, l2 = est.lambda1_hat, est.lambda2_hat
         print(f"estimated lambda1={l1:.17g} lambda2={l2:.17g}")
         if lambda1 is not None:
             l1 = lambda1
@@ -224,13 +219,9 @@ def _dispatch(args) -> int:
 
     if args.command == "tune":
         instance = data_mod.load_instance(args.instance)
-        grid1 = args.grid1 if args.grid1 else default_grid(estimate_lambda1(instance))
-        if args.grid2:
-            grid2 = args.grid2
-        elif instance.return_mode != "none" and instance.n >= 2:
-            grid2 = default_grid(estimate_lambda2(instance))
-        else:
-            grid2 = [0.0]
+        est = estimate_lambdas(instance)
+        grid1 = args.grid1 if args.grid1 else default_grid(est.lambda1_hat)
+        grid2 = args.grid2 if args.grid2 else default_grid(est.lambda2_hat)
         solver = make_solver(args.solver)
         best, cells, feasible = grid_search(
             instance, solver, grid1, grid2, repeats=args.repeats

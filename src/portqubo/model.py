@@ -7,6 +7,7 @@ product mu'x. Everything here is encoding- and solver-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -94,8 +95,11 @@ class PortfolioInstance:
             raise ValueError(
                 f"n must be in [1, {self.universe.n_assets}], got {self.n}"
             )
+        r_star = float(self.r_star)
+        if not math.isfinite(r_star):
+            raise ValueError(f"r_star must be finite, got {r_star}")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r_star", float(self.r_star))
+        object.__setattr__(self, "r_star", r_star)
 
     @property
     def n_assets(self) -> int:

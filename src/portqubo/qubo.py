@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,49 +60,73 @@ class VariableLayout:
         return self.n_assets + self.n_slack
 
 
-@dataclass(frozen=True)
-class QuboMatrix:
-    """Upper-triangular quadratic coefficient map with a constant offset.
+MAX_QUBO_DIM = 8192
+"""Largest dim a QuboMatrix accepts; its dense array then takes 512 MiB."""
 
-    The offset carries the constant terms dropped from the quadratic
+
+def _zero_upper(dim: int) -> np.ndarray:
+    """A zero dim x dim array, after checking dim against MAX_QUBO_DIM so a
+    file header cannot ask for more memory than the bound allows."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    if dim > MAX_QUBO_DIM:
+        raise ValueError(f"QUBO dim {dim} exceeds the bound MAX_QUBO_DIM = {MAX_QUBO_DIM}")
+    return np.zeros((dim, dim))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class QuboMatrix:
+    """Upper-triangular QUBO matrix (diagonal included) with a constant offset.
+
+    ``upper`` is a read-only dim x dim float64 array, zero below the
+    diagonal. The constructor takes the coefficients as a dict keyed by
+    (i, j) with i <= j; ``coeffs`` gives the nonzero ones back in row-major
+    order. The offset carries the constant terms dropped from the quadratic
     expansion so energies stay comparable across encodings.
     """
 
     dim: int
-    coeffs: dict[tuple[int, int], float]
-    offset: float = 0.0
+    upper: np.ndarray
+    offset: float
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        clean = {}
-        for (i, j), v in self.coeffs.items():
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"coefficient index ({i}, {j}) out of range for dim {self.dim}")
-            v = float(v)
-            if v != 0.0:
-                clean[(int(i), int(j))] = v
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "offset", float(self.offset))
+    def __init__(
+        self, dim: int, coeffs: dict[tuple[int, int], float], offset: float = 0.0
+    ):
+        upper = _zero_upper(dim)
+        for (i, j), v in coeffs.items():
+            if not (0 <= i <= j < dim):
+                raise ValueError(f"coefficient index ({i}, {j}) out of range for dim {dim}")
+            upper[int(i), int(j)] = float(v)
+        self._set(upper, offset)
+
+    @classmethod
+    def _from_upper(cls, upper: np.ndarray, offset: float) -> QuboMatrix:
+        q = cls.__new__(cls)
+        q._set(upper, offset)
+        return q
+
+    def _set(self, upper: np.ndarray, offset: float) -> None:
+        upper += 0.0  # -0.0 -> +0.0: a zero coefficient is no coefficient
+        upper.setflags(write=False)
+        object.__setattr__(self, "dim", upper.shape[0])
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "offset", float(offset))
+
+    @cached_property
+    def coeffs(self) -> dict[tuple[int, int], float]:
+        """The nonzero coefficients keyed by (i, j), in row-major order."""
+        rows, cols = np.nonzero(self.upper)
+        keys = zip(rows.tolist(), cols.tolist())
+        return dict(zip(keys, self.upper[rows, cols].tolist()))
 
     def to_dense(self) -> np.ndarray:
         """Dense upper-triangular matrix (diagonal included), offset excluded."""
-        q = np.zeros((self.dim, self.dim))
-        for (i, j), v in self.coeffs.items():
-            q[i, j] = v
-        return q
+        return self.upper.copy()
 
     def to_symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal vector, symmetric zero-diagonal coupling matrix)."""
-        d = np.zeros(self.dim)
-        w = np.zeros((self.dim, self.dim))
-        for (i, j), v in self.coeffs.items():
-            if i == j:
-                d[i] = v
-            else:
-                w[i, j] = v
-                w[j, i] = v
-        return d, w
+        strict = np.triu(self.upper, 1)
+        return self.upper.diagonal().copy(), strict + strict.T
 
 
 @dataclass(frozen=True)
@@ -146,39 +171,34 @@ def slack_count(mu) -> int:
     return k
 
 
-def _accumulate(coeffs: dict, i: int, j: int, value: float) -> None:
-    if i > j:
-        i, j = j, i
-    key = (i, j)
-    coeffs[key] = coeffs.get(key, 0.0) + value
-
-
-def _add_risk_and_cardinality(
-    coeffs: dict, instance: PortfolioInstance, params: PenaltyParams
-) -> float:
-    """Adds lambda0*x'Sx and lambda1*(sum x - n)^2; returns the constant term."""
+def _risk_and_cardinality(
+    instance: PortfolioInstance, params: PenaltyParams, dim: int
+) -> tuple[np.ndarray, float]:
+    """lambda0*x'Sx + lambda1*(sum x - n)^2 over the first n_assets of dim
+    variables: the upper-triangular array and the constant term."""
     sigma = instance.universe.sigma
     n_assets = instance.n_assets
     l0, l1 = params.lambda0, params.lambda1
-    for i in range(n_assets):
-        _accumulate(coeffs, i, i, l0 * sigma[i, i] + l1 * (1.0 - 2.0 * instance.n))
-        for j in range(i + 1, n_assets):
-            _accumulate(coeffs, i, j, l0 * (sigma[i, j] + sigma[j, i]) + 2.0 * l1)
-    return l1 * instance.n * instance.n
+    upper = _zero_upper(dim)
+    upper[:n_assets, :n_assets] = np.triu(l0 * (sigma + sigma.T) + 2.0 * l1, 1)
+    assets = np.arange(n_assets)
+    upper[assets, assets] = l0 * sigma.diagonal() + l1 * (1.0 - 2.0 * instance.n)
+    return upper, l1 * instance.n * instance.n
 
 
-def _add_squared_linear(coeffs: dict, a: np.ndarray, constant: float, weight: float) -> float:
-    """Adds weight*(a'z + constant)^2 over binary z; returns the constant term."""
+def _add_squared_linear(upper: np.ndarray, a: np.ndarray, constant: float, weight: float) -> float:
+    """Adds weight*(a'z + constant)^2 over binary z; returns the constant term.
+
+    Only variables with a nonzero coefficient in ``a`` get a term, rounded as
+    weight*(a_i*a_i + 2c*a_i) on the diagonal and (2*weight*a_i)*a_j above
+    it, and added after the risk and cardinality terms: this order fixes the
+    bits of every coefficient, and so of every QUBO file."""
     if weight == 0.0:
         return 0.0
-    dim = a.size
-    for i in range(dim):
-        if a[i] == 0.0:
-            continue
-        _accumulate(coeffs, i, i, weight * (a[i] * a[i] + 2.0 * constant * a[i]))
-        for j in range(i + 1, dim):
-            if a[j] != 0.0:
-                _accumulate(coeffs, i, j, 2.0 * weight * a[i] * a[j])
+    nz = np.flatnonzero(a)
+    a = a[nz]
+    upper[nz, nz] += weight * (a * a + 2.0 * constant * a)
+    upper[np.ix_(nz, nz)] += np.triu(np.outer(2.0 * weight * a, a), 1)
     return weight * constant * constant
 
 
@@ -190,14 +210,13 @@ def build_qubo_equality(
         raise ValueError("at_least instances need the slack encoding; use build_qubo_inequality")
     if instance.return_mode == "none" and params.lambda2 > 0:
         raise ValueError("lambda2 > 0 is meaningless when return_mode is 'none'")
-    coeffs: dict[tuple[int, int], float] = {}
-    offset = _add_risk_and_cardinality(coeffs, instance, params)
+    upper, offset = _risk_and_cardinality(instance, params, instance.n_assets)
     if instance.return_mode == "equality":
         offset += _add_squared_linear(
-            coeffs, np.array(instance.universe.mu), -instance.r_star, params.lambda2
+            upper, np.array(instance.universe.mu), -instance.r_star, params.lambda2
         )
     layout = VariableLayout(n_assets=instance.n_assets, n_slack=0)
-    return QuboMatrix(dim=instance.n_assets, coeffs=coeffs, offset=offset), layout
+    return QuboMatrix._from_upper(upper, offset), layout
 
 
 def build_qubo_inequality(
@@ -232,14 +251,13 @@ def build_qubo_inequality(
         )
     n_assets = instance.n_assets
     dim = n_assets + k
-    coeffs: dict[tuple[int, int], float] = {}
-    offset = _add_risk_and_cardinality(coeffs, instance, params)
+    upper, offset = _risk_and_cardinality(instance, params, dim)
     a = np.zeros(dim)
     a[:n_assets] = mu
     a[n_assets:] = [-w for w in weights]
-    offset += _add_squared_linear(coeffs, a, -instance.r_star, params.lambda2)
+    offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
     layout = VariableLayout(n_assets=n_assets, n_slack=k, slack_weights=weights)
-    return QuboMatrix(dim=dim, coeffs=coeffs, offset=offset), layout
+    return QuboMatrix._from_upper(upper, offset), layout
 
 
 def build_qubo(
@@ -260,27 +278,18 @@ def qubo_energy(q: QuboMatrix, x) -> float:
         )
     if not np.isin(bits, (0, 1)).all():
         raise ContractViolation("bit vector entries must be 0 or 1")
-    total = q.offset
-    for (i, j), v in q.coeffs.items():
-        if bits[i] and bits[j]:
-            total += v
-    return float(total)
+    chosen = np.flatnonzero(bits)
+    return float(q.offset + q.upper[np.ix_(chosen, chosen)].sum())
 
 
 def to_ising(q: QuboMatrix) -> IsingModel:
     """Exact energy-preserving conversion under the spin map s = 2x - 1."""
-    h = np.zeros(q.dim)
-    j: dict[tuple[int, int], float] = {}
-    offset = q.offset
-    for (a, b), v in q.coeffs.items():
-        if a == b:
-            h[a] += v / 2.0
-            offset += v / 2.0
-        else:
-            j[(a, b)] = j.get((a, b), 0.0) + v / 4.0
-            h[a] += v / 4.0
-            h[b] += v / 4.0
-            offset += v / 4.0
+    diag = q.upper.diagonal()
+    quarter = np.triu(q.upper, 1) / 4.0
+    h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
+    offset = q.offset + diag.sum() / 2.0 + quarter.sum()
+    rows, cols = np.nonzero(quarter)
+    j = dict(zip(zip(rows.tolist(), cols.tolist()), quarter[rows, cols].tolist()))
     return IsingModel(dim=q.dim, h=h, j=j, offset=offset)
 
 
@@ -301,7 +310,9 @@ def ising_energy(m: IsingModel, s) -> float:
 
 def chain_strength_bound(q: QuboMatrix) -> float:
     """Sum of absolute coefficient values; a sufficient chain-strength bound."""
-    return float(sum(abs(v) for v in q.coeffs.values()))
+    # a sequential Python sum in row-major order, so the value is the plain
+    # sum of the coefficient view's absolute values
+    return float(sum(np.abs(q.upper[q.upper != 0]).tolist()))
 
 
 def decode(
@@ -330,7 +341,7 @@ def decode(
 def write_qubo(q: QuboMatrix, path) -> None:
     """Write the text QUBO format: `p qubo <dim> <nnz> <offset>` then `i j value`."""
     lines = [f"p qubo {q.dim} {len(q.coeffs)} {q.offset:.17g}"]
-    for (i, j), v in sorted(q.coeffs.items()):
+    for (i, j), v in q.coeffs.items():
         lines.append(f"{i} {j} {v:.17g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -68,28 +68,13 @@ def _row_prefix_sums(sigma: np.ndarray, n: int) -> np.ndarray:
     return np.array([sum(sorted(row)[:n]) for row in sigma.tolist()])
 
 
-def estimate_lambda1(instance: PortfolioInstance) -> float:
-    """Cardinality penalty estimate: max over assets of the n-smallest row
-    sum, floored at zero."""
-    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
+def _lambda1_from_sums(sums: np.ndarray) -> float:
     return max(float(sums.max()), 0.0)
 
 
-def estimate_lambda2(instance: PortfolioInstance, pairwise_a1: bool = False) -> float:
-    """Return penalty estimate A1/A2 from the n assets with the smallest
-    covariance row sums.
-
-    A1 is the mean consecutive gap of those sorted sums, i.e.
-    (max - min)/(n - 1); ``pairwise_a1`` switches to the mean absolute
-    pairwise difference. A2 is the mean strictly positive pairwise return
-    difference among the same assets. Returns 0 when return_mode is 'none' or
-    the selected returns carry no spread.
-    """
-    if instance.return_mode == "none":
-        return 0.0
-    if instance.n < 2:
-        raise ValueError("lambda2 estimation needs n >= 2")
-    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
+def _lambda2_from_sums(
+    instance: PortfolioInstance, sums: np.ndarray, pairwise_a1: bool = False
+) -> float:
     chosen = np.argsort(sums, kind="stable")[: instance.n]
     s_sel = np.sort(sums[chosen])
     if pairwise_a1:
@@ -108,17 +93,42 @@ def estimate_lambda2(instance: PortfolioInstance, pairwise_a1: bool = False) -> 
     return a1 / a2
 
 
-def estimate_lambdas(instance: PortfolioInstance) -> LambdaEstimate:
-    """Both estimates plus the intermediate row sums."""
+def estimate_lambda1(instance: PortfolioInstance) -> float:
+    """Cardinality penalty estimate: max over assets of the n-smallest row
+    sum, floored at zero."""
+    return _lambda1_from_sums(_row_prefix_sums(instance.universe.sigma, instance.n))
+
+
+def estimate_lambda2(instance: PortfolioInstance, pairwise_a1: bool = False) -> float:
+    """Return penalty estimate A1/A2 from the n assets with the smallest
+    covariance row sums.
+
+    A1 is the mean consecutive gap of those sorted sums, i.e.
+    (max - min)/(n - 1); ``pairwise_a1`` switches to the mean absolute
+    pairwise difference. A2 is the mean strictly positive pairwise return
+    difference among the same assets. Returns 0 when return_mode is 'none' or
+    the selected returns carry no spread.
+    """
+    if instance.return_mode == "none":
+        return 0.0
+    if instance.n < 2:
+        raise ValueError("lambda2 estimation needs n >= 2")
     sums = _row_prefix_sums(instance.universe.sigma, instance.n)
-    l1 = estimate_lambda1(instance)
+    return _lambda2_from_sums(instance, sums, pairwise_a1)
+
+
+def estimate_lambdas(instance: PortfolioInstance) -> LambdaEstimate:
+    """Both estimates plus the intermediate row sums, computed once. The
+    return-penalty estimate is 0 without a return constraint or with n < 2,
+    where it is undefined."""
+    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
     l2 = (
-        estimate_lambda2(instance)
+        _lambda2_from_sums(instance, sums)
         if instance.return_mode != "none" and instance.n >= 2
         else 0.0
     )
     return LambdaEstimate(
-        lambda1_hat=l1,
+        lambda1_hat=_lambda1_from_sums(sums),
         lambda2_hat=l2,
         details={"row_sums": sums.tolist()},
     )
@@ -252,65 +262,39 @@ def grid_search(
     return PenaltyParams(1.0, best.lambda1, best.lambda2), cells, False
 
 
-def sweep_csv(points: list[SweepPoint], lambda2: float = 0.0) -> str:
-    """CSV export with columns shared by sweep and grid results."""
+def _runs_csv(runs) -> str:
+    """CSV of (lambda1, lambda2, seed, energy, risk, feasible, wall_time_s)
+    tuples, the columns shared by sweep and grid results."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda1", "lambda2", "seed", "energy", "risk", "feasible", "wall_time_s"])
-    for p in points:
+    for l1, l2, seed, energy, risk, feasible, wall in runs:
         writer.writerow(
             [
-                f"{p.lambda1:.17g}",
-                f"{lambda2:.17g}",
-                p.seed if p.seed is not None else "",
-                f"{p.energy:.17g}",
-                f"{p.best_risk:.17g}",
-                str(p.feasible).lower(),
-                f"{p.wall_time_s:.17g}",
+                f"{l1:.17g}",
+                f"{l2:.17g}",
+                seed if seed is not None else "",
+                f"{energy:.17g}",
+                f"{risk:.17g}",
+                str(feasible).lower(),
+                f"{wall:.17g}",
             ]
         )
     return buf.getvalue()
 
 
+def sweep_csv(points: list[SweepPoint], lambda2: float = 0.0) -> str:
+    """CSV export with columns shared by sweep and grid results."""
+    return _runs_csv(
+        (p.lambda1, lambda2, p.seed, p.energy, p.best_risk, p.feasible, p.wall_time_s)
+        for p in points
+    )
+
+
 def grid_csv(cells: list[GridCell]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda1", "lambda2", "seed", "energy", "risk", "feasible", "wall_time_s"])
-    for cell in cells:
-        for run in cell.runs:
-            writer.writerow(
-                [
-                    f"{run.lambda1:.17g}",
-                    f"{run.lambda2:.17g}",
-                    run.seed,
-                    f"{run.energy:.17g}",
-                    f"{run.risk:.17g}",
-                    str(run.feasible).lower(),
-                    f"{run.wall_time_s:.17g}",
-                ]
-            )
-    return buf.getvalue()
-
-
-def find_sufficient_penalties(
-    instance: PortfolioInstance,
-    solver: Callable[..., SolveResult],
-    max_doublings: int = 10,
-    seed: int = 0,
-) -> tuple[PenaltyParams, SolveResult] | None:
-    """Double the penalty weights from their estimates until the solver's
-    decoded argmin is feasible; None when the budget runs out."""
-    l1 = max(estimate_lambda1(instance), 1.0)
-    l2 = 0.0
-    if instance.return_mode != "none":
-        l2 = max(estimate_lambda2(instance) if instance.n >= 2 else 0.0, 1.0)
-    for _ in range(max_doublings + 1):
-        params = PenaltyParams(1.0, l1, l2)
-        q, layout = build_qubo(instance, params)
-        result = solver(q, seed)
-        sol = decode(instance, layout, result.bits, energy=result.energy)
-        if sol.feasible:
-            return params, result
-        l1 *= 2.0
-        l2 *= 2.0
-    return None
+    """CSV export of every seeded run of every grid cell."""
+    return _runs_csv(
+        (r.lambda1, r.lambda2, r.seed, r.energy, r.risk, r.feasible, r.wall_time_s)
+        for cell in cells
+        for r in cell.runs
+    )

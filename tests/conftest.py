@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from portqubo import AssetUniverse, PortfolioInstance, QuboMatrix
+from portqubo import AssetUniverse, PortfolioInstance, QuboMatrix, slack_count
 from portqubo.model import EQUALITY_RETURN_TOL
 from portqubo.solvers import InfeasibleInstanceError
 
@@ -215,3 +215,50 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
         if best is None or key < best:
             best = key
     return best
+
+
+def _reference_accumulate(coeffs: dict, i: int, j: int, value: float) -> None:
+    if i > j:
+        i, j = j, i
+    key = (i, j)
+    coeffs[key] = coeffs.get(key, 0.0) + value
+
+
+def _reference_squared_linear(coeffs: dict, a, constant: float, weight: float) -> float:
+    if weight == 0.0:
+        return 0.0
+    dim = len(a)
+    for i in range(dim):
+        if a[i] == 0.0:
+            continue
+        _reference_accumulate(coeffs, i, i, weight * (a[i] * a[i] + 2.0 * constant * a[i]))
+        for j in range(i + 1, dim):
+            if a[j] != 0.0:
+                _reference_accumulate(coeffs, i, j, 2.0 * weight * a[i] * a[j])
+    return weight * constant * constant
+
+
+def reference_build_qubo(instance: PortfolioInstance, params, literal_weights: bool = False):
+    """Independent QUBO build: accumulates every coefficient into a dict, one
+    (i, j) pair at a time, and hands the dict to the QuboMatrix constructor.
+    Returns (QuboMatrix, slack weights)."""
+    sigma = instance.universe.sigma
+    mu = instance.universe.mu.tolist()
+    n_assets, n = instance.n_assets, instance.n
+    l0, l1 = params.lambda0, params.lambda1
+    coeffs: dict = {}
+    for i in range(n_assets):
+        _reference_accumulate(coeffs, i, i, l0 * sigma[i, i] + l1 * (1.0 - 2.0 * n))
+        for j in range(i + 1, n_assets):
+            _reference_accumulate(coeffs, i, j, l0 * (sigma[i, j] + sigma[j, i]) + 2.0 * l1)
+    offset = l1 * n * n
+    weights: tuple = ()
+    if instance.return_mode == "at_least":
+        k = slack_count(mu)
+        first = 1 if literal_weights else 0
+        weights = tuple(2**p for p in range(first, first + k))
+        a = mu + [-float(w) for w in weights]
+        offset += _reference_squared_linear(coeffs, a, -instance.r_star, params.lambda2)
+    elif instance.return_mode == "equality":
+        offset += _reference_squared_linear(coeffs, mu, -instance.r_star, params.lambda2)
+    return QuboMatrix(dim=n_assets + len(weights), coeffs=coeffs, offset=offset), weights

@@ -5,6 +5,7 @@ import pytest
 
 from portqubo import load_plan, parse_report_csv, render_report, run_benchmark
 from portqubo.bench import BenchPlan, ORACLE_SOLVER_NAME
+from portqubo.solvers import SUBSET_ENUMERATION_GUARD
 
 
 def _plan(**overrides):
@@ -109,6 +110,53 @@ class TestRunBenchmark:
         assert math.isnan(failed[0].energy)
         # the oracle row is still present and feasible
         assert any(r.solver == ORACLE_SOLVER_NAME for r in report.rows)
+
+    def test_failed_build_recorded_and_matrix_continues(self):
+        # an explicit lambda2 cannot build a QUBO for a return_mode 'none' instance
+        plan = _plan(
+            penalty_policy="explicit",
+            explicit_lambda1=5.0,
+            explicit_lambda2=1.0,
+            instances=(
+                {"synthetic": {"n_assets": 8, "seed": 1}, "n": 3, "return_mode": "none",
+                 "id": "a-unbuildable"},
+                {"synthetic": {"n_assets": 8, "seed": 2}, "n": 3, "return_mode": "at_least",
+                 "r_star": 10.0, "id": "b-buildable"},
+            ),
+            solvers=(
+                {"name": "sa", "id": "sa", "options": {"sweeps": 20, "restarts": 1}},
+                {"name": "tabu", "id": "tabu", "options": {"max_iterations": 20}},
+            ),
+            seeds=(0, 1),
+        )
+        report = run_benchmark(plan)
+        failed = [r for r in report.rows if r.instance == "a-unbuildable" and r.error]
+        assert sorted((r.solver, r.seed) for r in failed) == [
+            ("sa", 0), ("sa", 1), ("tabu", 0), ("tabu", 1)
+        ]
+        assert all("lambda2" in r.error and math.isnan(r.energy) for r in failed)
+        assert any(
+            r.instance == "a-unbuildable" and r.solver == ORACLE_SOLVER_NAME and r.optimal
+            for r in report.rows
+        )
+        ok = [r for r in report.rows if r.instance == "b-buildable"]
+        assert len(ok) == 2 * 2 + 1 and not any(r.error for r in ok)
+        assert [s.instance for s in report.summaries] == ["a-unbuildable", "b-buildable"]
+
+    def test_oracle_row_up_to_subset_enumeration_guard(self):
+        # C(25, 8) = 1,081,575 subsets: above 10**6, within the oracle's guard
+        assert 10**6 < math.comb(25, 8) <= SUBSET_ENUMERATION_GUARD
+        plan = _plan(
+            instances=(
+                {"synthetic": {"n_assets": 25, "seed": 4}, "n": 8, "return_mode": "none",
+                 "id": "c25-8"},
+            ),
+            solvers=({"name": "sa", "options": {"sweeps": 5, "restarts": 1}},),
+        )
+        report = run_benchmark(plan)
+        oracle = [r for r in report.rows if r.solver == ORACLE_SOLVER_NAME]
+        assert len(oracle) == 1 and oracle[0].optimal
+        assert report.summaries[0].proven_optimal
 
 
 class TestRenderReport:

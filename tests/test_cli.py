@@ -70,6 +70,16 @@ def test_infeasible_instance_exit_code(tmp_path, capsys):
     assert cli_main(["solve", str(path), "--solver", "exact"]) == 3
 
 
+def test_non_finite_r_star_is_data_error(diag_instance, tmp_path, capsys):
+    doc = json.loads(diag_instance.read_text())
+    doc.update(return_mode="at_least", r_star=float("nan"))
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert cli_main(["solve", str(path), "--solver", "exact"]) == 2
+    assert "r_star" in capsys.readouterr().err
+
+
 def test_ingest_make_instance_flow(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     prices.write_text(

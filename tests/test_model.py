@@ -165,3 +165,9 @@ def test_risk_transpose_symmetry(rng):
         sigma = random_psd(rng, n)
         x = rng.integers(0, 2, n)
         assert portfolio_risk(sigma, x) == portfolio_risk(sigma.T, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_rejects_non_finite_r_star(bad):
+    with pytest.raises(ValueError, match="r_star"):
+        PortfolioInstance(_universe([1.0, 2.0], np.eye(2)), n=1, r_star=bad, return_mode="at_least")

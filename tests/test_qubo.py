@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portqubo import (
     AssetUniverse,
@@ -23,9 +26,9 @@ from portqubo import (
     to_ising,
     write_qubo,
 )
-from portqubo.qubo import VariableLayout
+from portqubo.qubo import MAX_QUBO_DIM, VariableLayout
 
-from conftest import naive_qubo_energy, random_instance, random_qubo
+from conftest import naive_qubo_energy, random_instance, random_qubo, reference_build_qubo
 
 
 def _universe(mu, sigma):
@@ -401,3 +404,68 @@ class TestValidation:
             PenaltyParams(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             PenaltyParams(1.0, -1.0, 0.0)
+
+
+class TestBuildMatchesReference:
+    """The closed-form array build against the dict-accumulating reference:
+    the same bits in every coefficient, the same offset, the same file."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_assets=st.integers(1, 12),
+        mode=st.sampled_from(["none", "equality", "at_least"]),
+        zero_l1=st.booleans(),
+        zero_l2=st.booleans(),
+        zero_mu=st.booleans(),
+        literal_weights=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_reference(
+        self, tmp_path_factory, seed, n_assets, mode, zero_l1, zero_l2, zero_mu, literal_weights
+    ):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_assets, mode=mode, mu_range=(0.0, 40.0))
+        if zero_mu:
+            mu = inst.universe.mu.copy()
+            mu[rng.integers(0, n_assets)] = 0.0
+            universe = AssetUniverse(inst.universe.symbols, mu, inst.universe.sigma)
+            inst = PortfolioInstance(universe, inst.n, inst.r_star, mode)
+        if mode == "at_least" and inst.universe.mu.sum() <= max(inst.r_star, 0.0):
+            return
+        params = PenaltyParams(
+            float(rng.uniform(0.1, 4.0)),
+            0.0 if zero_l1 else float(rng.uniform(0.0, 50.0)),
+            0.0 if zero_l2 or mode == "none" else float(rng.uniform(0.0, 50.0)),
+        )
+        kwargs = {"literal_weights": literal_weights} if mode == "at_least" else {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # slack quantization warning
+            q, layout = build_qubo(inst, params, **kwargs)
+            ref, weights = reference_build_qubo(inst, params, literal_weights)
+        assert layout.slack_weights == weights
+        assert q.dim == ref.dim
+        assert np.array_equal(q.to_dense().view(np.int64), ref.to_dense().view(np.int64))
+        assert q.offset == ref.offset
+        d = tmp_path_factory.mktemp("qubo")
+        write_qubo(q, d / "built.qubo")
+        write_qubo(ref, d / "ref.qubo")
+        assert (d / "built.qubo").read_bytes() == (d / "ref.qubo").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:slack bits")
+    def test_coefficient_view_is_row_major_and_computed_once(self, rng):
+        inst = random_instance(rng, 5, mode="at_least")
+        q, _ = build_qubo_inequality(inst, PenaltyParams(1, 1, 1))
+        assert list(q.coeffs) == sorted(q.coeffs)
+        assert q.coeffs is q.coeffs
+
+
+class TestDimBound:
+    def test_constructor_rejects_dim_above_bound(self):
+        with pytest.raises(ValueError, match=rf"{MAX_QUBO_DIM + 1}.*{MAX_QUBO_DIM}"):
+            QuboMatrix(dim=MAX_QUBO_DIM + 1, coeffs={})
+
+    def test_read_qubo_rejects_dim_above_bound(self, tmp_path):
+        path = tmp_path / "huge.qubo"
+        path.write_text("p qubo 100000 0 0\n")
+        with pytest.raises(ValueError, match=rf"100000.*{MAX_QUBO_DIM}"):
+            read_qubo(path)

@@ -130,6 +130,17 @@ class TestEstimateLambda2:
         assert est.lambda1_hat == estimate_lambda1(inst)
         assert len(est.details["row_sums"]) == 6
 
+    @pytest.mark.parametrize("mode", ["none", "equality", "at_least"])
+    def test_estimate_lambdas_equals_single_estimates(self, rng, mode):
+        for _ in range(10):
+            inst = random_instance(rng, 7, mode=mode)
+            est = estimate_lambdas(inst)
+            assert est.lambda1_hat == estimate_lambda1(inst)
+            if mode == "none" or inst.n < 2:
+                assert est.lambda2_hat == 0.0
+            else:
+                assert est.lambda2_hat == estimate_lambda2(inst)
+
 
 def _sweep_instance(seed=7):
     # nonnegative covariances so the lambda1 estimate is strictly positive
