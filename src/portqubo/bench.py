@@ -231,8 +231,9 @@ def load_external_results(path) -> list[BenchRow]:
 def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     """Execute the full (instance, solver, seed) matrix plus oracle rows.
 
-    Individual run failures, and a QUBO build that fails for an instance, are
-    recorded in their rows; the matrix always completes.
+    Individual run failures, and penalty resolution or a QUBO build that
+    fails for an instance, are recorded in their rows (with NaN lambdas when
+    the penalties could not be resolved); the matrix always completes.
     """
     rows: list[BenchRow] = []
     summaries: list[InstanceSummary] = []
@@ -241,21 +242,20 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     )
     for entry in plan.instances:
         inst_id, instance = _instance_from_entry(entry)
-        params = _resolve_penalties(plan, instance)
+        params = q = layout = build_error = None
         try:
+            params = _resolve_penalties(plan, instance)
             q, layout = build_qubo(instance, params)
         except ValueError as exc:
-            q, layout, build_error = None, None, str(exc)
-        else:
-            build_error = None
+            build_error = str(exc)
         template = BenchRow(
             instance=inst_id,
             n_assets=instance.n_assets,
             n=instance.n,
             r_star=instance.r_star,
             qubo_dim=0 if q is None else q.dim,
-            lambda1=params.lambda1,
-            lambda2=params.lambda2,
+            lambda1=math.nan if params is None else params.lambda1,
+            lambda2=math.nan if params is None else params.lambda2,
             solver="",
             seed=None,
             energy=math.nan,

@@ -37,6 +37,10 @@ class PenaltyParams:
     lambda2: float = 0.0
 
     def __post_init__(self):
+        for name in ("lambda0", "lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -80,7 +84,8 @@ class QuboMatrix:
 
     ``upper`` is a read-only dim x dim float64 array, zero below the
     diagonal. The constructor takes the coefficients as a dict keyed by
-    (i, j) with i <= j; ``coeffs`` gives the nonzero ones back in row-major
+    (i, j) with i <= j and rejects any that is not finite, as it does a
+    non-finite offset; ``coeffs`` gives the nonzero ones back in row-major
     order. The offset carries the constant terms dropped from the quadratic
     expansion so energies stay comparable across encodings.
     """
@@ -106,11 +111,17 @@ class QuboMatrix:
         return q
 
     def _set(self, upper: np.ndarray, offset: float) -> None:
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"QUBO offset must be finite, got {offset}")
+        if not np.isfinite(upper).all():
+            i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
+            raise ValueError(f"QUBO coefficient ({i}, {j}) must be finite, got {upper[i, j]}")
         upper += 0.0  # -0.0 -> +0.0: a zero coefficient is no coefficient
         upper.setflags(write=False)
         object.__setattr__(self, "dim", upper.shape[0])
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
 
     @cached_property
     def coeffs(self) -> dict[tuple[int, int], float]:
@@ -349,8 +360,8 @@ def write_qubo(q: QuboMatrix, path) -> None:
 
 def read_qubo(path) -> QuboMatrix:
     """Read the text QUBO format written by :func:`write_qubo`. The file has
-    one problem line, as many coefficient lines as its nnz, and no `i j` pair
-    twice."""
+    one problem line, as many coefficient lines as its nnz, no `i j` pair
+    twice and only finite values."""
     dim = None
     offset = 0.0
     coeffs: dict[tuple[int, int], float] = {}
@@ -368,6 +379,8 @@ def read_qubo(path) -> QuboMatrix:
                 dim = int(parts[2])
                 nnz = int(parts[3])
                 offset = float(parts[4])
+                if not math.isfinite(offset):
+                    raise ValueError(f"{path}:{lineno}: offset {parts[4]} is not finite")
                 problem_lineno = lineno
                 continue
             if dim is None:
@@ -377,7 +390,12 @@ def read_qubo(path) -> QuboMatrix:
             key = (int(parts[0]), int(parts[1]))
             if key in coeffs:
                 raise ValueError(f"{path}:{lineno}: duplicate coefficient {key[0]} {key[1]}")
-            coeffs[key] = float(parts[2])
+            value = float(parts[2])
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}:{lineno}: coefficient {key[0]} {key[1]} is not finite: {parts[2]}"
+                )
+            coeffs[key] = value
     if dim is None:
         raise ValueError(f"{path}: no problem line found")
     if len(coeffs) != nnz:

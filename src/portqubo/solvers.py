@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -113,14 +114,17 @@ class FlipEvaluator:
     """Incremental energy bookkeeping for single-bit flips.
 
     Maintains local fields f_i = sum_j W_ij x_j so a flip's energy change and
-    the running energy stay O(dim) per move instead of O(dim^2).
+    the running energy stay O(dim) per move instead of O(dim^2), and the flip
+    signs s_i = 1 - 2 x_i (exactly +-1.0), so the gain of bit i is
+    s_i * (d_i + f_i).
     """
 
     def __init__(self, q: QuboMatrix, bits=None):
         self.diag, self.coupling = q.to_symmetric_parts()
         self.offset = q.offset
         self.dim = q.dim
-        self._signs = np.empty(q.dim)
+        self._rows = list(self.coupling)
+        self._d = self.diag.tolist()
         self._gains = np.empty(q.dim)
         self.reset(bits)
 
@@ -129,30 +133,31 @@ class FlipEvaluator:
         if bits is None:
             bits = np.zeros(self.dim)
         self.x = np.asarray(bits, dtype=np.float64).copy()
+        self._signs = 1.0 - 2.0 * self.x
         self.fields = self.coupling @ self.x
         self.energy = float(
             self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields
         )
+        # Python-float views of the buffers the flips update in place
+        self._x, self._s, self._f = map(memoryview, (self.x, self._signs, self.fields))
 
     def gain(self, i: int) -> float:
         """Energy change of flipping bit i."""
-        s = 1.0 - 2.0 * self.x.item(i)
-        return s * (self.diag.item(i) + self.fields.item(i))
+        return self._s[i] * (self._d[i] + self._f[i])
 
     def all_gains(self) -> np.ndarray:
         """Energy change of flipping each bit, in a buffer the next call reuses."""
-        np.multiply(self.x, -2.0, out=self._signs)
-        self._signs += 1.0
         np.add(self.diag, self.fields, out=self._gains)
         self._gains *= self._signs
         return self._gains
 
     def flip(self, i: int) -> float:
         """Apply the flip and return the new energy."""
-        s = 1.0 - 2.0 * self.x.item(i)
-        self.energy += s * (self.diag.item(i) + self.fields.item(i))
-        self.x[i] += s
-        _update_fields(self.fields, self.coupling[i], s)
+        s = self._s[i]
+        self.energy += s * (self._d[i] + self._f[i])
+        self._x[i] += s
+        self._s[i] = -s
+        _update_fields(self.fields, self._rows[i], s)
         return self.energy
 
     def bits(self) -> tuple[int, ...]:
@@ -264,7 +269,25 @@ def solve_tabu(
 ) -> SolveResult:
     """Tabu search: move to the best admissible 1-flip neighbor each step,
     forbidding recently flipped bits for `tenure` steps, with aspiration on
-    new best-ever energies. First restart starts from all zeros."""
+    new best-ever energies. First restart starts from all zeros.
+
+    A move is admissible when its bit is not tabu or when it aspires, that is
+    when gain + energy < best_energy. The step takes the first admissible
+    move of least gain, or the first move of least gain when no move is
+    admissible. With i the first index of the least gain g[i]:
+
+    - if i is not tabu, or it aspires, i is that move;
+    - otherwise no move aspires, because rounding is monotone:
+      fl(g[j] + energy) >= fl(g[i] + energy) >= best_energy for every j. So
+      i is the move when every bit is tabu, and otherwise the first least of
+      g + blocked, where `blocked` is +inf on tabu bits and 0.0 on the rest.
+
+    This equals masking the gains of inadmissible moves with +inf provided
+    every gain is finite, which finite QUBO coefficients (QuboMatrix rejects
+    any other) give unless a sum overflows. `blocked` is maintained: a bit is
+    set when it is flipped and cleared when its last flip leaves the window
+    of the last `tenure` moves.
+    """
     t0 = time.perf_counter()
     dim = q.dim
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
@@ -275,38 +298,51 @@ def solve_tabu(
     )
     rng = np.random.default_rng(config.seed)
     best_energy = math.inf
-    best_x: np.ndarray | None = None
+    best_x: list[float] | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
-    admissible = np.empty(dim, dtype=bool)
-    aspires = np.empty(dim, dtype=bool)
-    masked = np.empty(dim)
+    blocked = np.empty(dim)
     state = FlipEvaluator(q)
     for restart in range(config.restarts):
         if restart:
             state.reset(rng.integers(0, 2, size=dim))
         if state.energy < best_energy:
-            best_energy, best_x = state.energy, state.x.copy()
+            best_energy, best_x = state.energy, state.x.tolist()
             trace.append((evaluations, best_energy))
-        tabu_until = np.zeros(dim, dtype=np.int64)
+        # bit j is tabu at `step` while tabu_until[j] >= step
+        tabu_until = [0] * dim
+        blocked.fill(0.0)
+        n_tabu = 0
+        recent: deque[int] = deque()
         for step in range(1, max_iterations + 1):
+            if len(recent) > tenure:
+                e = recent.popleft()
+                if tabu_until[e] < step:
+                    blocked[e] = 0.0
+                    n_tabu -= 1
             gains = state.all_gains()
             evaluations += dim
-            np.less(tabu_until, step, out=admissible)
-            np.add(gains, state.energy, out=masked)
-            np.less(masked, best_energy, out=aspires)
-            admissible |= aspires
-            # with no admissible move, every move is a candidate
-            masked.fill(np.inf)
-            np.copyto(masked, gains, where=admissible if admissible.any() else True)
-            i = int(masked.argmin())
-            state.flip(i)
+            i = int(gains.argmin())
+            if (
+                tabu_until[i] >= step
+                and not gains.item(i) + state.energy < best_energy
+                and n_tabu < dim
+            ):
+                gains += blocked
+                i = int(gains.argmin())
+            energy = state.flip(i)
+            if tabu_until[i] < step:
+                blocked[i] = math.inf
+                n_tabu += 1
             tabu_until[i] = step + tenure
-            if state.energy < best_energy:
-                best_energy, best_x = state.energy, state.x.copy()
+            recent.append(i)
+            if energy < best_energy:
+                best_energy, best_x = energy, state.x.tolist()
                 trace.append((evaluations, best_energy))
-            elif state.energy == best_energy and state.x.tolist() < best_x.tolist():
-                best_x = state.x.copy()
+            elif energy == best_energy:
+                x = state.x.tolist()
+                if x < best_x:
+                    best_x = x
             if deadline is not None and time.perf_counter() > deadline:
                 break
         if deadline is not None and time.perf_counter() > deadline:

@@ -140,11 +140,11 @@ def reference_sa(q: QuboMatrix, config):
     return best_bits, best_energy, evaluations, trace
 
 
-def reference_tabu(q: QuboMatrix, config):
+def reference_tabu(q: QuboMatrix, config, moves: list | None = None):
     """Independent tabu search: gains, aspiration and masked argmin built from
     fresh arrays each step, fields updated from the coupling column; draws the
     same random numbers as `solve_tabu`. Returns (bits, energy, evaluations,
-    energy_trace)."""
+    energy_trace) and appends each flipped bit to `moves` when given."""
     dim = q.dim
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
     max_iterations = config.max_iterations if config.max_iterations is not None else 50 * dim
@@ -166,6 +166,8 @@ def reference_tabu(q: QuboMatrix, config):
             admissible = (tabu_until < step) | (energy + gains < best_energy)
             masked = np.where(admissible, gains, np.inf) if admissible.any() else gains
             i = int(np.argmin(masked))
+            if moves is not None:
+                moves.append(i)
             s = 1.0 - 2.0 * x[i]
             energy += s * (diag[i] + fields[i])
             x[i] += s

@@ -143,6 +143,30 @@ class TestRunBenchmark:
         assert len(ok) == 2 * 2 + 1 and not any(r.error for r in ok)
         assert [s.instance for s in report.summaries] == ["a-unbuildable", "b-buildable"]
 
+    def test_failed_grid_penalties_recorded_and_matrix_continues(self):
+        # the grid policy's search builds QUBOs, so an at_least target above
+        # the total return fails while the penalties are resolved
+        plan = _plan(
+            penalty_policy="grid",
+            grid_repeats=1,
+            instances=(
+                {"synthetic": {"n_assets": 8, "seed": 2}, "n": 3, "return_mode": "at_least",
+                 "r_star": 1e9, "id": "a-unreachable"},
+                {"synthetic": {"n_assets": 8, "seed": 1}, "n": 3, "return_mode": "none",
+                 "id": "b-reachable"},
+            ),
+            solvers=({"name": "tabu", "id": "tabu", "options": {"max_iterations": 20}},),
+            seeds=(0, 1),
+        )
+        report = run_benchmark(plan)
+        failed = [r for r in report.rows if r.instance == "a-unreachable"]
+        assert [(r.solver, r.seed) for r in failed] == [("tabu", 0), ("tabu", 1)]
+        assert all("exceeds total available return" in r.error for r in failed)
+        assert all(math.isnan(r.lambda1) and math.isnan(r.lambda2) for r in failed)
+        ok = [r for r in report.rows if r.instance == "b-reachable"]
+        assert len(ok) == 2 + 1 and not any(r.error for r in ok)
+        assert [s.instance for s in report.summaries] == ["a-unreachable", "b-reachable"]
+
     def test_oracle_row_up_to_subset_enumeration_guard(self):
         # C(25, 8) = 1,081,575 subsets: above 10**6, within the oracle's guard
         assert 10**6 < math.comb(25, 8) <= SUBSET_ENUMERATION_GUARD

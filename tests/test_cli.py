@@ -80,6 +80,23 @@ def test_non_finite_r_star_is_data_error(diag_instance, tmp_path, capsys):
     assert "r_star" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body", ["p qubo 2 2 nan\n0 0 1\n0 1 1\n", "p qubo 2 2 0\n0 0 nan\n0 1 inf\n"]
+)
+def test_non_finite_qubo_file_is_data_error(tmp_path, capsys, body):
+    path = tmp_path / "that.qubo"
+    path.write_text(body)
+    assert cli_main(["solve", str(path), "--solver", "tabu"]) == 2
+    assert "that.qubo:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_penalty_is_data_error(synth_instance, capsys, flag, value):
+    assert cli_main(["solve", str(synth_instance), "--solver", "sa", flag, value]) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
 def test_ingest_make_instance_flow(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     prices.write_text(

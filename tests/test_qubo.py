@@ -355,6 +355,21 @@ class TestQuboFile:
         with pytest.raises(ValueError, match=r"dup\.qubo:3: duplicate coefficient 0 1"):
             read_qubo(path)
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("p qubo 2 2 nan\n0 0 1\n0 1 1\n", r"nonfinite\.qubo:1: offset nan"),
+            ("p qubo 2 2 0\n0 0 nan\n0 1 1\n", r"nonfinite\.qubo:2: coefficient 0 0"),
+            ("p qubo 2 2 0\n0 0 1\n0 1 inf\n", r"nonfinite\.qubo:3: coefficient 0 1"),
+            ("p qubo 2 1 0\n1 1 -inf\n", r"nonfinite\.qubo:2: coefficient 1 1"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, body, where):
+        path = tmp_path / "nonfinite.qubo"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=where + ".*not finite"):
+            read_qubo(path)
+
     def test_second_problem_line_rejected(self, tmp_path):
         path = tmp_path / "two.qubo"
         path.write_text("p qubo 2 1 0\n0 1 1\np qubo 5 1 3\n")
@@ -398,6 +413,23 @@ class TestValidation:
     def test_qubo_rejects_lower_triangle(self):
         with pytest.raises(ValueError):
             QuboMatrix(dim=2, coeffs={(1, 0): 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_qubo_rejects_non_finite_coefficient(self, value):
+        with pytest.raises(ValueError, match=r"coefficient \(1, 2\) must be finite"):
+            QuboMatrix(dim=3, coeffs={(0, 0): 1.0, (1, 2): value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_qubo_rejects_non_finite_offset(self, value):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            QuboMatrix(dim=2, coeffs={(0, 1): 1.0}, offset=value)
+
+    @pytest.mark.parametrize("name", ["lambda0", "lambda1", "lambda2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_penalty_params_reject_non_finite(self, name, value):
+        values = {"lambda0": 1.0, "lambda1": 0.0, "lambda2": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PenaltyParams(**values)
 
     def test_penalty_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,41 @@ class TestMatchesReference:
         tabu_config = TabuConfig(seed=seed, restarts=2, max_iterations=30)
         assert _outcome(solve_sa(q, sa_config)) == reference_sa(q, sa_config)
         assert _outcome(solve_tabu(q, tabu_config)) == reference_tabu(q, tabu_config)
+
+    @given(
+        dim=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tabu_tie_heavy_integer_problems(self, dim, density, seed, data):
+        # integer coefficients in -2..2 make equal gains, and equal energies,
+        # common; tenures up to dim + 2 reach the every-bit-tabu step
+        tenure = data.draw(st.integers(1, dim + 2), label="tenure")
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2, 3, size=(dim, dim)).astype(np.float64)
+        keep = rng.random((dim, dim)) < density
+        coeffs = {
+            (i, j): values[i, j] for i in range(dim) for j in range(i, dim) if keep[i, j]
+        }
+        q = QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.integers(-2, 3)))
+        config = TabuConfig(tenure=tenure, seed=seed, restarts=2, max_iterations=2 * dim + 10)
+        # the best-ever outcome rarely depends on a single step, so the
+        # sequence of flipped bits is compared too
+        moves, expected_moves = [], []
+        flip = FlipEvaluator.flip
+
+        def recording_flip(state, i):
+            moves.append(i)
+            return flip(state, i)
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore")  # tenure >= dim
+            patch.setattr(FlipEvaluator, "flip", recording_flip)
+            outcome = _outcome(solve_tabu(q, config))
+            assert outcome == reference_tabu(q, config, expected_moves)
+        assert moves == expected_moves
 
 
 class TestTabu:
