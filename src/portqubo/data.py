@@ -176,10 +176,39 @@ def _universe_from_dict(doc: dict, source: str) -> AssetUniverse:
         raise DataFormatError(f"{source}: {exc}") from exc
 
 
-def save_universe(universe: AssetUniverse, path) -> None:
+_JSON_CHUNK = 1024
+_JSON_ITEM_SEPARATOR = ",\n    "  # between the items of a list indented by json.dump
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write a dict with str keys whose values are scalars or lists of
+    scalars to ``path``, byte for byte as ``json.dump(doc, fh, indent=2)``
+    plus a newline. ``json.dump`` always runs the pure-Python encoder; this
+    encodes each list in chunks of ``_JSON_CHUNK`` items with the C encoder,
+    separated as the indent separates them, and never holds the whole
+    document as one string."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(_universe_to_dict(universe), fh, indent=2)
-        fh.write("\n")
+        sep = "{\n  "
+        for key, value in doc.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ",\n  "
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+            elif not value:
+                fh.write("[]")
+            else:
+                fh.write("[\n    ")
+                for start in range(0, len(value), _JSON_CHUNK):
+                    if start:
+                        fh.write(_JSON_ITEM_SEPARATOR)
+                    chunk = value[start : start + _JSON_CHUNK]
+                    fh.write(json.dumps(chunk, separators=(_JSON_ITEM_SEPARATOR, ": "))[1:-1])
+                fh.write("\n  ]")
+        fh.write("\n}\n" if doc else "{}\n")
+
+
+def save_universe(universe: AssetUniverse, path) -> None:
+    _write_json(_universe_to_dict(universe), path)
 
 
 def load_universe(path) -> AssetUniverse:
@@ -197,9 +226,7 @@ def save_instance(instance: PortfolioInstance, path) -> None:
             "return_mode": instance.return_mode,
         }
     )
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_instance(path) -> PortfolioInstance:

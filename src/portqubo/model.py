@@ -26,7 +26,7 @@ def _as_bits(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ContractViolation(f"bit vector must be 1-D, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ContractViolation("bit vector entries must be 0 or 1")
     return arr.astype(np.float64)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,13 +69,17 @@ MAX_QUBO_DIM = 8192
 """Largest dim a QuboMatrix accepts; its dense array then takes 512 MiB."""
 
 
-def _zero_upper(dim: int) -> np.ndarray:
-    """A zero dim x dim array, after checking dim against MAX_QUBO_DIM so a
-    file header cannot ask for more memory than the bound allows."""
+def _check_dim(dim: int) -> None:
+    """Checks dim against MAX_QUBO_DIM so a file header cannot ask for more
+    memory than the bound allows."""
     if dim < 1:
         raise ValueError("dim must be positive")
     if dim > MAX_QUBO_DIM:
         raise ValueError(f"QUBO dim {dim} exceeds the bound MAX_QUBO_DIM = {MAX_QUBO_DIM}")
+
+
+def _zero_upper(dim: int) -> np.ndarray:
+    _check_dim(dim)
     return np.zeros((dim, dim))
 
 
@@ -100,7 +105,7 @@ class QuboMatrix:
         upper = _zero_upper(dim)
         for (i, j), v in coeffs.items():
             if not (0 <= i <= j < dim):
-                raise ValueError(f"coefficient index ({i}, {j}) out of range for dim {dim}")
+                raise ValueError(_index_error(i, j, dim))
             upper[int(i), int(j)] = float(v)
         self._set(upper, offset)
 
@@ -140,30 +145,54 @@ class QuboMatrix:
         return self.upper.diagonal().copy(), strict + strict.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class IsingModel:
-    """Spin formulation with linear fields h and strictly upper couplings J."""
+    """Spin formulation: linear fields ``h`` and strictly upper couplings.
+
+    ``J`` is a read-only dim x dim float64 array, zero on and below the
+    diagonal, and ``h`` a read-only vector. The constructor takes the
+    couplings as a dict keyed by (i, j) with i < j; ``j`` gives the nonzero
+    ones back as such a dict, in row-major order, built once on first access.
+    """
 
     dim: int
     h: np.ndarray
-    j: dict[tuple[int, int], float]
-    offset: float = 0.0
+    J: np.ndarray
+    offset: float
 
-    def __post_init__(self):
-        h = np.array(self.h, dtype=np.float64)
-        if h.shape != (self.dim,):
-            raise ValueError(f"h has shape {h.shape}, expected ({self.dim},)")
-        clean = {}
-        for (a, b), v in self.j.items():
-            if not (0 <= a < b < self.dim):
+    def __init__(
+        self, dim: int, h, j: dict[tuple[int, int], float], offset: float = 0.0
+    ):
+        couplings = _zero_upper(dim)
+        for (a, b), v in j.items():
+            if not (0 <= a < b < dim):
                 raise ValueError(f"coupling index ({a}, {b}) must satisfy 0 <= i < j < dim")
-            v = float(v)
-            if v != 0.0:
-                clean[(int(a), int(b))] = v
+            couplings[int(a), int(b)] = float(v)
+        self._set(dim, h, couplings, offset)
+
+    @classmethod
+    def _from_arrays(cls, h: np.ndarray, couplings: np.ndarray, offset: float) -> IsingModel:
+        m = cls.__new__(cls)
+        m._set(len(h), h, couplings, offset)
+        return m
+
+    def _set(self, dim: int, h, couplings: np.ndarray, offset: float) -> None:
+        h = np.array(h, dtype=np.float64)
+        if h.shape != (dim,):
+            raise ValueError(f"h has shape {h.shape}, expected ({dim},)")
+        couplings += 0.0  # -0.0 -> +0.0: a zero coupling is no coupling
         h.setflags(write=False)
+        couplings.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "j", clean)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "J", couplings)
+        object.__setattr__(self, "offset", float(offset))
+
+    @cached_property
+    def j(self) -> dict[tuple[int, int], float]:
+        """The nonzero couplings keyed by (i, j), in row-major order."""
+        rows, cols = np.nonzero(self.J)
+        return dict(zip(zip(rows.tolist(), cols.tolist()), self.J[rows, cols].tolist()))
 
 
 def slack_count(mu) -> int:
@@ -287,7 +316,7 @@ def qubo_energy(q: QuboMatrix, x) -> float:
         raise ContractViolation(
             f"bit vector length {bits.size} does not match QUBO dim {q.dim}"
         )
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ContractViolation("bit vector entries must be 0 or 1")
     chosen = np.flatnonzero(bits)
     return float(q.offset + q.upper[np.ix_(chosen, chosen)].sum())
@@ -299,24 +328,19 @@ def to_ising(q: QuboMatrix) -> IsingModel:
     quarter = np.triu(q.upper, 1) / 4.0
     h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
     offset = q.offset + diag.sum() / 2.0 + quarter.sum()
-    rows, cols = np.nonzero(quarter)
-    j = dict(zip(zip(rows.tolist(), cols.tolist()), quarter[rows, cols].tolist()))
-    return IsingModel(dim=q.dim, h=h, j=j, offset=offset)
+    return IsingModel._from_arrays(h, quarter, offset)
 
 
 def ising_energy(m: IsingModel, s) -> float:
-    """offset + h's + sum of J_ij s_i s_j over spin assignments."""
+    """offset + h's + s'Js over spin assignments."""
     spins = np.asarray(s, dtype=np.float64)
     if spins.shape != (m.dim,):
         raise ContractViolation(
             f"spin vector length {spins.size} does not match Ising dim {m.dim}"
         )
-    if not np.isin(spins, (-1, 1)).all():
+    if not ((spins == -1) | (spins == 1)).all():
         raise ContractViolation("spin entries must be -1 or +1")
-    total = m.offset + float(m.h @ spins)
-    for (a, b), v in m.j.items():
-        total += v * spins[a] * spins[b]
-    return float(total)
+    return float(m.offset + m.h @ spins + spins @ (m.J @ spins))
 
 
 def chain_strength_bound(q: QuboMatrix) -> float:
@@ -349,58 +373,144 @@ def decode(
     return solution_from_bits(instance, x, energy=energy, **notes)
 
 
+# lines formatted per write: bounds the field list `write_qubo` builds
+_QUBO_WRITE_BLOCK_ELEMENTS = 1 << 16
+
+
 def write_qubo(q: QuboMatrix, path) -> None:
-    """Write the text QUBO format: `p qubo <dim> <nnz> <offset>` then `i j value`."""
-    lines = [f"p qubo {q.dim} {len(q.coeffs)} {q.offset:.17g}"]
-    for (i, j), v in q.coeffs.items():
-        lines.append(f"{i} {j} {v:.17g}")
+    """Write the text QUBO format: `p qubo <dim> <nnz> <offset>`, then one
+    `i j value` line per nonzero coefficient in row-major order, each number
+    printed with 17 significant digits so that reading it back is exact."""
+    block = max(1, _QUBO_WRITE_BLOCK_ELEMENTS // q.dim)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"p qubo {q.dim} {np.count_nonzero(q.upper)} {q.offset:.17g}\n")
+        for start in range(0, q.dim, block):
+            rows, cols = np.nonzero(q.upper[start : start + block])
+            rows += start
+            fields = [0] * (3 * rows.size)
+            fields[0::3] = rows.tolist()
+            fields[1::3] = cols.tolist()
+            fields[2::3] = q.upper[rows, cols].tolist()
+            fh.write(("%d %d %.17g\n" * rows.size) % tuple(fields))
+
+
+def _token_error(tokens, converters, names) -> str | None:
+    """The message for the first token that its converter rejects, if any."""
+    for token, convert, name in zip(tokens, converters, names):
+        try:
+            convert(token)
+        except ValueError:
+            return f"{name} {token!r} is not {'an integer' if convert is int else 'a number'}"
+    return None
+
+
+def _index_error(i: int, j: int, dim: int) -> str:
+    if 0 <= i < dim and 0 <= j < dim:
+        return f"coefficient index ({i}, {j}) is below the diagonal"
+    return f"coefficient index ({i}, {j}) out of range for dim {dim}"
+
+
+def _problem_line(path, lineno: int, parts: list[str]) -> tuple[int, int, float]:
+    """(dim, nnz, offset) of a `p qubo <dim> <nnz> <offset>` line."""
+    message = _token_error(parts[2:], (int, int, float), ("dim", "nnz", "offset"))
+    if message is None:
+        dim, nnz, offset = int(parts[2]), int(parts[3]), float(parts[4])
+        if not math.isfinite(offset):
+            message = f"offset {parts[4]} is not finite"
+        else:
+            try:
+                _check_dim(dim)
+                return dim, nnz, offset
+            except ValueError as exc:
+                message = str(exc)
+    raise ValueError(f"{path}:{lineno}: {message}")
+
+
+def _check_coefficients(path, dim: int, rows: array, cols: array, values: array, lines: array):
+    """The parsed coefficient lines as arrays (i, j, value), after raising for
+    the first of them, in file order, whose index is out of range or below
+    the diagonal, whose `i j` pair an earlier line has, or whose value is not
+    finite (checked in that order within a line)."""
+    line = np.frombuffer(lines, dtype=np.int64)
+    n = line.size
+    # `rows` has one more entry when the line after the last parsed one had
+    # a row index but a column index beyond int64
+    i = np.frombuffer(rows, dtype=np.int64)[:n]
+    j = np.frombuffer(cols, dtype=np.int64)[:n]
+    v = np.frombuffer(values, dtype=np.float64)
+    invalid = (i < 0) | (i > j) | (j >= dim)
+    stop = int(invalid.argmax()) if invalid.any() else n
+    # lines before the first bad index, whose keys cannot overflow
+    _, firsts = np.unique(i[:stop] * dim + j[:stop], return_index=True)
+    repeated = np.ones(stop, dtype=bool)
+    repeated[firsts] = False
+    flagged = repeated | ~np.isfinite(v[:stop])
+    k = int(flagged.argmax()) if flagged.any() else stop
+    if k < n:
+        a, b = int(i[k]), int(j[k])
+        if k == stop:
+            message = _index_error(a, b, dim)
+        elif repeated[k]:
+            message = f"duplicate coefficient {a} {b}"
+        else:
+            message = f"coefficient {a} {b} is not finite: {float(v[k])}"
+        raise ValueError(f"{path}:{line[k]}: {message}")
+    return i, j, v
 
 
 def read_qubo(path) -> QuboMatrix:
-    """Read the text QUBO format written by :func:`write_qubo`. The file has
-    one problem line, as many coefficient lines as its nnz, no `i j` pair
-    twice and only finite values."""
+    """Read the text QUBO format written by :func:`write_qubo`: lines that
+    are blank or start with `c` are skipped, one `p qubo <dim> <nnz>
+    <offset>` line comes before exactly nnz `i j value` lines, with
+    0 <= i <= j < dim, no `i j` pair twice and only finite numbers. Any
+    other file raises a ValueError naming `path:line` of its first fault in
+    file order (only a missing problem line names no line)."""
     dim = None
-    offset = 0.0
-    coeffs: dict[tuple[int, int], float] = {}
+    rows, cols, values, lines = array("q"), array("q"), array("d"), array("q")
+    error = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "c":
                 continue
-            parts = line.split()
             if parts[0] == "p":
                 if len(parts) != 5 or parts[1] != "qubo":
-                    raise ValueError(f"{path}:{lineno}: malformed problem line {line!r}")
+                    error = lineno, f"malformed problem line {raw.strip()!r}"
+                    break
                 if dim is not None:
-                    raise ValueError(f"{path}:{lineno}: second problem line")
-                dim = int(parts[2])
-                nnz = int(parts[3])
-                offset = float(parts[4])
-                if not math.isfinite(offset):
-                    raise ValueError(f"{path}:{lineno}: offset {parts[4]} is not finite")
+                    error = lineno, "second problem line"
+                    break
+                dim, nnz, offset = _problem_line(path, lineno, parts)
                 problem_lineno = lineno
                 continue
             if dim is None:
                 raise ValueError(f"{path}:{lineno}: coefficient before problem line")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: malformed coefficient line {line!r}")
-            key = (int(parts[0]), int(parts[1]))
-            if key in coeffs:
-                raise ValueError(f"{path}:{lineno}: duplicate coefficient {key[0]} {key[1]}")
-            value = float(parts[2])
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}:{lineno}: coefficient {key[0]} {key[1]} is not finite: {parts[2]}"
-                )
-            coeffs[key] = value
+                error = lineno, f"malformed coefficient line {raw.strip()!r}"
+                break
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                rows.append(i)
+                cols.append(j)
+            except (ValueError, OverflowError):
+                error = lineno, _token_error(
+                    parts, (int, int, float), ("row index", "column index", "value")
+                ) or _index_error(int(parts[0]), int(parts[1]), dim)
+                break
+            values.append(v)
+            lines.append(lineno)
+    # an error on a parsed line comes before the one that ended the loop
+    if dim is not None:
+        i, j, v = _check_coefficients(path, dim, rows, cols, values, lines)
+    if error is not None:
+        raise ValueError(f"{path}:{error[0]}: {error[1]}")
     if dim is None:
         raise ValueError(f"{path}: no problem line found")
-    if len(coeffs) != nnz:
+    if v.size != nnz:
         raise ValueError(
             f"{path}:{problem_lineno}: problem line declares {nnz} coefficients, "
-            f"file has {len(coeffs)}"
+            f"file has {v.size}"
         )
-    return QuboMatrix(dim=dim, coeffs=coeffs, offset=offset)
+    upper = np.zeros((dim, dim))
+    upper[i, j] = v
+    return QuboMatrix._from_upper(upper, offset)

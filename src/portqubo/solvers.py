@@ -372,7 +372,7 @@ def solve_ga(
     evaluations = pop_size
     best_idx = int(np.argmin(energies))
     best_energy = float(energies[best_idx])
-    best_bits = tuple(int(b) for b in pop[best_idx])
+    best_x = pop[best_idx].tolist()
     trace: list[tuple[int, float]] = [(evaluations, best_energy)]
     half = pop_size // 2
     for _ in range(config.generations):
@@ -401,15 +401,15 @@ def solve_ga(
         gen_best = int(np.argmin(energies))
         if energies[gen_best] < best_energy:
             best_energy = float(energies[gen_best])
-            best_bits = tuple(int(b) for b in pop[gen_best])
+            best_x = pop[gen_best].tolist()
             trace.append((evaluations, best_energy))
         elif energies[gen_best] == best_energy:
-            bits = tuple(int(b) for b in pop[gen_best])
-            if bits < best_bits:
-                best_bits = bits
+            x = pop[gen_best].tolist()
+            if x < best_x:
+                best_x = x
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return _result(best_bits, best_energy, evaluations, t0, config.seed, trace)
+    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 @dataclass
@@ -580,22 +580,28 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     dim = q.dim
     upper = q.to_dense()
     total = 1 << dim
-    # bit i is mapped to position dim-1-i so integer order equals the
-    # lexicographic order of bit tuples; argmin then lands on the lex winner
-    shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)
+    # the low bytes of big-endian codes unpack most significant bit first, so
+    # bit i is code bit dim-1-i and integer order equals the lexicographic
+    # order of bit tuples; argmin then lands on the lex winner
+    n_bytes = (dim + 7) // 8
     best_energy = math.inf
     best_code = 0
     block = max(1, _BRUTEFORCE_BLOCK_ELEMENTS // dim)
     for start in range(0, total, block):
-        stop = min(start + block, total)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
-        energies = ((bits @ upper) * bits).sum(axis=1) + q.offset
+        codes = np.arange(start, min(start + block, total), dtype=np.uint64).astype(">u8")
+        bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], axis=1)
+        bits = bits[:, 8 * n_bytes - dim :].astype(np.float64)
+        energies = bits @ upper
+        energies *= bits
+        energies = np.add.reduce(energies, axis=1)
+        # before argmin: ties that adding the offset rounds into break
+        # lexicographically too
+        energies += q.offset
         idx = int(np.argmin(energies))
         if energies[idx] < best_energy:
             best_energy = float(energies[idx])
             best_code = start + idx
-    bits = tuple(int((best_code >> int(s)) & 1) for s in shifts)
+    bits = tuple((best_code >> (dim - 1 - i)) & 1 for i in range(dim))
     return bits, best_energy
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -264,3 +265,102 @@ def reference_build_qubo(instance: PortfolioInstance, params, literal_weights: b
     elif instance.return_mode == "equality":
         offset += _reference_squared_linear(coeffs, mu, -instance.r_star, params.lambda2)
     return QuboMatrix(dim=n_assets + len(weights), coeffs=coeffs, offset=offset), weights
+
+
+def reference_ga(q: QuboMatrix, config):
+    """The generational GA as it was before its incumbent became a list: the
+    best bits kept as an int tuple, ties compared as tuples. Returns (bits,
+    energy, evaluations, energy_trace)."""
+    dim = q.dim
+    pop_size = config.population
+    mutation_rate = (
+        config.mutation_rate if config.mutation_rate is not None else 1.0 / dim
+    )
+    rng = np.random.default_rng(config.seed)
+    upper = q.to_dense()
+
+    def population_energies(pop):
+        return ((pop @ upper) * pop).sum(axis=1) + q.offset
+
+    pop = rng.integers(0, 2, size=(pop_size, dim)).astype(np.float64)
+    energies = population_energies(pop)
+    evaluations = pop_size
+    best_idx = int(np.argmin(energies))
+    best_energy = float(energies[best_idx])
+    best_bits = tuple(int(b) for b in pop[best_idx])
+    trace = [(evaluations, best_energy)]
+    half = pop_size // 2
+    for _ in range(config.generations):
+        elite_order = np.argsort(energies, kind="stable")[: config.elitism_count]
+        elites = pop[elite_order].copy()
+        contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
+        winners = contenders[
+            np.arange(pop_size), np.argmin(energies[contenders], axis=1)
+        ]
+        parents = pop[winners]
+        mothers, fathers = parents[0::2], parents[1::2]
+        do_cross = rng.random(half) < config.crossover_rate
+        mask = rng.integers(0, 2, size=(half, dim)).astype(bool)
+        first = np.where(mask, mothers, fathers)
+        second = np.where(mask, fathers, mothers)
+        children = np.empty_like(parents)
+        children[0::2] = np.where(do_cross[:, None], first, mothers)
+        children[1::2] = np.where(do_cross[:, None], second, fathers)
+        mutate = rng.random((pop_size, dim)) < mutation_rate
+        children = np.where(mutate, 1.0 - children, children)
+        if config.elitism_count:
+            children[: config.elitism_count] = elites
+        pop = children
+        energies = population_energies(pop)
+        evaluations += pop_size
+        gen_best = int(np.argmin(energies))
+        if energies[gen_best] < best_energy:
+            best_energy = float(energies[gen_best])
+            best_bits = tuple(int(b) for b in pop[gen_best])
+            trace.append((evaluations, best_energy))
+        elif energies[gen_best] == best_energy:
+            bits = tuple(int(b) for b in pop[gen_best])
+            if bits < best_bits:
+                best_bits = bits
+    return best_bits, best_energy, evaluations, trace
+
+
+def reference_bruteforce(q: QuboMatrix):
+    """The exact QUBO enumerator as it was before it unpacked big-endian
+    codes: bits shifted out of each code, blocks of (1 << 20) // dim rows."""
+    dim = q.dim
+    upper = q.to_dense()
+    total = 1 << dim
+    shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)
+    best_energy = math.inf
+    best_code = 0
+    block = max(1, (1 << 20) // dim)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        codes = np.arange(start, stop, dtype=np.uint64)
+        bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
+        energies = ((bits @ upper) * bits).sum(axis=1) + q.offset
+        idx = int(np.argmin(energies))
+        if energies[idx] < best_energy:
+            best_energy = float(energies[idx])
+            best_code = start + idx
+    bits = tuple(int((best_code >> int(s)) & 1) for s in shifts)
+    return bits, best_energy
+
+
+def reference_write_qubo(q: QuboMatrix, path) -> None:
+    """The QUBO writer as it was before it formatted whole blocks of lines:
+    one f-string per coefficient of the `coeffs` dict."""
+    lines = [f"p qubo {q.dim} {len(q.coeffs)} {q.offset:.17g}"]
+    for (i, j), v in q.coeffs.items():
+        lines.append(f"{i} {j} {v:.17g}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_json(doc: dict, path) -> None:
+    """The JSON writer of `save_universe` and `save_instance` as it was
+    before it encoded lists in chunks: the pure-Python encoder of json.dump."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

@@ -90,6 +90,22 @@ def test_non_finite_qubo_file_is_data_error(tmp_path, capsys, body):
     assert "that.qubo:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("p qubo 2 1 0\n0 x 1.5\n", "bad.qubo:2: column index 'x' is not an integer"),
+        ("p qubo 2 1 0\n0 5 1.5\n", "bad.qubo:2: coefficient index (0, 5) out of range"),
+        ("p qubo 2 1 0\n1 0 1.5\n", "bad.qubo:2: coefficient index (1, 0) is below"),
+        ("p qubo two 1 0\n0 1 1.5\n", "bad.qubo:1: dim 'two' is not an integer"),
+    ],
+)
+def test_malformed_qubo_file_is_data_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.qubo"
+    path.write_text(body)
+    assert cli_main(["solve", str(path), "--solver", "tabu"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_penalty_is_data_error(synth_instance, capsys, flag, value):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portqubo import (
     AssetUniverse,
@@ -17,7 +19,10 @@ from portqubo import (
     save_instance,
     save_universe,
 )
+from portqubo import data as data_mod
 from portqubo.data import scale_returns
+
+from conftest import reference_write_json
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -210,3 +215,61 @@ def test_scale_returns():
     assert np.array_equal(scaled.sigma, universe.sigma)
     with pytest.raises(ValueError):
         scale_returns(universe, 0.0)
+
+
+_TRICKY_TEXT = st.sampled_from(['"', ",", "\n", "\\", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "a, \"b\"\n"])
+_TRICKY_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e17, -1e17, 1e16, 0.1])
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _TRICKY_FLOATS,
+    st.integers(),
+    st.text(),
+    _TRICKY_TEXT,
+    st.booleans(),
+    st.none(),
+)
+_JSON_DOCS = st.dictionaries(
+    st.one_of(st.text(max_size=8), _TRICKY_TEXT),
+    st.one_of(_SCALARS, st.lists(_SCALARS, max_size=12)),
+    max_size=6,
+)
+
+
+class TestJsonWriter:
+    """The chunked C-encoder writer against json.dump(indent=2)."""
+
+    @given(doc=_JSON_DOCS, chunk=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dump(self, tmp_path_factory, doc, chunk):
+        d = tmp_path_factory.mktemp("json")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_JSON_CHUNK", chunk)  # many chunk joins
+            data_mod._write_json(doc, d / "chunked.json")
+        reference_write_json(doc, d / "reference.json")
+        assert (d / "chunked.json").read_bytes() == (d / "reference.json").read_bytes()
+
+    @pytest.mark.parametrize("n_assets", [1, 32, 33, 46])
+    def test_instance_and_universe_files_equal_json_dump(self, tmp_path, n_assets):
+        # sigma has n_assets**2 entries: 1024 is one full chunk, 1089 and
+        # 2116 end in a partial one
+        symbols = [f'{i} "q", caf\u00e9\n' for i in range(n_assets)]
+        spec = SyntheticSpec(n_assets=n_assets, n_factors=1, seed=n_assets)
+        synthetic = generate_synthetic(spec)
+        mu = synthetic.mu.copy()
+        mu[0] = -0.0
+        universe = AssetUniverse(tuple(symbols), mu, synthetic.sigma)
+        inst = PortfolioInstance(universe, n=1, r_star=1e17, return_mode="at_least")
+        doc = {
+            "symbols": symbols,
+            "mu": universe.mu.tolist(),
+            "sigma": universe.sigma.flatten().tolist(),
+        }
+        save_universe(universe, tmp_path / "universe.json")
+        reference_write_json(doc, tmp_path / "universe.ref.json")
+        doc.update({"n": 1, "r_star": 1e17, "return_mode": "at_least"})
+        save_instance(inst, tmp_path / "instance.json")
+        reference_write_json(doc, tmp_path / "instance.ref.json")
+        for name in ("universe", "instance"):
+            written = (tmp_path / f"{name}.json").read_bytes()
+            assert written == (tmp_path / f"{name}.ref.json").read_bytes()
+        assert b'"mu": [\n    -0.0' in written

@@ -35,6 +35,17 @@ def test_risk_rejects_non_bits():
         portfolio_risk([[1.0]], [2])
 
 
+@pytest.mark.parametrize("bad", [0.5, 2, -1, float("nan"), float("inf")])
+def test_bit_checks_reject_non_bits(bad):
+    for check in (
+        lambda x: portfolio_risk(np.eye(2), x),
+        lambda x: portfolio_return([1.0, 2.0], x),
+    ):
+        with pytest.raises(ContractViolation, match="0 or 1"):
+            check([1, bad])
+    assert portfolio_risk(np.eye(2), [True, False]) == 1.0
+
+
 def test_return_examples():
     assert portfolio_return([5, 7], [0, 0]) == 0.0
     assert portfolio_return([5, 7], [1, 1]) == 12.0

@@ -26,9 +26,16 @@ from portqubo import (
     to_ising,
     write_qubo,
 )
+from portqubo import qubo as qubo_mod
 from portqubo.qubo import MAX_QUBO_DIM, VariableLayout
 
-from conftest import naive_qubo_energy, random_instance, random_qubo, reference_build_qubo
+from conftest import (
+    naive_qubo_energy,
+    random_instance,
+    random_qubo,
+    reference_build_qubo,
+    reference_write_qubo,
+)
 
 
 def _universe(mu, sigma):
@@ -258,6 +265,48 @@ class TestIsing:
         with pytest.raises(ContractViolation):
             ising_energy(m, [0])
 
+    @pytest.mark.parametrize("bad", [0, 0.5, 2, float("nan")])
+    def test_energy_checks_reject_non_values(self, bad):
+        q = QuboMatrix(dim=2, coeffs={(0, 1): 1.0})
+        with pytest.raises(ContractViolation, match="-1 or \\+1"):
+            ising_energy(to_ising(q), [1, bad])
+        if bad != 0:
+            with pytest.raises(ContractViolation, match="0 or 1"):
+                qubo_energy(q, [1, bad])
+
+    def test_couplings_are_a_read_only_strict_upper_array(self, rng):
+        q = random_qubo(rng, 9, density=0.5)
+        m = to_ising(q)
+        assert np.array_equal(m.J, np.triu(q.upper, 1) / 4.0)
+        assert not m.J.flags.writeable and not m.h.flags.writeable
+        with pytest.raises(ValueError):
+            m.J[0, 1] = 1.0
+
+    def test_coupling_dict_view_is_row_major_and_computed_once(self, rng):
+        q = random_qubo(rng, 9, density=0.5)
+        m = to_ising(q)
+        quarter = np.triu(q.upper, 1) / 4.0
+        expected = {
+            (a, b): float(quarter[a, b])
+            for a in range(q.dim)
+            for b in range(a + 1, q.dim)
+            if quarter[a, b] != 0.0
+        }
+        assert m.j == expected
+        assert list(m.j) == sorted(m.j)
+        assert m.j is m.j
+
+    def test_dict_constructor(self):
+        m = IsingModel(dim=3, h=[1.0, 0.0, -1.0], j={(0, 2): 2.0, (1, 2): 0.0}, offset=0.5)
+        assert m.J.tolist() == [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert m.j == {(0, 2): 2.0}
+        assert ising_energy(m, [1, 1, 1]) == 0.5 + 0.0 + 2.0
+        for key in ((1, 0), (1, 1), (0, 3), (-1, 2)):
+            with pytest.raises(ValueError, match="0 <= i < j < dim"):
+                IsingModel(dim=3, h=[0.0] * 3, j={key: 1.0})
+        with pytest.raises(ValueError, match="shape"):
+            IsingModel(dim=3, h=[0.0] * 2, j={})
+
 
 class TestChainStrengthBound:
     def test_zero_matrix(self):
@@ -375,6 +424,112 @@ class TestQuboFile:
         path.write_text("p qubo 2 1 0\n0 1 1\np qubo 5 1 3\n")
         with pytest.raises(ValueError, match=r"two\.qubo:3: second problem line"):
             read_qubo(path)
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("p qubo 2 1 0\n0 x 1.5\n", ":2: column index 'x' is not an integer"),
+            ("p qubo 2 1 0\n1.0 1 1.5\n", ":2: row index '1.0' is not an integer"),
+            ("p qubo 2 1 0\n0 1 abc\n", ":2: value 'abc' is not a number"),
+            ("p qubo x 1 0\n", ":1: dim 'x' is not an integer"),
+            ("p qubo 2 1.5 0\n", ":1: nnz '1.5' is not an integer"),
+            ("p qubo 2 1 zero\n", ":1: offset 'zero' is not a number"),
+            ("p qubo 0 0 0\n", ":1: dim must be positive"),
+            ("p qubo -3 0 0\n", ":1: dim must be positive"),
+            ("p qubo 2 1 0\n0 5 1.5\n", r":2: coefficient index \(0, 5\) out of range for dim 2"),
+            ("p qubo 2 1 0\n-1 1 1.5\n", r":2: coefficient index \(-1, 1\) out of range"),
+            ("p qubo 2 1 0\n2 2 1.5\n", r":2: coefficient index \(2, 2\) out of range"),
+            ("p qubo 2 1 0\n1 0 1.5\n", r":2: coefficient index \(1, 0\) is below the diagonal"),
+            # indices beyond int64 cannot be stored; they are out of range
+            ("p qubo 2 1 0\n0 99999999999999999999 1\n", r":2: coefficient index \(0, 9+\) out"),
+            ("p qubo 2 1 0\n-99999999999999999999 0 1\n", r":2: coefficient index \(-9+, 0\) out"),
+        ],
+    )
+    def test_bad_token_index_or_dim_names_the_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.qubo"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=r"bad\.qubo" + where):
+            read_qubo(path)
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            # a fault found by the whole-file checks on an earlier line wins
+            ("p qubo 2 3 0\n0 1 1\n0 1 2\n0 x 1\n", ":3: duplicate coefficient 0 1"),
+            ("p qubo 2 3 0\n0 x 1\n0 1 1\n0 1 2\n", ":2: column index 'x'"),
+            ("p qubo 2 2 0\n0 0 nan\n0 5 1\n", ":2: coefficient 0 0 is not finite: nan"),
+            ("p qubo 2 3 0\n0 5 1\n0 1 1\n0 1 1\n", r":2: coefficient index \(0, 5\)"),
+            ("p qubo 2 3 0\n0 1 1\n0 1 1\n1 0 1\n", ":3: duplicate coefficient 0 1"),
+            ("p qubo 2 3 0\n0 1 1\n0 1 1\np qubo 2 0 0\n", ":3: duplicate coefficient 0 1"),
+            ("p qubo 2 2 0\n0 1 inf\n0 1 1\nbad line\n", ":2: coefficient 0 1 is not finite: inf"),
+            # within a line: a repeated pair comes before a non-finite value
+            ("p qubo 2 2 0\n0 1 1\n0 1 nan\n", ":3: duplicate coefficient 0 1"),
+            # every line fault comes before the nnz count of the problem line
+            ("p qubo 2 5 0\n0 1 1\n1 0 1\n", r":3: coefficient index \(1, 0\) is below"),
+        ],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, body, where):
+        path = tmp_path / "order.qubo"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=r"order\.qubo" + where):
+            read_qubo(path)
+
+    def test_zero_and_negative_zero_lines_count_towards_nnz(self, tmp_path):
+        path = tmp_path / "zeros.qubo"
+        path.write_text("p qubo 2 3 0\n0 0 0\n0 1 -0.0\n1 1 2\n")
+        q = read_qubo(path)
+        assert q.coeffs == {(1, 1): 2.0}
+        assert not np.signbit(q.upper).any()
+
+
+_EDGE_VALUES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e17, -1e17, 1e300, 0.1, -0.0]
+
+
+class TestQuboFileMatchesReference:
+    """The block writer against the per-coefficient f-string writer, and the
+    exact round trip through the array reader."""
+
+    @given(
+        dim=st.integers(1, 24),
+        density=st.floats(0.0, 1.0),
+        block=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, *_EDGE_VALUES]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_reference_and_round_trip_is_exact(
+        self, tmp_path_factory, dim, density, block, seed, offset
+    ):
+        rng = np.random.default_rng(seed)
+        size = dim * (dim + 1) // 2
+        # magnitudes over sixty decades, a fifth of them edge values
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+        edge = rng.random(size) < 0.2
+        values[edge] = rng.choice(_EDGE_VALUES, edge.sum())
+        values[rng.random(size) >= density] = 0.0
+        keys = [(i, j) for i in range(dim) for j in range(i, dim)]
+        q = QuboMatrix(dim=dim, coeffs=dict(zip(keys, values.tolist())), offset=offset)
+        d = tmp_path_factory.mktemp("qubo")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qubo_mod, "_QUBO_WRITE_BLOCK_ELEMENTS", block)  # rows per write
+            write_qubo(q, d / "blocks.qubo")
+        reference_write_qubo(q, d / "reference.qubo")
+        assert (d / "blocks.qubo").read_bytes() == (d / "reference.qubo").read_bytes()
+        back = read_qubo(d / "blocks.qubo")
+        assert back.dim == q.dim
+        assert np.array_equal(back.upper.view(np.int64), q.upper.view(np.int64))
+        assert np.float64(back.offset).view(np.int64) == np.float64(q.offset).view(np.int64)
+
+    @pytest.mark.filterwarnings("ignore:slack bits")
+    def test_built_qubo_file_equals_reference(self, tmp_path, rng):
+        inst = random_instance(rng, 60, mode="at_least", mu_range=(0.0, 40.0))
+        q, _ = build_qubo(inst, PenaltyParams(1.0, 3.0, 0.5))
+        write_qubo(q, tmp_path / "built.qubo")
+        reference_write_qubo(q, tmp_path / "reference.qubo")
+        assert (tmp_path / "built.qubo").read_bytes() == (tmp_path / "reference.qubo").read_bytes()
+        back = read_qubo(tmp_path / "built.qubo")
+        assert np.array_equal(back.upper.view(np.int64), q.upper.view(np.int64))
+        assert back.offset == q.offset
 
 
 class TestPenaltySufficiency:

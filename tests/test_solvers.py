@@ -34,7 +34,9 @@ from conftest import (
     naive_bruteforce,
     random_psd,
     random_qubo,
+    reference_bruteforce,
     reference_exhaustive_subsets,
+    reference_ga,
     reference_sa,
     reference_tabu,
 )
@@ -42,6 +44,14 @@ from conftest import (
 
 def _universe(mu, sigma):
     return AssetUniverse(tuple(f"A{i}" for i in range(len(mu))), mu, sigma)
+
+
+def _integer_qubo(rng, dim: int, density: float) -> QuboMatrix:
+    """Coefficients in -2..2 at the given density: equal energies are common."""
+    values = rng.integers(-2, 3, size=(dim, dim)).astype(np.float64)
+    keep = rng.random((dim, dim)) < density
+    coeffs = {(i, j): values[i, j] for i in range(dim) for j in range(i, dim) if keep[i, j]}
+    return QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.integers(-2, 3)))
 
 
 def _example_qubo():
@@ -183,6 +193,25 @@ class TestBruteforce:
             assert fast_bits == slow_bits
             assert fast_energy == pytest.approx(slow_energy, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", range(1, 21))
+    def test_matches_reference(self, dim):
+        # dims 17-20 take more than one block; integer coefficients make
+        # energy ties, so the lexicographic tie rule is exercised too
+        rng = np.random.default_rng(dim)
+        problems = [_integer_qubo(rng, dim, density=0.5)]
+        if dim <= 16:
+            problems.append(random_qubo(rng, dim, density=0.6))
+        for q in problems:
+            bits, energy = solve_qubo_bruteforce(q)
+            ref_bits, ref_energy = reference_bruteforce(q)
+            assert bits == ref_bits
+            assert np.float64(energy).view(np.int64) == np.float64(ref_energy).view(np.int64)
+
+    def test_tie_made_by_the_offset_breaks_lexicographically(self):
+        # -1e-20 + 1.0 rounds to 1.0, so both assignments have energy 1.0
+        q = QuboMatrix(dim=1, coeffs={(0, 0): -1e-20}, offset=1.0)
+        assert solve_qubo_bruteforce(q) == reference_bruteforce(q) == ((0,), 1.0)
+
     def test_dim_guard(self):
         q = QuboMatrix(dim=25, coeffs={(0, 0): 1.0})
         with pytest.raises(ValueError, match="guard"):
@@ -322,13 +351,7 @@ class TestMatchesReference:
         # integer coefficients in -2..2 make equal gains, and equal energies,
         # common; tenures up to dim + 2 reach the every-bit-tabu step
         tenure = data.draw(st.integers(1, dim + 2), label="tenure")
-        rng = np.random.default_rng(seed)
-        values = rng.integers(-2, 3, size=(dim, dim)).astype(np.float64)
-        keep = rng.random((dim, dim)) < density
-        coeffs = {
-            (i, j): values[i, j] for i in range(dim) for j in range(i, dim) if keep[i, j]
-        }
-        q = QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.integers(-2, 3)))
+        q = _integer_qubo(np.random.default_rng(seed), dim, density)
         config = TabuConfig(tenure=tenure, seed=seed, restarts=2, max_iterations=2 * dim + 10)
         # the best-ever outcome rarely depends on a single step, so the
         # sequence of flipped bits is compared too
@@ -412,6 +435,48 @@ class TestGa:
         energies = [e for _, e in result.energy_trace]
         assert all(a >= b for a, b in zip(energies, energies[1:]))
         assert result.energy == pytest.approx(qubo_energy(q, result.bits), rel=1e-9)
+
+    @given(
+        dim=st.integers(1, 16),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        half_population=st.integers(1, 10),
+        generations=st.integers(1, 30),
+        crossover_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        mutation_rate=st.sampled_from([None, 0.0, 0.3]),
+        tournament_size=st.integers(2, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_tie_heavy_integer_problems(
+        self,
+        dim,
+        density,
+        seed,
+        half_population,
+        generations,
+        crossover_rate,
+        mutation_rate,
+        tournament_size,
+        data,
+    ):
+        # integer coefficients in -2..2 make many individuals tie with the
+        # incumbent; without elitism the best can also drop out and tie later
+        population = 2 * half_population
+        elitism_count = data.draw(
+            st.one_of(st.just(0), st.integers(1, population - 1)), label="elitism_count"
+        )
+        q = _integer_qubo(np.random.default_rng(seed), dim, density)
+        config = GaConfig(
+            population=population,
+            generations=generations,
+            crossover_rate=crossover_rate,
+            mutation_rate=mutation_rate,
+            tournament_size=tournament_size,
+            elitism_count=elitism_count,
+            seed=seed,
+        )
+        assert _outcome(solve_ga(q, config)) == reference_ga(q, config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
