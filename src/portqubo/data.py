@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,60 @@ class SyntheticSpec:
             raise ValueError("return_range must satisfy low < high")
 
 
+def parse_or_none(parse, *args):
+    """``parse(*args)``, or None where it raises a ValueError or warns.
+
+    For a reader's fast path, whose every rejection leaves the fault to be
+    named by a slower line-by-line reader; warnings are errors here because
+    numpy 1.x only warns where numpy 2 rejects, such as ``1.0`` read into an
+    integer column."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(*args)
+        except (ValueError, Warning):
+            return None
+
+
 def load_prices_csv(path) -> PricePanel:
-    """Parse a prices CSV; every data problem is a distinct named error."""
+    """Parse a prices CSV; every data problem is a distinct named error.
+
+    A well-formed file is parsed by numpy's C tokenizer; any other file is
+    read again line by line to name its first fault."""
+    panel = parse_or_none(_load_prices_numpy, path)
+    return panel if panel is not None else _load_prices_lines(path)
+
+
+def _load_prices_numpy(path) -> PricePanel | None:
+    """The panel of a well-formed prices CSV, or None. A file that quotes a
+    cell, holds a NUL or a line longer than the csv module's field limit is
+    left to the csv module, so that only files it reads alike are parsed
+    here."""
+    with open(path) as fh:  # lines end at \n, \r\n and \r, as csv rows do
+        text = fh.read()
+    lines = text.split("\n")
+    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    symbols = [s.strip() for s in lines[0].split(",")[1:]]
+    if not symbols or len(set(symbols)) < len(symbols):
+        return None
+    dates, cells = [], []
+    for line in lines[1:]:
+        if line:
+            date, _, rest = line.partition(",")
+            dates.append(date.strip())
+            cells.append(rest)
+    prices = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
+    if not np.isfinite(prices).all():
+        return None
+    # raises for fewer than 2 rows, a price <= 0 or a shape other than dates
+    # x symbols, as when numpy skips a `rest` that is blank
+    return PricePanel(dates=tuple(dates), symbols=tuple(symbols), prices=prices)
+
+
+def _load_prices_lines(path) -> PricePanel:
+    """Parse a prices CSV row by row with the csv module, raising a
+    DataFormatError for the first fault in file order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

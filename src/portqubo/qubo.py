@@ -14,6 +14,7 @@ return surplus can cancel inside the squared residual:
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import parse_or_none
 from .model import (
     ContractViolation,
     PortfolioInstance,
@@ -89,10 +91,10 @@ class QuboMatrix:
 
     ``upper`` is a read-only dim x dim float64 array, zero below the
     diagonal. The constructor takes the coefficients as a dict keyed by
-    (i, j) with i <= j and rejects any that is not finite, as it does a
-    non-finite offset; ``coeffs`` gives the nonzero ones back in row-major
-    order. The offset carries the constant terms dropped from the quadratic
-    expansion so energies stay comparable across encodings.
+    integer (i, j) with i <= j and rejects any that is not finite, as it
+    does a non-finite offset; ``coeffs`` gives the nonzero ones back in
+    row-major order. The offset carries the constant terms dropped from the
+    quadratic expansion so energies stay comparable across encodings.
     """
 
     dim: int
@@ -104,9 +106,10 @@ class QuboMatrix:
     ):
         upper = _zero_upper(dim)
         for (i, j), v in coeffs.items():
+            i, j = operator.index(i), operator.index(j)
             if not (0 <= i <= j < dim):
                 raise ValueError(_index_error(i, j, dim))
-            upper[int(i), int(j)] = float(v)
+            upper[i, j] = float(v)
         self._set(upper, offset)
 
     @classmethod
@@ -151,7 +154,8 @@ class IsingModel:
 
     ``J`` is a read-only dim x dim float64 array, zero on and below the
     diagonal, and ``h`` a read-only vector. The constructor takes the
-    couplings as a dict keyed by (i, j) with i < j; ``j`` gives the nonzero
+    couplings as a dict keyed by integer (i, j) with i < j and rejects a
+    field, coupling or offset that is not finite; ``j`` gives the nonzero
     ones back as such a dict, in row-major order, built once on first access.
     """
 
@@ -165,9 +169,10 @@ class IsingModel:
     ):
         couplings = _zero_upper(dim)
         for (a, b), v in j.items():
+            a, b = operator.index(a), operator.index(b)
             if not (0 <= a < b < dim):
                 raise ValueError(f"coupling index ({a}, {b}) must satisfy 0 <= i < j < dim")
-            couplings[int(a), int(b)] = float(v)
+            couplings[a, b] = float(v)
         self._set(dim, h, couplings, offset)
 
     @classmethod
@@ -180,13 +185,22 @@ class IsingModel:
         h = np.array(h, dtype=np.float64)
         if h.shape != (dim,):
             raise ValueError(f"h has shape {h.shape}, expected ({dim},)")
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"Ising offset must be finite, got {offset}")
+        if not np.isfinite(h).all():
+            i = int(np.flatnonzero(~np.isfinite(h))[0])
+            raise ValueError(f"Ising field h[{i}] must be finite, got {h[i]}")
+        if not np.isfinite(couplings).all():
+            a, b = np.argwhere(~np.isfinite(couplings))[0].tolist()
+            raise ValueError(f"Ising coupling ({a}, {b}) must be finite, got {couplings[a, b]}")
         couplings += 0.0  # -0.0 -> +0.0: a zero coupling is no coupling
         h.setflags(write=False)
         couplings.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", couplings)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
 
     @cached_property
     def j(self) -> dict[tuple[int, int], float]:
@@ -458,13 +472,54 @@ def _check_coefficients(path, dim: int, rows: array, cols: array, values: array,
     return i, j, v
 
 
+_COEFFICIENT_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def read_qubo(path) -> QuboMatrix:
     """Read the text QUBO format written by :func:`write_qubo`: lines that
     are blank or start with `c` are skipped, one `p qubo <dim> <nnz>
     <offset>` line comes before exactly nnz `i j value` lines, with
     0 <= i <= j < dim, no `i j` pair twice and only finite numbers. Any
     other file raises a ValueError naming `path:line` of its first fault in
-    file order (only a missing problem line names no line)."""
+    file order (only a missing problem line names no line).
+
+    A well-formed file is parsed by numpy's C tokenizer; any other file is
+    read again line by line to name its first fault."""
+    parsed = parse_or_none(_read_qubo_numpy, path)
+    dim, offset, i, j, v = parsed if parsed is not None else _read_qubo_lines(path)
+    upper = np.zeros((dim, dim))
+    upper[i, j] = v
+    return QuboMatrix._from_upper(upper, offset)
+
+
+def _read_qubo_numpy(path):
+    """(dim, offset, i, j, values) of a well-formed QUBO file, or None. The
+    body goes to numpy with no comment character and integer indices, so a
+    comment line, a `#` in a token or an index such as `1.0` after the
+    problem line is left to the line reader."""
+    with open(path) as fh:
+        for raw in iter(fh.readline, ""):
+            parts = raw.split()
+            if parts and parts[0][0] != "c":
+                break
+        else:
+            return None
+        if len(parts) != 5 or parts[:2] != ["p", "qubo"]:
+            return None
+        dim, nnz, offset = _problem_line(path, 0, parts)  # the line reader names a fault
+        body = np.loadtxt(fh, dtype=_COEFFICIENT_LINE, comments=None, ndmin=1)
+    i, j, v = body["i"], body["j"], body["v"]
+    if v.size != nnz or not np.isfinite(v).all() or ((i < 0) | (i > j) | (j >= dim)).any():
+        return None
+    keys = np.sort(i * dim + j)  # np.unique is far slower on these keys
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return dim, offset, i, j, v
+
+
+def _read_qubo_lines(path):
+    """(dim, offset, i, j, values) of a QUBO file read line by line, raising
+    a ValueError that names `path:line` of its first fault in file order."""
     dim = None
     rows, cols, values, lines = array("q"), array("q"), array("d"), array("q")
     error = None
@@ -511,6 +566,4 @@ def read_qubo(path) -> QuboMatrix:
             f"{path}:{problem_lineno}: problem line declares {nnz} coefficients, "
             f"file has {v.size}"
         )
-    upper = np.zeros((dim, dim))
-    upper[i, j] = v
-    return QuboMatrix._from_upper(upper, offset)
+    return dim, offset, i, j, v

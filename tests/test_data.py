@@ -62,6 +62,36 @@ class TestLoadPrices:
         with pytest.raises(DataFormatError, match="missing price"):
             load_prices_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,AAA\nd1,100\nd2,abc\n", r"prices\.csv:3: unparseable price 'abc' for 'AAA'"),
+            ("date,AAA\nd1,nan\nd2,100\n", r"prices\.csv:2: nonpositive price nan for 'AAA'"),
+            ("date,AAA\nd1,100\nd2,inf\n", r"prices\.csv:3: nonpositive price inf for 'AAA'"),
+            ("", r"prices\.csv: empty file"),
+            ("date\nd1\nd2\n", r"prices\.csv: header must name at least one symbol"),
+            ("date,AAA\nd1,100\n   \nd2,100\n", r"prices\.csv:3: ragged row with 1 fields, expected"),
+        ],
+    )
+    def test_named_errors(self, tmp_path, text, message):
+        with pytest.raises(DataFormatError, match=message):
+            load_prices_csv(_write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'date,"AAA",BBB\n"d1",100,"2.5"\nd2,"101",3\n',  # quoted cells
+            "date,AAA,BBB\r\nd1,100,2.5\r\nd2,101,3\r\n",  # CRLF line ends
+            "date,AAA,BBB\n\nd1,100,2.5\n\n\nd2,101,3\n\n",  # blank lines
+            "date , AAA ,\tBBB\nd1 , 100 ,2.5 \n d2,\t101\t, 3\n",  # spaces around cells
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        panel = load_prices_csv(_write(tmp_path, text))
+        assert panel.symbols == ("AAA", "BBB")
+        assert panel.dates == ("d1", "d2")
+        assert panel.prices.tolist() == [[100.0, 2.5], [101.0, 3.0]]
+
     def test_large_generated_panel(self, tmp_path, rng):
         periods, assets = 21, 225
         header = "date," + ",".join(f"S{i:03d}" for i in range(assets))

@@ -307,6 +307,15 @@ class TestIsing:
         with pytest.raises(ValueError, match="shape"):
             IsingModel(dim=3, h=[0.0] * 2, j={})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_constructor_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match=r"field h\[1\] must be finite"):
+            IsingModel(dim=3, h=[0.0, value, 1.0], j={(0, 1): value})
+        with pytest.raises(ValueError, match=r"coupling \(1, 2\) must be finite"):
+            IsingModel(dim=3, h=[0.0] * 3, j={(0, 1): 1.0, (1, 2): value})
+        with pytest.raises(ValueError, match="offset must be finite"):
+            IsingModel(dim=3, h=[0.0] * 3, j={}, offset=value)
+
 
 class TestChainStrengthBound:
     def test_zero_matrix(self):
@@ -568,6 +577,18 @@ class TestValidation:
     def test_qubo_rejects_lower_triangle(self):
         with pytest.raises(ValueError):
             QuboMatrix(dim=2, coeffs={(1, 0): 1.0})
+
+    @pytest.mark.parametrize("key", [(0.5, 1), (0, 1.0), (np.float64(0.0), 1)])
+    def test_dict_constructors_reject_non_integer_indices(self, key):
+        with pytest.raises(TypeError):
+            QuboMatrix(dim=2, coeffs={key: 2.0})
+        with pytest.raises(TypeError):
+            IsingModel(dim=2, h=[0.0, 0.0], j={key: 2.0})
+
+    def test_dict_constructors_take_numpy_integer_indices(self):
+        key = (np.int64(0), np.int32(1))
+        assert QuboMatrix(dim=2, coeffs={key: 2.0}).coeffs == {(0, 1): 2.0}
+        assert IsingModel(dim=2, h=[0.0, 0.0], j={key: 2.0}).j == {(0, 1): 2.0}
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_qubo_rejects_non_finite_coefficient(self, value):
