@@ -101,7 +101,7 @@ def _load_prices_numpy(path) -> PricePanel | None:
     if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
     symbols = [s.strip() for s in lines[0].split(",")[1:]]
-    if not symbols or len(set(symbols)) < len(symbols):
+    if not symbols or not all(symbols) or len(set(symbols)) < len(symbols):
         return None
     dates, cells = [], []
     for line in lines[1:]:
@@ -130,7 +130,9 @@ def _load_prices_lines(path) -> PricePanel:
             raise DataFormatError(f"{path}: header must name at least one symbol")
         symbols = [s.strip() for s in header[1:]]
         seen = set()
-        for sym in symbols:
+        for column, sym in enumerate(symbols, start=2):
+            if not sym:
+                raise DataFormatError(f"{path}: empty symbol name in header column {column}")
             if sym in seen:
                 raise DataFormatError(f"{path}: duplicate symbol {sym!r}")
             seen.add(sym)
@@ -199,10 +201,12 @@ def generate_synthetic(spec: SyntheticSpec) -> AssetUniverse:
 
 
 def _universe_to_dict(universe: AssetUniverse) -> dict:
+    """The universe's JSON document; sigma stays an array, which
+    ``_write_json`` writes as its row-major list."""
     return {
         "symbols": list(universe.symbols),
         "mu": universe.mu.tolist(),
-        "sigma": universe.sigma.flatten().tolist(),
+        "sigma": universe.sigma,
     }
 
 
@@ -234,18 +238,21 @@ _JSON_ITEM_SEPARATOR = ",\n    "  # between the items of a list indented by json
 
 
 def _write_json(doc: dict, path) -> None:
-    """Write a dict with str keys whose values are scalars or lists of
-    scalars to ``path``, byte for byte as ``json.dump(doc, fh, indent=2)``
-    plus a newline. ``json.dump`` always runs the pure-Python encoder; this
-    encodes each list in chunks of ``_JSON_CHUNK`` items with the C encoder,
-    separated as the indent separates them, and never holds the whole
-    document as one string."""
+    """Write a dict with str keys whose values are scalars, lists of scalars
+    or square float64 arrays to ``path``, byte for byte as
+    ``json.dump(doc, fh, indent=2)`` plus a newline, an array written as its
+    ``flatten().tolist()``. ``json.dump`` always runs the pure-Python encoder;
+    this encodes each list in chunks of ``_JSON_CHUNK`` items with the C
+    encoder, separated as the indent separates them, each array a row at a
+    time, and never holds the whole document as one string."""
     with open(path, "w", newline="\n") as fh:
         sep = "{\n  "
         for key, value in doc.items():
             fh.write(f"{sep}{json.dumps(key)}: ")
             sep = ",\n  "
-            if not isinstance(value, list):
+            if isinstance(value, np.ndarray):
+                _write_matrix(fh, value)
+            elif not isinstance(value, list):
                 fh.write(json.dumps(value))
             elif not value:
                 fh.write("[]")
@@ -258,6 +265,38 @@ def _write_json(doc: dict, path) -> None:
                     fh.write(json.dumps(chunk, separators=(_JSON_ITEM_SEPARATOR, ": "))[1:-1])
                 fh.write("\n  ]")
         fh.write("\n}\n" if doc else "{}\n")
+
+
+def _write_matrix(fh, m: np.ndarray) -> None:
+    """Write the square float64 array ``m`` of finite entries as
+    ``_write_json`` writes the list ``m.flatten().tolist()``, one row at a
+    time. The C encoder writes a finite float as ``float.__repr__`` does.
+
+    When ``m`` is bitwise symmetric (compared as int64, so 0.0 and -0.0 stay
+    apart), each entry on or above the diagonal is formatted once and its
+    text reused for the mirrored entry: the texts of row i right of the
+    diagonal wait in ``below[j]`` until row j, about N^2 / 4 texts at most.
+    Any other ``m`` is formatted entry by entry."""
+    n = len(m)
+    if not n:
+        fh.write("[]")
+        return
+    as_int = m.view(np.int64)
+    below = [[] for _ in range(n)] if np.array_equal(as_int, as_int.T) else None
+    fh.write("[\n    ")
+    for i in range(n):
+        if i:
+            fh.write(_JSON_ITEM_SEPARATOR)
+        if below is None:
+            texts = list(map(float.__repr__, m[i].tolist()))
+        else:
+            upper = list(map(float.__repr__, m[i, i:].tolist()))
+            texts, below[i] = below[i], None
+            texts += upper
+            for column, text in zip(below[i + 1 :], upper[1:]):
+                column.append(text)
+        fh.write(_JSON_ITEM_SEPARATOR.join(texts))
+    fh.write("\n  ]")
 
 
 def save_universe(universe: AssetUniverse, path) -> None:

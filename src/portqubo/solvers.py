@@ -572,30 +572,57 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     )
 
 
-def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
+def _assignment_block(dim: int, start: int, stop: int) -> np.ndarray:
+    """Assignments start..stop-1 of `dim` bits as float64 0/1 rows, row k
+    the bits of code start + k, most significant first.
+
+    The low bytes of big-endian codes unpack most significant bit first, so
+    bit i is code bit dim-1-i and integer order equals the lexicographic
+    order of bit tuples."""
+    codes = np.arange(start, stop, dtype=np.uint64).astype(">u8")
+    n_bytes = (dim + 7) // 8
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], axis=1)
+    return bits[:, 8 * n_bytes - dim :].astype(np.float64)
+
+
+def assignment_table(dim: int) -> np.ndarray | None:
+    """The read-only table of all 2^dim assignments that
+    `solve_qubo_bruteforce` enumerates, when they fit in one of its blocks
+    (dim <= 16); None for a larger dim, whose blocks are built per call."""
+    if dim < 1 or (1 << dim) * dim > _BRUTEFORCE_BLOCK_ELEMENTS:
+        return None
+    table = _assignment_block(dim, 0, 1 << dim)
+    table.setflags(write=False)
+    return table
+
+
+def solve_qubo_bruteforce(
+    q: QuboMatrix, *, table: np.ndarray | None = None
+) -> tuple[tuple[int, ...], float]:
     """Exact QUBO oracle: enumerate all 2^dim assignments, lexicographic
-    tie-break on the bit vector."""
+    tie-break on the bit vector. `table`, when given, is
+    `assignment_table(q.dim)`, used instead of building it again."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
     dim = q.dim
-    upper = q.to_dense()
     total = 1 << dim
-    # the low bytes of big-endian codes unpack most significant bit first, so
-    # bit i is code bit dim-1-i and integer order equals the lexicographic
-    # order of bit tuples; argmin then lands on the lex winner
-    n_bytes = (dim + 7) // 8
+    if table is not None and table.shape != (total, dim):
+        raise ValueError(f"assignment table of shape {table.shape} does not fit dim {dim}")
+    upper = q.to_dense()
     best_energy = math.inf
     best_code = 0
     block = max(1, _BRUTEFORCE_BLOCK_ELEMENTS // dim)
     for start in range(0, total, block):
-        codes = np.arange(start, min(start + block, total), dtype=np.uint64).astype(">u8")
-        bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], axis=1)
-        bits = bits[:, 8 * n_bytes - dim :].astype(np.float64)
+        if table is None:
+            bits = _assignment_block(dim, start, min(start + block, total))
+        else:
+            bits = table  # one block: dim <= 16
         energies = bits @ upper
         energies *= bits
         energies = np.add.reduce(energies, axis=1)
-        # before argmin: ties that adding the offset rounds into break
-        # lexicographically too
+        # rows are in lexicographic order, so argmin lands on the lex winner;
+        # the offset goes in before argmin: ties that adding it rounds into
+        # break lexicographically too
         energies += q.offset
         idx = int(np.argmin(energies))
         if energies[idx] < best_energy:
@@ -603,6 +630,30 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
             best_code = start + idx
     bits = tuple((best_code >> (dim - 1 - i)) & 1 for i in range(dim))
     return bits, best_energy
+
+
+class ExactSolver:
+    """The `exact` solver of `make_solver`: `solve_qubo_bruteforce` with the
+    assignment table of the last QUBO dim it saw kept in `table`, so a
+    sweep or grid over one QUBO dim builds the table once. The table lives
+    as long as this object does; a dim without one (above 16) drops it."""
+
+    def __init__(self):
+        self.table: np.ndarray | None = None
+
+    def __call__(self, q: QuboMatrix, seed: int) -> SolveResult:
+        t0 = time.perf_counter()
+        if self.table is None or self.table.shape[1] != q.dim:
+            self.table = None  # freed before the next is built
+            self.table = assignment_table(q.dim)
+        bits, energy = solve_qubo_bruteforce(q, table=self.table)
+        return SolveResult(
+            bits=bits,
+            energy=energy,
+            evaluations=1 << q.dim,
+            wall_time_s=time.perf_counter() - t0,
+            seed=seed,
+        )
 
 
 def run_restarts(
@@ -645,16 +696,7 @@ def make_solver(
         def run(q, seed):
             return solve_ga(q, GaConfig(seed=seed, **options), deadline=deadline())
     elif name == "exact":
-        def run(q, seed):
-            t0 = time.perf_counter()
-            bits, energy = solve_qubo_bruteforce(q)
-            return SolveResult(
-                bits=bits,
-                energy=energy,
-                evaluations=1 << q.dim,
-                wall_time_s=time.perf_counter() - t0,
-                seed=seed,
-            )
+        run = ExactSolver()
     else:
         raise ValueError(f"unknown solver {name!r}; expected sa, tabu, ga or exact")
     return run

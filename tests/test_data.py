@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,10 @@ class TestLoadPrices:
             ("", r"prices\.csv: empty file"),
             ("date\nd1\nd2\n", r"prices\.csv: header must name at least one symbol"),
             ("date,AAA\nd1,100\n   \nd2,100\n", r"prices\.csv:3: ragged row with 1 fields, expected"),
+            ("date,,B\nd1,1,2\nd2,1,2\n", r"prices\.csv: empty symbol name in header column 2"),
+            ("date,A, \nd1,1,2\nd2,1,2\n", r"prices\.csv: empty symbol name in header column 3"),
+            ('date," ",B\nd1,1,2\nd2,1,2\n', r"prices\.csv: empty symbol name in header column 2"),
+            ("date,\nd1,1\nd2,1\n", r"prices\.csv: empty symbol name in header column 2"),
         ],
     )
     def test_named_errors(self, tmp_path, text, message):
@@ -265,8 +270,70 @@ _JSON_DOCS = st.dictionaries(
 )
 
 
+def _sigma_doc(universe: AssetUniverse) -> dict:
+    return {
+        "symbols": list(universe.symbols),
+        "mu": universe.mu.tolist(),
+        "sigma": universe.sigma.flatten().tolist(),
+    }
+
+
+def _one_ulp_off() -> np.ndarray:
+    sigma = generate_synthetic(SyntheticSpec(n_assets=7, seed=2)).sigma.copy()
+    sigma[4, 1] = np.nextafter(sigma[4, 1], np.inf)  # symmetric within 1e-9, not bitwise
+    return sigma
+
+
+def _signed_zero_pair() -> np.ndarray:
+    sigma = np.diag([2.0, 3.0, 4.0])
+    sigma[0, 2] = sigma[2, 0] = 0.5
+    sigma[0, 1], sigma[1, 0] = 0.0, -0.0  # equal as floats, not as bits
+    return sigma
+
+
+def _sd_correlation_universe(tmp_path) -> AssetUniverse:
+    rng = np.random.default_rng(8)
+    rho = np.corrcoef(rng.standard_normal((5, 40)))
+    path = tmp_path / "sd.json"
+    path.write_text(json.dumps({
+        "symbols": [f"S{i}" for i in range(5)],
+        "mu": rng.uniform(0, 10, 5).tolist(),
+        "sd": rng.uniform(0.5, 3, 5).tolist(),
+        "correlation": rho.flatten().tolist(),
+    }))
+    return load_universe(path)
+
+
+_SIGMAS = {
+    "symmetric": lambda tmp_path: generate_synthetic(SyntheticSpec(n_assets=9, seed=1)).sigma,
+    "one-ulp-off": lambda tmp_path: _one_ulp_off(),
+    "signed-zero-pair": lambda tmp_path: _signed_zero_pair(),
+    "one-asset": lambda tmp_path: np.array([[2.5]]),
+    "sd-correlation": lambda tmp_path: _sd_correlation_universe(tmp_path).sigma,
+}
+
+
+@st.composite
+def _square_matrices(draw) -> np.ndarray:
+    """Square matrices that are bitwise symmetric, symmetric but for one
+    entry (1 ulp off, or 0.0 against -0.0), or arbitrary."""
+    n = draw(st.integers(0, 6))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _TRICKY_FLOATS)
+    m = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n)), dtype=np.float64).reshape(n, n)
+    shape = draw(st.sampled_from(["symmetric", "symmetric", "one-off", "arbitrary"]))
+    if shape != "arbitrary":
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T[lower]
+    if shape == "one-off" and n > 1:
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(0, i - 1))
+        m[i, j] = -m[i, j] if m[i, j] == 0 else np.nextafter(m[i, j], 0.0)  # stays finite
+    return m
+
+
 class TestJsonWriter:
-    """The chunked C-encoder writer against json.dump(indent=2)."""
+    """The chunked C-encoder writer, and square arrays written a row at a
+    time with mirrored texts reused, against json.dump(indent=2)."""
 
     @given(doc=_JSON_DOCS, chunk=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
@@ -280,8 +347,7 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("n_assets", [1, 32, 33, 46])
     def test_instance_and_universe_files_equal_json_dump(self, tmp_path, n_assets):
-        # sigma has n_assets**2 entries: 1024 is one full chunk, 1089 and
-        # 2116 end in a partial one
+        # one entry, and 32 to 46 rows of mirrored texts
         symbols = [f'{i} "q", caf\u00e9\n' for i in range(n_assets)]
         spec = SyntheticSpec(n_assets=n_assets, n_factors=1, seed=n_assets)
         synthetic = generate_synthetic(spec)
@@ -303,3 +369,45 @@ class TestJsonWriter:
             written = (tmp_path / f"{name}.json").read_bytes()
             assert written == (tmp_path / f"{name}.ref.json").read_bytes()
         assert b'"mu": [\n    -0.0' in written
+
+    @given(m=_square_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_square_arrays_equal_json_dump_of_flattened_list(self, tmp_path_factory, m):
+        d = tmp_path_factory.mktemp("matrix")
+        data_mod._write_json({"sigma": m, "n": 1}, d / "array.json")
+        reference_write_json({"sigma": m.flatten().tolist(), "n": 1}, d / "reference.json")
+        assert (d / "array.json").read_bytes() == (d / "reference.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", list(_SIGMAS))
+    def test_sigma_kinds_in_universe_and_instance_files(self, tmp_path, kind):
+        sigma = _SIGMAS[kind](tmp_path)
+        n = len(sigma)
+        universe = AssetUniverse(tuple(f"A{i}" for i in range(n)), np.linspace(-1.0, 5.0, n), sigma)
+        assert np.array_equal(universe.sigma.view(np.int64), sigma.view(np.int64))
+        inst = PortfolioInstance(universe, n=1, r_star=0.5, return_mode="equality")
+        doc = _sigma_doc(universe)
+        save_universe(universe, tmp_path / "universe.json")
+        reference_write_json(doc, tmp_path / "universe.ref.json")
+        doc.update({"n": 1, "r_star": 0.5, "return_mode": "equality"})
+        save_instance(inst, tmp_path / "instance.json")
+        reference_write_json(doc, tmp_path / "instance.ref.json")
+        for name in ("universe", "instance"):
+            assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"{name}.ref.json").read_bytes()
+
+    def test_save_universe_peak_memory_at_400_assets(self, tmp_path):
+        universe = generate_synthetic(SyntheticSpec(n_assets=400, seed=1))
+
+        def peak(write) -> int:
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # sigma as one list of N^2 Python floats through the chunked list
+        # writer: how save_universe wrote it before rows were formatted alone
+        as_list = peak(lambda: data_mod._write_json(_sigma_doc(universe), tmp_path / "list.json"))
+        by_rows = peak(lambda: save_universe(universe, tmp_path / "rows.json"))
+        assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+        assert by_rows <= 1.1 * as_list

@@ -104,6 +104,8 @@ def price_files(draw) -> str:
     positive = st.floats(min_value=1e-3, max_value=1e300)
     rows = [[f"d{t}", *(_number(draw, draw(positive)) for _ in symbols)] for t in range(n_rows)]
     lines = [["date", *symbols], *rows]
+    if draw(st.integers(0, 5)) == 0:  # an empty header cell, which names no symbol
+        lines[0][draw(st.integers(1, len(symbols)))] = draw(st.sampled_from(["", " "]))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(1, len(lines))), [])
     lines = draw(_mutated(lines))
@@ -160,6 +162,7 @@ class TestLoadPricesMatchesLineReader:
     @example(text="date,A\nd1,1\nd2,3#4\n")  # a comment character inside a cell
     @example(text="date,A\nd1,1\n#d2,3\nd3,4\n")  # a row a comment character hides
     @example(text='date,A\n"d1",1\n"d2",2\n')  # quoted dates
+    @example(text="date,,B\nd1,1,2\nd2,1,2\n")  # an empty symbol name
     @settings(max_examples=500, deadline=None)
     def test_same_bits_or_same_error(self, tmp_path_factory, text):
         path = _write(tmp_path_factory, text, "prices.csv")

@@ -28,7 +28,9 @@ from portqubo import (
     solve_tabu,
 )
 
-from portqubo.data import SyntheticSpec, generate_synthetic
+from portqubo import solvers as solvers_mod
+from portqubo.cli import cli_main
+from portqubo.data import SyntheticSpec, generate_synthetic, save_instance
 
 from conftest import (
     naive_bruteforce,
@@ -216,6 +218,84 @@ class TestBruteforce:
         q = QuboMatrix(dim=25, coeffs={(0, 0): 1.0})
         with pytest.raises(ValueError, match="guard"):
             solve_qubo_bruteforce(q)
+
+
+def _int64_bits(value: float):
+    return np.float64(value).view(np.int64)
+
+
+class TestExactSolver:
+    """The solver of make_solver("exact") keeps the assignment table of its
+    last dim, read-only, for as long as it lives."""
+
+    def test_one_solver_across_dims_matches_reference(self):
+        solver = make_solver("exact")
+        rng = np.random.default_rng(17)
+        # 17 takes three blocks and has no table; 12 and 1 replace the table
+        for dim in (16, 12, 16, 17, 1):
+            for q in (_integer_qubo(rng, dim, density=0.5), random_qubo(rng, dim, density=0.6)):
+                result = solver(q, 3)
+                ref_bits, ref_energy = reference_bruteforce(q)
+                assert result.bits == ref_bits
+                assert _int64_bits(result.energy) == _int64_bits(ref_energy)
+                assert (result.evaluations, result.seed) == (1 << dim, 3)
+            if dim <= 16:
+                assert solver.table.shape == (1 << dim, dim)
+            else:
+                assert solver.table is None
+
+    def test_table_is_built_once_per_dim(self, rng):
+        solver = make_solver("exact")
+        solver(random_qubo(rng, 10), 0)
+        table = solver.table
+        solver(random_qubo(rng, 10), 1)
+        assert solver.table is table
+        assert np.array_equal(table, solvers_mod.assignment_table(10))
+
+    def test_kept_table_is_read_only(self, rng):
+        solver = make_solver("exact")
+        solver(random_qubo(rng, 8), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            solver.table[0, 0] = 1.0
+
+    def test_table_is_released_with_the_solver(self, rng):
+        q = random_qubo(rng, 16)
+        tracemalloc.start()
+        try:
+            solver = make_solver("exact")
+            solver(q, 0)
+            held = tracemalloc.get_traced_memory()[0]
+            del solver
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert released >= (1 << 16) * 16 * 8  # the 8 MB table of dim 16
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--lambda1-from", "0", "--lambda1-to", "4", "--points", "5"],
+            ["tune", "--solver", "exact", "--grid1", "0", "1", "2", "--grid2", "0", "--repeats", "2"],
+        ],
+    )
+    def test_command_builds_the_table_once(self, tmp_path, monkeypatch, capsys, argv):
+        built = []
+        assignment_table = solvers_mod.assignment_table
+
+        def counting_table(dim):
+            built.append(dim)
+            return assignment_table(dim)
+
+        monkeypatch.setattr(solvers_mod, "assignment_table", counting_table)
+        path = tmp_path / "instance.json"
+        save_instance(PortfolioInstance(generate_synthetic(SyntheticSpec(n_assets=10, seed=4)), 3), path)
+        command, *options = argv
+        assert cli_main([command, str(path), *options, "-o", str(tmp_path / "out.csv")]) == 0
+        assert built == [10]
+
+    def test_table_of_another_dim_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="does not fit dim 5"):
+            solve_qubo_bruteforce(random_qubo(rng, 5), table=solvers_mod.assignment_table(4))
 
 
 class TestFlipEvaluator:
