@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,8 +18,10 @@ from pathlib import Path
 from .data import (
     DataFormatError,
     SyntheticSpec,
+    _load_json,
     generate_synthetic,
     load_instance,
+    require_fields,
 )
 from .model import PortfolioInstance
 from .qubo import PenaltyParams, build_qubo, decode
@@ -110,28 +111,15 @@ class BenchPlan:
 
 
 def load_plan(path) -> BenchPlan:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("instances", "solvers", "seeds"):
-        if key not in doc:
-            raise DataFormatError(f"{path}: missing field {key!r}")
+    doc = require_fields(_load_json(path), ("instances", "solvers", "seeds"), path)
     policy = doc.get("penalty_policy", "estimate")
     explicit1 = explicit2 = 0.0
     if isinstance(policy, dict):
         explicit1 = float(policy.get("lambda1", 0.0))
         explicit2 = float(policy.get("lambda2", 0.0))
         policy = policy.get("policy", "explicit")
-    base = Path(path).parent
-    instances = []
-    for entry in doc["instances"]:
-        if isinstance(entry, str):
-            p = Path(entry)
-            instances.append(str(p if p.is_absolute() else base / p))
-        else:
-            instances.append(entry)
+    base = Path(path).parent  # joined to an absolute path, gives that path
+    instances = [str(base / e) if isinstance(e, str) else e for e in doc["instances"]]
     return BenchPlan(
         instances=tuple(instances),
         solvers=tuple(doc["solvers"]),
@@ -146,36 +134,35 @@ def load_plan(path) -> BenchPlan:
 
 
 def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
+    """(id, instance) of a plan entry: an instance file path or a synthetic block."""
     if isinstance(entry, str):
         return Path(entry).stem, load_instance(entry)
-    if not isinstance(entry, dict):
-        raise DataFormatError(f"unrecognized instance entry {entry!r}")
-    if "synthetic" in entry:
-        synth = entry["synthetic"]
-        spec = SyntheticSpec(
-            n_assets=int(synth["n_assets"]),
-            n_factors=int(synth.get("n_factors", 3)),
-            idiosyncratic_floor=float(synth.get("idiosyncratic_floor", 1.0)),
-            return_range=tuple(synth.get("return_range", (0.0, 200.0))),
-            seed=int(synth.get("seed", 0)),
-        )
-        universe = generate_synthetic(spec)
-        instance = PortfolioInstance(
-            universe=universe,
-            n=int(entry["n"]),
-            r_star=float(entry.get("r_star", 0.0)),
-            return_mode=entry.get("return_mode", "none"),
-        )
-        default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
-        return str(entry.get("id", default_id)), instance
-    raise DataFormatError(f"instance entry needs a path or a 'synthetic' block: {entry!r}")
+    source = f"instance entry {entry!r}"
+    synth = require_fields(entry, ("synthetic", "n"), source)["synthetic"]
+    require_fields(synth, ("n_assets",), f"{source}, 'synthetic' block")
+    spec = SyntheticSpec(
+        n_assets=int(synth["n_assets"]),
+        n_factors=int(synth.get("n_factors", 3)),
+        idiosyncratic_floor=float(synth.get("idiosyncratic_floor", 1.0)),
+        return_range=tuple(synth.get("return_range", (0.0, 200.0))),
+        seed=int(synth.get("seed", 0)),
+    )
+    universe = generate_synthetic(spec)
+    instance = PortfolioInstance(
+        universe=universe,
+        n=int(entry["n"]),
+        r_star=float(entry.get("r_star", 0.0)),
+        return_mode=entry.get("return_mode", "none"),
+    )
+    default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
+    return str(entry.get("id", default_id)), instance
 
 
 def _solver_entry(entry) -> tuple[str, str, dict]:
     """Returns (display name, solver type, options)."""
     if isinstance(entry, str):
         return entry, entry, {}
-    name = entry["name"]
+    name = require_fields(entry, ("name",), f"solver entry {entry!r}")["name"]
     return entry.get("id", name), name, dict(entry.get("options", {}))
 
 

@@ -21,6 +21,7 @@ from .qubo import (
     write_qubo,
 )
 from .solvers import (
+    SOLVER_NAMES,
     InfeasibleInstanceError,
     make_solver,
     run_restarts,
@@ -85,7 +86,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve an instance or QUBO file")
     p.add_argument("target")
-    p.add_argument("--solver", choices=("sa", "tabu", "ga", "exact"), default="sa")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--lambda1", type=float, default=None)
@@ -94,7 +95,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="grid search penalty weights")
     p.add_argument("instance")
-    p.add_argument("--solver", choices=("sa", "tabu", "ga", "exact"), default="sa")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
     p.add_argument("--grid1", type=float, nargs="+", default=None)
     p.add_argument("--grid2", type=float, nargs="+", default=None)
     p.add_argument("--repeats", type=int, default=5)
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="lambda1 sweep for the feasibility threshold")
     p.add_argument("instance")
-    p.add_argument("--solver", choices=("sa", "tabu", "ga", "exact"), default="exact")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     p.add_argument("--lambda1-from", type=float, required=True)
     p.add_argument("--lambda1-to", type=float, required=True)
     p.add_argument("--points", type=int, default=20)

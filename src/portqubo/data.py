@@ -210,19 +210,51 @@ def _universe_to_dict(universe: AssetUniverse) -> dict:
     }
 
 
-def _universe_from_dict(doc: dict, source: str) -> AssetUniverse:
-    for key in ("symbols", "mu"):
+def _load_json(path) -> dict:
+    """The JSON object in the file at ``path``; a DataFormatError naming the
+    path for invalid JSON or a top-level value that is not an object."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return require_fields(doc, (), path)
+
+
+def require_fields(doc, keys, source) -> dict:
+    """``doc`` after checking that it is a JSON object holding every key in
+    ``keys``; a DataFormatError naming ``source`` otherwise."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    for key in keys:
         if key not in doc:
             raise DataFormatError(f"{source}: missing field {key!r}")
-    symbols = doc["symbols"]
-    mu = np.array(doc["mu"], dtype=np.float64)
+    return doc
+
+
+def _float_field(doc: dict, key: str, shape: tuple, source) -> np.ndarray:
+    """Field ``key`` as a float64 array of ``shape``, given nested or, for a
+    matrix, as a flat list in row-major order."""
+    try:
+        value = np.array(doc[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{source}: field {key!r}: {exc}") from None
+    if value.ndim not in (1, len(shape)) or value.size != math.prod(shape):
+        raise DataFormatError(f"{source}: field {key!r} has shape {value.shape}, expected {shape}")
+    return value.reshape(shape)
+
+
+def _universe_from_dict(doc: dict, source) -> AssetUniverse:
+    symbols = require_fields(doc, ("symbols", "mu"), source)["symbols"]
+    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        raise DataFormatError(f"{source}: field 'symbols' must be a list of strings")
     n = len(symbols)
+    mu = _float_field(doc, "mu", (n,), source)
     if "sigma" in doc:
-        sigma = np.array(doc["sigma"], dtype=np.float64).reshape(n, n)
+        sigma = _float_field(doc, "sigma", (n, n), source)
     elif "sd" in doc and "correlation" in doc:
-        sd = np.array(doc["sd"], dtype=np.float64)
-        rho = np.array(doc["correlation"], dtype=np.float64).reshape(n, n)
-        sigma = rho * np.outer(sd, sd)
+        sd = _float_field(doc, "sd", (n,), source)
+        sigma = _float_field(doc, "correlation", (n, n), source) * np.outer(sd, sd)
     else:
         raise DataFormatError(
             f"{source}: missing field 'sigma' (or the 'sd' + 'correlation' pair)"
@@ -233,7 +265,6 @@ def _universe_from_dict(doc: dict, source: str) -> AssetUniverse:
         raise DataFormatError(f"{source}: {exc}") from exc
 
 
-_JSON_CHUNK = 1024
 _JSON_ITEM_SEPARATOR = ",\n    "  # between the items of a list indented by json.dump
 
 
@@ -242,9 +273,9 @@ def _write_json(doc: dict, path) -> None:
     or square float64 arrays to ``path``, byte for byte as
     ``json.dump(doc, fh, indent=2)`` plus a newline, an array written as its
     ``flatten().tolist()``. ``json.dump`` always runs the pure-Python encoder;
-    this encodes each list in chunks of ``_JSON_CHUNK`` items with the C
-    encoder, separated as the indent separates them, each array a row at a
-    time, and never holds the whole document as one string."""
+    this encodes each list with the C encoder, separated as the indent
+    separates its items, and each array a row at a time, so it never holds
+    the whole document as one string."""
     with open(path, "w", newline="\n") as fh:
         sep = "{\n  "
         for key, value in doc.items():
@@ -257,13 +288,8 @@ def _write_json(doc: dict, path) -> None:
             elif not value:
                 fh.write("[]")
             else:
-                fh.write("[\n    ")
-                for start in range(0, len(value), _JSON_CHUNK):
-                    if start:
-                        fh.write(_JSON_ITEM_SEPARATOR)
-                    chunk = value[start : start + _JSON_CHUNK]
-                    fh.write(json.dumps(chunk, separators=(_JSON_ITEM_SEPARATOR, ": "))[1:-1])
-                fh.write("\n  ]")
+                items = json.dumps(value, separators=(_JSON_ITEM_SEPARATOR, ": "))[1:-1]
+                fh.write(f"[\n    {items}\n  ]")
         fh.write("\n}\n" if doc else "{}\n")
 
 
@@ -304,9 +330,7 @@ def save_universe(universe: AssetUniverse, path) -> None:
 
 
 def load_universe(path) -> AssetUniverse:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return _universe_from_dict(doc, str(path))
+    return _universe_from_dict(_load_json(path), path)
 
 
 def save_instance(instance: PortfolioInstance, path) -> None:
@@ -322,21 +346,14 @@ def save_instance(instance: PortfolioInstance, path) -> None:
 
 
 def load_instance(path) -> PortfolioInstance:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("n", "return_mode"):
-        if key not in doc:
-            raise DataFormatError(f"{path}: missing field {key!r}")
+    doc = require_fields(_load_json(path), ("n", "return_mode"), path)
     if doc["return_mode"] not in RETURN_MODES:
         raise DataFormatError(
             f"{path}: return_mode must be one of {RETURN_MODES}, got {doc['return_mode']!r}"
         )
     if doc["return_mode"] != "none" and "r_star" not in doc:
         raise DataFormatError(f"{path}: missing field 'r_star'")
-    universe = _universe_from_dict(doc, str(path))
+    universe = _universe_from_dict(doc, path)
     try:
         return PortfolioInstance(
             universe=universe,
@@ -344,7 +361,7 @@ def load_instance(path) -> PortfolioInstance:
             r_star=float(doc.get("r_star", 0.0)),
             return_mode=doc["return_mode"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -440,38 +439,6 @@ def _problem_line(path, lineno: int, parts: list[str]) -> tuple[int, int, float]
     raise ValueError(f"{path}:{lineno}: {message}")
 
 
-def _check_coefficients(path, dim: int, rows: array, cols: array, values: array, lines: array):
-    """The parsed coefficient lines as arrays (i, j, value), after raising for
-    the first of them, in file order, whose index is out of range or below
-    the diagonal, whose `i j` pair an earlier line has, or whose value is not
-    finite (checked in that order within a line)."""
-    line = np.frombuffer(lines, dtype=np.int64)
-    n = line.size
-    # `rows` has one more entry when the line after the last parsed one had
-    # a row index but a column index beyond int64
-    i = np.frombuffer(rows, dtype=np.int64)[:n]
-    j = np.frombuffer(cols, dtype=np.int64)[:n]
-    v = np.frombuffer(values, dtype=np.float64)
-    invalid = (i < 0) | (i > j) | (j >= dim)
-    stop = int(invalid.argmax()) if invalid.any() else n
-    # lines before the first bad index, whose keys cannot overflow
-    _, firsts = np.unique(i[:stop] * dim + j[:stop], return_index=True)
-    repeated = np.ones(stop, dtype=bool)
-    repeated[firsts] = False
-    flagged = repeated | ~np.isfinite(v[:stop])
-    k = int(flagged.argmax()) if flagged.any() else stop
-    if k < n:
-        a, b = int(i[k]), int(j[k])
-        if k == stop:
-            message = _index_error(a, b, dim)
-        elif repeated[k]:
-            message = f"duplicate coefficient {a} {b}"
-        else:
-            message = f"coefficient {a} {b} is not finite: {float(v[k])}"
-        raise ValueError(f"{path}:{line[k]}: {message}")
-    return i, j, v
-
-
 _COEFFICIENT_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
@@ -483,20 +450,17 @@ def read_qubo(path) -> QuboMatrix:
     other file raises a ValueError naming `path:line` of its first fault in
     file order (only a missing problem line names no line).
 
-    A well-formed file is parsed by numpy's C tokenizer; any other file is
-    read again line by line to name its first fault."""
-    parsed = parse_or_none(_read_qubo_numpy, path)
-    dim, offset, i, j, v = parsed if parsed is not None else _read_qubo_lines(path)
-    upper = np.zeros((dim, dim))
-    upper[i, j] = v
-    return QuboMatrix._from_upper(upper, offset)
+    A well-formed file is parsed by numpy's C tokenizer; the line reader,
+    the plain reference that names faults, reads any other file."""
+    q = parse_or_none(_read_qubo_numpy, path)
+    return q if q is not None else _read_qubo_lines(path)
 
 
-def _read_qubo_numpy(path):
-    """(dim, offset, i, j, values) of a well-formed QUBO file, or None. The
-    body goes to numpy with no comment character and integer indices, so a
-    comment line, a `#` in a token or an index such as `1.0` after the
-    problem line is left to the line reader."""
+def _read_qubo_numpy(path) -> QuboMatrix | None:
+    """The QUBO of a well-formed file, or None (a non-finite value raises in
+    the QuboMatrix). The body goes to numpy with no comment character and
+    integer indices, so a comment line, a `#` in a token or an index such
+    as `1.0` after the problem line is left to the line reader."""
     with open(path) as fh:
         for raw in iter(fh.readline, ""):
             parts = raw.split()
@@ -509,20 +473,22 @@ def _read_qubo_numpy(path):
         dim, nnz, offset = _problem_line(path, 0, parts)  # the line reader names a fault
         body = np.loadtxt(fh, dtype=_COEFFICIENT_LINE, comments=None, ndmin=1)
     i, j, v = body["i"], body["j"], body["v"]
-    if v.size != nnz or not np.isfinite(v).all() or ((i < 0) | (i > j) | (j >= dim)).any():
+    if v.size != nnz or ((i < 0) | (i > j) | (j >= dim)).any():
         return None
     keys = np.sort(i * dim + j)  # np.unique is far slower on these keys
     if (keys[1:] == keys[:-1]).any():
         return None
-    return dim, offset, i, j, v
+    upper = np.zeros((dim, dim))
+    upper[i, j] = v
+    return QuboMatrix._from_upper(upper, offset)
 
 
-def _read_qubo_lines(path):
-    """(dim, offset, i, j, values) of a QUBO file read line by line, raising
-    a ValueError that names `path:line` of its first fault in file order."""
+def _read_qubo_lines(path) -> QuboMatrix:
+    """The QUBO of a file read line by line, raising a ValueError that names
+    `path:line` of its first fault; each coefficient line is checked as it
+    is read: its tokens, its index, a repeated pair, a non-finite value."""
     dim = None
-    rows, cols, values, lines = array("q"), array("q"), array("d"), array("q")
-    error = None
+    coeffs = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -530,40 +496,39 @@ def _read_qubo_lines(path):
                 continue
             if parts[0] == "p":
                 if len(parts) != 5 or parts[1] != "qubo":
-                    error = lineno, f"malformed problem line {raw.strip()!r}"
-                    break
-                if dim is not None:
-                    error = lineno, "second problem line"
-                    break
-                dim, nnz, offset = _problem_line(path, lineno, parts)
-                problem_lineno = lineno
-                continue
-            if dim is None:
-                raise ValueError(f"{path}:{lineno}: coefficient before problem line")
-            if len(parts) != 3:
-                error = lineno, f"malformed coefficient line {raw.strip()!r}"
-                break
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-                rows.append(i)
-                cols.append(j)
-            except (ValueError, OverflowError):
-                error = lineno, _token_error(
-                    parts, (int, int, float), ("row index", "column index", "value")
-                ) or _index_error(int(parts[0]), int(parts[1]), dim)
-                break
-            values.append(v)
-            lines.append(lineno)
-    # an error on a parsed line comes before the one that ended the loop
-    if dim is not None:
-        i, j, v = _check_coefficients(path, dim, rows, cols, values, lines)
-    if error is not None:
-        raise ValueError(f"{path}:{error[0]}: {error[1]}")
+                    message = f"malformed problem line {raw.strip()!r}"
+                elif dim is not None:
+                    message = "second problem line"
+                else:
+                    dim, nnz, offset = _problem_line(path, lineno, parts)
+                    problem_lineno = lineno
+                    continue
+            elif dim is None:
+                message = "coefficient before problem line"
+            elif len(parts) != 3:
+                message = f"malformed coefficient line {raw.strip()!r}"
+            else:
+                try:
+                    i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError:
+                    names = ("row index", "column index", "value")
+                    message = _token_error(parts, (int, int, float), names)
+                else:
+                    if not 0 <= i <= j < dim:
+                        message = _index_error(i, j, dim)
+                    elif (i, j) in coeffs:
+                        message = f"duplicate coefficient {i} {j}"
+                    elif not math.isfinite(v):
+                        message = f"coefficient {i} {j} is not finite: {v}"
+                    else:
+                        coeffs[i, j] = v
+                        continue
+            raise ValueError(f"{path}:{lineno}: {message}")
     if dim is None:
         raise ValueError(f"{path}: no problem line found")
-    if v.size != nnz:
+    if len(coeffs) != nnz:
         raise ValueError(
             f"{path}:{problem_lineno}: problem line declares {nnz} coefficients, "
-            f"file has {v.size}"
+            f"file has {len(coeffs)}"
         )
-    return dim, offset, i, j, v
+    return QuboMatrix(dim, coeffs, offset)

@@ -15,7 +15,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -676,27 +676,32 @@ def run_restarts(
     return replace(best, per_seed=by_seed)
 
 
+SOLVER_NAMES = ("sa", "tabu", "ga", "exact")
+
+
 def make_solver(
     name: str, options: dict | None = None
 ) -> Callable[[QuboMatrix, int], SolveResult]:
-    """Resolve a solver name to a `(qubo, seed) -> SolveResult` callable."""
+    """Resolve a solver name to a `(qubo, seed) -> SolveResult` callable.
+    Its options, `time_limit_s` and the fields of its config but `seed`, are
+    checked here, once: any other key raises a ValueError naming it."""
+    if name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVER_NAMES)}")
     options = dict(options or {})
     deadline_s = options.pop("time_limit_s", None)
+    config_type = {"sa": AnnealConfig, "tabu": TabuConfig, "ga": GaConfig}.get(name)
+    known = {f.name for f in fields(config_type)} - {"seed"} if config_type else set()
+    for key in options:
+        if key not in known:
+            raise ValueError(f"solver {name!r} has no option {key!r}")
+    if config_type is None:
+        return ExactSolver()
+    config = config_type(**options)
 
-    def deadline():
-        return None if deadline_s is None else time.perf_counter() + deadline_s
+    def run(q, seed):
+        # looked up per call, so a wrapper bound to these names later is called
+        solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
+        deadline = None if deadline_s is None else time.perf_counter() + deadline_s
+        return solve(q, replace(config, seed=seed), deadline=deadline)
 
-    if name == "sa":
-        def run(q, seed):
-            return solve_sa(q, AnnealConfig(seed=seed, **options), deadline=deadline())
-    elif name == "tabu":
-        def run(q, seed):
-            return solve_tabu(q, TabuConfig(seed=seed, **options), deadline=deadline())
-    elif name == "ga":
-        def run(q, seed):
-            return solve_ga(q, GaConfig(seed=seed, **options), deadline=deadline())
-    elif name == "exact":
-        run = ExactSolver()
-    else:
-        raise ValueError(f"unknown solver {name!r}; expected sa, tabu, ga or exact")
     return run

@@ -274,6 +274,48 @@ class TestPlanIo:
         with pytest.raises(DataFormatError, match="seeds"):
             load_plan(path)
 
+    @pytest.mark.parametrize("text", ["5", "[]", "not json"])
+    def test_non_object_or_invalid_plan_names_the_path(self, tmp_path, text):
+        from portqubo import DataFormatError
+
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=r"plan\.json: "):
+            load_plan(path)
+
+
+class TestPlanEntryFaults:
+    """A plan entry with a missing field raises a DataFormatError naming the
+    entry and the field, instead of a bare KeyError."""
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"synthetic": {"seed": 1}, "n": 3}, "missing field 'n_assets'"),
+            ({"synthetic": {"n_assets": 8, "seed": 1}}, "missing field 'n'"),
+            ({"synthetic": 8, "n": 3}, "expected a JSON object"),
+        ],
+    )
+    def test_instance_entry(self, entry, message):
+        from portqubo import DataFormatError
+
+        with pytest.raises(DataFormatError, match=rf"instance entry .*: {message}"):
+            run_benchmark(_plan(instances=(entry,)))
+
+    @pytest.mark.parametrize("entry", [{"id": "fast", "options": {"sweeps": 5}}, 5])
+    def test_solver_entry(self, entry):
+        from portqubo import DataFormatError
+
+        with pytest.raises(DataFormatError, match=r"solver entry .*"):
+            run_benchmark(_plan(solvers=(entry,)))
+
+    @pytest.mark.parametrize(
+        "solver", [{"name": "sa", "options": {"sweep": 5}}, {"name": "exact", "options": {"seed": 1}}]
+    )
+    def test_bad_solver_option_stops_the_plan(self, solver):
+        with pytest.raises(ValueError, match=r"solver '(sa|exact)' .*'(sweep|seed)'"):
+            run_benchmark(_plan(solvers=(solver,)))
+
 
 class TestExternalResults:
     def test_sidecar_rows_marked_external(self, tmp_path):

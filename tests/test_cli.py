@@ -212,3 +212,63 @@ def test_tune_and_report_flow(synth_instance, tmp_path, capsys):
     md_path = tmp_path / "report.md"
     assert cli_main(["report", str(report_path), "--format", "markdown", "-o", str(md_path)]) == 0
     assert md_path.read_text().startswith("| instance |")
+
+
+def _plan_text(**overrides) -> str:
+    plan = {
+        "instances": [{"synthetic": {"n_assets": 6, "seed": 1}, "n": 2, "id": "p"}],
+        "solvers": [{"name": "sa", "options": {"sweeps": 20, "restarts": 1}}],
+        "seeds": [0],
+    }
+    plan.update(overrides)
+    return json.dumps(plan)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{path}", "--solver", "exact"],
+        ["make-instance", "{path}", "--n", "1", "-o", "{out}"],
+        ["bench", "{path}"],
+    ],
+)
+@pytest.mark.parametrize("text", ["5", "[1]", "{"])
+def test_non_object_or_invalid_json_is_data_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [a.format(path=path, out=tmp_path / "out.json") for a in argv]
+    assert cli_main(argv) == 2
+    assert f"{path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 1.0]}, "sigma"),
+        ({"symbols": ["A", "B"], "mu": ["x", 2.0], "sigma": [1.0, 0.0, 0.0, 1.0]}, "mu"),
+        ({"symbols": "AB", "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 0.0, 1.0]}, "symbols"),
+    ],
+)
+def test_malformed_universe_is_data_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "universe.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["make-instance", str(path), "--n", "1", "-o", str(tmp_path / "i.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and field in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"instances": [{"synthetic": {"seed": 1}, "n": 2}]}, "missing field 'n_assets'"),
+        ({"instances": [{"synthetic": {"n_assets": 6}}]}, "missing field 'n'"),
+        ({"solvers": [{"options": {"sweeps": 20}}]}, "missing field 'name'"),
+        ({"solvers": [{"name": "sa", "options": {"sweep": 20}}]}, "solver 'sa' has no option 'sweep'"),
+        ({"solvers": [{"name": "exact", "options": {"sweeps": 20}}]}, "solver 'exact' has no option"),
+    ],
+)
+def test_malformed_plan_entry_is_data_error(tmp_path, capsys, overrides, message):
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_text(**overrides))
+    assert cli_main(["bench", str(path), "--no-timing"]) == 2
+    assert message in capsys.readouterr().err

@@ -243,6 +243,61 @@ class TestInstanceIo:
             load_instance(path)
 
 
+class TestJsonInputFaults:
+    """Every malformed universe or instance file raises a DataFormatError
+    that names the path (and the field, where one is at fault)."""
+
+    @pytest.mark.parametrize("loader", [load_universe, load_instance])
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"u"', "null"])
+    def test_non_object_json_names_the_path(self, tmp_path, loader, text):
+        path = _write(tmp_path, text, "doc.json")
+        with pytest.raises(DataFormatError, match=r"doc\.json: .*JSON object"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_universe, load_instance])
+    def test_invalid_json_names_the_path(self, tmp_path, loader):
+        path = _write(tmp_path, '{"symbols": [', "doc.json")
+        with pytest.raises(DataFormatError, match=r"doc\.json: invalid JSON"):
+            loader(path)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"sigma": [1.0, 0.0, 1.0]}, "sigma"),
+            ({"sigma": [[1.0, 0.0], [0.0]]}, "sigma"),
+            ({"mu": ["x", 2.0]}, "mu"),
+            ({"mu": [1.0]}, "mu"),
+            ({"mu": {"A": 1.0}}, "mu"),
+            ({"symbols": "AB"}, "symbols"),
+            ({"symbols": ["A", 2]}, "symbols"),
+            ({"sd": [1.0], "correlation": [1.0, 0.0, 0.0, 1.0]}, "sd"),
+            ({"sd": [1.0, 1.0], "correlation": [1.0, 0.0, 1.0]}, "correlation"),
+        ],
+    )
+    @pytest.mark.parametrize("loader", [load_universe, load_instance])
+    def test_malformed_universe_field_names_path_and_field(self, tmp_path, loader, fields, field):
+        doc = {"symbols": ["A", "B"], "mu": [1.0, 2.0], "n": 1, "return_mode": "none"}
+        if "sd" not in fields:
+            doc["sigma"] = [1.0, 0.0, 0.0, 1.0]
+        doc.update(fields)
+        path = _write(tmp_path, json.dumps(doc), "doc.json")
+        with pytest.raises(DataFormatError, match=rf"doc\.json: .*\b{field}\b"):
+            loader(path)
+
+    def test_nested_or_flat_matrices_accepted(self, tmp_path):
+        doc = {"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [[4.0, 1.0], [1.0, 9.0]]}
+        nested = load_universe(_write(tmp_path, json.dumps(doc), "nested.json"))
+        doc["sigma"] = [4.0, 1.0, 1.0, 9.0]
+        flat = load_universe(_write(tmp_path, json.dumps(doc), "flat.json"))
+        assert nested.sigma.tolist() == flat.sigma.tolist() == [[4.0, 1.0], [1.0, 9.0]]
+
+    def test_non_integer_n_names_the_path(self, tmp_path):
+        doc = {"symbols": ["A"], "mu": [1.0], "sigma": [1.0], "n": [1], "return_mode": "none"}
+        path = _write(tmp_path, json.dumps(doc), "doc.json")
+        with pytest.raises(DataFormatError, match=r"doc\.json: "):
+            load_instance(path)
+
+
 def test_scale_returns():
     universe = AssetUniverse(("A", "B"), [10.0, 20.0], np.eye(2))
     scaled = scale_returns(universe, 0.1)
@@ -332,18 +387,16 @@ def _square_matrices(draw) -> np.ndarray:
 
 
 class TestJsonWriter:
-    """The chunked C-encoder writer, and square arrays written a row at a
-    time with mirrored texts reused, against json.dump(indent=2)."""
+    """The C-encoder writer, and square arrays written a row at a time with
+    mirrored texts reused, against json.dump(indent=2)."""
 
-    @given(doc=_JSON_DOCS, chunk=st.integers(1, 5))
+    @given(doc=_JSON_DOCS)
     @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_json_dump(self, tmp_path_factory, doc, chunk):
+    def test_bytes_equal_json_dump(self, tmp_path_factory, doc):
         d = tmp_path_factory.mktemp("json")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_mod, "_JSON_CHUNK", chunk)  # many chunk joins
-            data_mod._write_json(doc, d / "chunked.json")
+        data_mod._write_json(doc, d / "written.json")
         reference_write_json(doc, d / "reference.json")
-        assert (d / "chunked.json").read_bytes() == (d / "reference.json").read_bytes()
+        assert (d / "written.json").read_bytes() == (d / "reference.json").read_bytes()
 
     @pytest.mark.parametrize("n_assets", [1, 32, 33, 46])
     def test_instance_and_universe_files_equal_json_dump(self, tmp_path, n_assets):
@@ -405,8 +458,8 @@ class TestJsonWriter:
             finally:
                 tracemalloc.stop()
 
-        # sigma as one list of N^2 Python floats through the chunked list
-        # writer: how save_universe wrote it before rows were formatted alone
+        # sigma as one list of N^2 Python floats through the list writer:
+        # how save_universe wrote it before rows were formatted alone
         as_list = peak(lambda: data_mod._write_json(_sigma_doc(universe), tmp_path / "list.json"))
         by_rows = peak(lambda: save_universe(universe, tmp_path / "rows.json"))
         assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "list.json").read_bytes()

@@ -116,13 +116,6 @@ def price_files(draw) -> str:
     return "".join(line + end for line in cells)
 
 
-def _read_qubo_by_lines(path) -> QuboMatrix:
-    dim, offset, i, j, v = qubo_mod._read_qubo_lines(path)
-    upper = np.zeros((dim, dim))
-    upper[i, j] = v
-    return QuboMatrix._from_upper(upper, offset)
-
-
 def _write(tmp_path_factory, text: str, name: str):
     path = tmp_path_factory.mktemp("readers") / name
     path.write_bytes(text.encode())
@@ -138,7 +131,7 @@ class TestReadQuboMatchesLineReader:
     @settings(max_examples=500, deadline=None)
     def test_same_bits_or_same_error(self, tmp_path_factory, text):
         path = _write(tmp_path_factory, text, "f.qubo")
-        got, want = _outcome(read_qubo, path), _outcome(_read_qubo_by_lines, path)
+        got, want = _outcome(read_qubo, path), _outcome(qubo_mod._read_qubo_lines, path)
         if isinstance(want, QuboMatrix):
             assert isinstance(got, QuboMatrix), got
             assert np.array_equal(_bits(got.upper), _bits(want.upper))

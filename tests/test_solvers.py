@@ -31,6 +31,7 @@ from portqubo import (
 from portqubo import solvers as solvers_mod
 from portqubo.cli import cli_main
 from portqubo.data import SyntheticSpec, generate_synthetic, save_instance
+from portqubo.solvers import SOLVER_NAMES
 
 from conftest import (
     naive_bruteforce,
@@ -602,6 +603,40 @@ class TestMakeSolver:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown solver"):
             make_solver("quantum")
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("option", ["bogus", "seed"])
+    def test_unknown_option_or_seed_rejected_when_made(self, name, option):
+        with pytest.raises(ValueError, match=rf"solver '{name}' .*'{option}'"):
+            make_solver(name, {option: 1})
+
+    def test_exact_rejects_heuristic_options(self):
+        with pytest.raises(ValueError, match="'sweeps'"):
+            make_solver("exact", {"sweeps": 5})
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_time_limit_accepted_by_every_solver(self, name, rng):
+        q = random_qubo(rng, 10)
+        assert make_solver(name, {"time_limit_s": 10.0})(q, 0).energy <= qubo_energy(q, [0] * 10)
+
+    def test_invalid_option_value_rejected_when_made(self):
+        with pytest.raises(ValueError, match="sweeps"):
+            make_solver("sa", {"sweeps": 0})
+
+    @pytest.mark.parametrize(
+        "name, options, solve, config",
+        [
+            ("sa", {"sweeps": 30, "restarts": 2}, solve_sa, AnnealConfig),
+            ("tabu", {"max_iterations": 40, "restarts": 2}, solve_tabu, TabuConfig),
+            ("ga", {"population": 10, "generations": 5}, solve_ga, GaConfig),
+        ],
+    )
+    def test_each_seed_runs_the_config_with_that_seed(self, rng, name, options, solve, config):
+        q = random_qubo(rng, 10)
+        solver = make_solver(name, options)
+        for seed in (0, 3):
+            got, want = solver(q, seed), solve(q, config(seed=seed, **options))
+            assert (got.bits, got.energy, got.seed) == (want.bits, want.energy, seed)
 
     def test_exact_reports_enumeration_count(self, rng):
         q = random_qubo(rng, 6)
