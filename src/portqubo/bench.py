@@ -12,15 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .data import (
     DataFormatError,
     SyntheticSpec,
+    _float_field,
     _load_json,
     generate_synthetic,
+    int_field,
     load_instance,
+    number_field,
     require_fields,
 )
 from .model import PortfolioInstance
@@ -35,24 +39,6 @@ from .tuning import default_grid, estimate_lambdas, grid_search
 
 ORACLE_SOLVER_NAME = "oracle"
 
-CSV_COLUMNS = [
-    "instance",
-    "N",
-    "n",
-    "r_star",
-    "qubo_dim",
-    "lambda1",
-    "lambda2",
-    "solver",
-    "seed",
-    "energy",
-    "risk",
-    "return",
-    "feasible",
-    "gap_percent",
-    "wall_time_s",
-]
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -63,13 +49,13 @@ class BenchRow:
     qubo_dim: int
     lambda1: float
     lambda2: float
-    solver: str
-    seed: int | None
-    energy: float
-    risk: float
-    ret: float
-    feasible: bool
-    wall_time_s: float
+    solver: str = ""
+    seed: int | None = None
+    energy: float = math.nan
+    risk: float = math.nan
+    ret: float = math.nan
+    feasible: bool = False
+    wall_time_s: float = 0.0
     gap_percent: float | None = None
     optimal: bool = False
     external: bool = False
@@ -112,24 +98,26 @@ class BenchPlan:
 
 def load_plan(path) -> BenchPlan:
     doc = require_fields(_load_json(path), ("instances", "solvers", "seeds"), path)
+    for key in ("instances", "solvers", "seeds"):
+        if not isinstance(doc[key], list):
+            raise DataFormatError(f"{path}: field {key!r} must be a list, got {doc[key]!r}")
     policy = doc.get("penalty_policy", "estimate")
-    explicit1 = explicit2 = 0.0
-    if isinstance(policy, dict):
-        explicit1 = float(policy.get("lambda1", 0.0))
-        explicit2 = float(policy.get("lambda2", 0.0))
-        policy = policy.get("policy", "explicit")
+    explicit = policy if isinstance(policy, dict) else {}
     base = Path(path).parent  # joined to an absolute path, gives that path
-    instances = [str(base / e) if isinstance(e, str) else e for e in doc["instances"]]
+    external = doc.get("external_results")
+    limit = doc.get("time_limit_s")
+    if external is not None and not isinstance(external, str):
+        raise DataFormatError(f"{path}: field 'external_results' must be a path, got {external!r}")
     return BenchPlan(
-        instances=tuple(instances),
+        instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
-        seeds=tuple(int(s) for s in doc["seeds"]),
-        penalty_policy=policy,
-        explicit_lambda1=explicit1,
-        explicit_lambda2=explicit2,
-        time_limit_s=doc.get("time_limit_s"),
-        external_results=doc.get("external_results"),
-        grid_repeats=int(doc.get("grid_repeats", 5)),
+        seeds=tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"]),
+        penalty_policy=policy.get("policy", "explicit") if isinstance(policy, dict) else policy,
+        explicit_lambda1=number_field(explicit, "lambda1", f"{path}: penalty_policy", 0.0),
+        explicit_lambda2=number_field(explicit, "lambda2", f"{path}: penalty_policy", 0.0),
+        time_limit_s=None if limit is None else number_field(doc, "time_limit_s", path),
+        external_results=None if external is None else str(base / external),
+        grid_repeats=int_field(doc, "grid_repeats", path, 5),
     )
 
 
@@ -139,19 +127,20 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
         return Path(entry).stem, load_instance(entry)
     source = f"instance entry {entry!r}"
     synth = require_fields(entry, ("synthetic", "n"), source)["synthetic"]
-    require_fields(synth, ("n_assets",), f"{source}, 'synthetic' block")
+    block = f"{source}, 'synthetic' block"
+    require_fields(synth, ("n_assets",), block)
+    return_range = {"return_range": (0.0, 200.0), **synth}
     spec = SyntheticSpec(
-        n_assets=int(synth["n_assets"]),
-        n_factors=int(synth.get("n_factors", 3)),
-        idiosyncratic_floor=float(synth.get("idiosyncratic_floor", 1.0)),
-        return_range=tuple(synth.get("return_range", (0.0, 200.0))),
-        seed=int(synth.get("seed", 0)),
+        n_assets=int_field(synth, "n_assets", block),
+        n_factors=int_field(synth, "n_factors", block, 3),
+        idiosyncratic_floor=number_field(synth, "idiosyncratic_floor", block, 1.0),
+        return_range=tuple(_float_field(return_range, "return_range", (2,), block).tolist()),
+        seed=int_field(synth, "seed", block, 0),
     )
-    universe = generate_synthetic(spec)
     instance = PortfolioInstance(
-        universe=universe,
-        n=int(entry["n"]),
-        r_star=float(entry.get("r_star", 0.0)),
+        universe=generate_synthetic(spec),
+        n=int_field(entry, "n", source),
+        r_star=number_field(entry, "r_star", source, 0.0),
         return_mode=entry.get("return_mode", "none"),
     )
     default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
@@ -162,57 +151,26 @@ def _solver_entry(entry) -> tuple[str, str, dict]:
     """Returns (display name, solver type, options)."""
     if isinstance(entry, str):
         return entry, entry, {}
-    name = require_fields(entry, ("name",), f"solver entry {entry!r}")["name"]
-    return entry.get("id", name), name, dict(entry.get("options", {}))
+    source = f"solver entry {entry!r}"
+    name = require_fields(entry, ("name",), source)["name"]
+    options = require_fields(entry.get("options", {}), (), f"{source}, 'options'")
+    return str(entry.get("id", name)), name, dict(options)
 
 
-def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance) -> PenaltyParams:
+def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance, grid_solver) -> PenaltyParams:
     if plan.penalty_policy == "explicit":
         return PenaltyParams(1.0, plan.explicit_lambda1, plan.explicit_lambda2)
     est = estimate_lambdas(instance)
     if plan.penalty_policy == "estimate":
         return PenaltyParams(1.0, est.lambda1_hat, est.lambda2_hat)
-    # grid: refine around the estimates with the plan's first solver
-    _, solver_type, options = _solver_entry(plan.solvers[0])
-    solver = make_solver(solver_type, options)
-    best, _, _ = grid_search(
+    return grid_search(
         instance,
-        solver,
+        grid_solver,
         default_grid(est.lambda1_hat),
         default_grid(est.lambda2_hat),
         repeats=plan.grid_repeats,
         seeds=list(plan.seeds[: plan.grid_repeats]),
-    )
-    return best
-
-
-def load_external_results(path) -> list[BenchRow]:
-    """Sidecar CSV with columns instance,solver,risk[,return]; rows join the
-    report marked external and participate in the best-known summary."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            rows.append(
-                BenchRow(
-                    instance=record["instance"],
-                    n_assets=0,
-                    n=0,
-                    r_star=float(record.get("r_star", 0.0) or 0.0),
-                    qubo_dim=0,
-                    lambda1=0.0,
-                    lambda2=0.0,
-                    solver=record["solver"],
-                    seed=None,
-                    energy=float(record.get("energy", "nan") or "nan"),
-                    risk=float(record["risk"]),
-                    ret=float(record.get("return", "nan") or "nan"),
-                    feasible=True,
-                    wall_time_s=0.0,
-                    external=True,
-                )
-            )
-    return rows
+    )[0]
 
 
 def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
@@ -222,16 +180,19 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     fails for an instance, are recorded in their rows (with NaN lambdas when
     the penalties could not be resolved); the matrix always completes.
     """
+    instances = [_instance_from_entry(entry) for entry in plan.instances]
+    entries = [_solver_entry(entry) for entry in plan.solvers]
+    limit = {} if plan.time_limit_s is None else {"time_limit_s": plan.time_limit_s}
+    solvers = [(display, make_solver(kind, {**limit, **opts})) for display, kind, opts in entries]
+    # the grid policy searches with the first solver, without the time limit
+    grid_solver = make_solver(*entries[0][1:]) if plan.penalty_policy == "grid" else None
+    external_rows = load_external_results(plan.external_results) if plan.external_results else []
     rows: list[BenchRow] = []
     summaries: list[InstanceSummary] = []
-    external_rows = (
-        load_external_results(plan.external_results) if plan.external_results else []
-    )
-    for entry in plan.instances:
-        inst_id, instance = _instance_from_entry(entry)
+    for inst_id, instance in instances:
         params = q = layout = build_error = None
         try:
-            params = _resolve_penalties(plan, instance)
+            params = _resolve_penalties(plan, instance, grid_solver)
             q, layout = build_qubo(instance, params)
         except ValueError as exc:
             build_error = str(exc)
@@ -243,20 +204,9 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
             qubo_dim=0 if q is None else q.dim,
             lambda1=math.nan if params is None else params.lambda1,
             lambda2=math.nan if params is None else params.lambda2,
-            solver="",
-            seed=None,
-            energy=math.nan,
-            risk=math.nan,
-            ret=math.nan,
-            feasible=False,
-            wall_time_s=0.0,
         )
         inst_rows: list[BenchRow] = []
-        for solver_entry in plan.solvers:
-            display, solver_type, options = _solver_entry(solver_entry)
-            if plan.time_limit_s is not None:
-                options.setdefault("time_limit_s", plan.time_limit_s)
-            solver = make_solver(solver_type, options)
+        for display, solver in solvers:
             for seed in plan.seeds:
                 row = replace(template, solver=display, seed=seed, error=build_error)
                 if q is not None:
@@ -269,7 +219,7 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                             risk=sol.risk,
                             ret=sol.ret,
                             feasible=sol.feasible,
-                            wall_time_s=0.0 if no_timing else result.wall_time_s,
+                            wall_time_s=result.wall_time_s,
                         )
                     except Exception as exc:
                         row = replace(row, error=str(exc))
@@ -285,29 +235,21 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                         risk=oracle.risk,
                         ret=oracle.ret,
                         feasible=True,
-                        wall_time_s=0.0
-                        if no_timing
-                        else oracle.provenance.get("wall_time_s", 0.0),
+                        wall_time_s=oracle.provenance.get("wall_time_s", 0.0),
                         optimal=True,
                     )
                 )
             except InfeasibleInstanceError:
                 pass
         inst_rows.extend(r for r in external_rows if r.instance == inst_id)
-        summary = _summarize(inst_id, inst_rows)
-        summaries.append(summary)
-        best_risk = summary.best_risk
-        if best_risk is not None:
-            inst_rows = [
-                replace(
-                    r,
-                    gap_percent=(r.risk - best_risk) / best_risk * 100.0
-                    if r.feasible and not math.isnan(r.risk) and best_risk != 0
-                    else (0.0 if r.feasible and not math.isnan(r.risk) else None),
-                )
-                for r in inst_rows
-            ]
-        rows.extend(inst_rows)
+        summaries.append(_summarize(inst_id, inst_rows))
+        best = summaries[-1].best_risk  # not None where a row is feasible
+        for r in inst_rows:
+            gap = None
+            if r.feasible and not math.isnan(r.risk):
+                gap = (r.risk - best) / best * 100.0 if best != 0 else 0.0
+            wall_time_s = 0.0 if no_timing else r.wall_time_s
+            rows.append(replace(r, gap_percent=gap, wall_time_s=wall_time_s))
     rows.sort(key=_row_sort_key)
     return BenchReport(rows=tuple(rows), summaries=tuple(summaries))
 
@@ -316,21 +258,13 @@ def _summarize(inst_id: str, inst_rows: list[BenchRow]) -> InstanceSummary:
     """Best-known feasible risk of one instance, the first row in order that
     reaches it, and whether an optimal (oracle) row proves it."""
     feasible = [r for r in inst_rows if r.feasible and not math.isnan(r.risk)]
-    if not feasible:
-        return InstanceSummary(
-            instance=inst_id,
-            best_risk=None,
-            best_solver=None,
-            proven_optimal=False,
-            external=False,
-        )
-    best = min(feasible, key=lambda r: r.risk)
+    best = min(feasible, key=lambda r: r.risk, default=None)
     return InstanceSummary(
         instance=inst_id,
-        best_risk=best.risk,
-        best_solver=best.solver,
-        proven_optimal=any(r.optimal for r in inst_rows),
-        external=best.external,
+        best_risk=None if best is None else best.risk,
+        best_solver=None if best is None else best.solver,
+        proven_optimal=best is not None and any(r.optimal for r in inst_rows),
+        external=best is not None and best.external,
     )
 
 
@@ -348,6 +282,63 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _optional(write, read):
+    """(write, read) of a cell that is blank for None."""
+    return lambda v: "" if v is None else write(v), lambda c: read(c) if c else None
+
+
+_OPTIMAL, _EXTERNAL = "*", "(ext)"  # solver-cell markers of oracle and sidecar rows
+_BOOLS = {"true": True, "false": False}
+
+
+def _solver_cell(row: BenchRow) -> str:
+    return row.solver + (_OPTIMAL if row.optimal else "") + (_EXTERNAL if row.external else "")
+
+
+def _read_solver(cell: str) -> dict:
+    """Name and markers of a solver cell; one that ends in "(ext)" is not optimal."""
+    name = cell.rstrip(_OPTIMAL).removesuffix(_EXTERNAL)
+    return dict(solver=name, optimal=cell.endswith(_OPTIMAL), external=cell.endswith(_EXTERNAL))
+
+
+class _Column(NamedTuple):
+    """A report CSV column: its header, the cell of a row, the BenchRow fields
+    of a cell (a ValueError if it does not parse) and, for a sidecar row, the
+    cell where the sidecar gives none (None: the sidecar must have the
+    column) and the format of the sidecar's own cell (None: not read)."""
+
+    name: str
+    write: Callable[[BenchRow], str]
+    read: Callable[[str], dict]
+    external: str | None
+    sidecar: str | None = None
+
+
+def _col(name, field, write, read, *external) -> _Column:
+    return _Column(name, lambda r: write(getattr(r, field)), lambda c: {field: read(c)}, *external)
+
+
+_COLUMNS = (
+    #    header         BenchRow field  formatter, parser        external  sidecar
+    _col("instance",    "instance",     str, str,                None,     "{}"),
+    _col("N",           "n_assets",     str, int,                "0"),
+    _col("n",           "n",            str, int,                "0"),
+    _col("r_star",      "r_star",       _fmt, float,             "0",      "{}"),
+    _col("qubo_dim",    "qubo_dim",     str, int,                "0"),
+    _col("lambda1",     "lambda1",      _fmt, float,             "0"),
+    _col("lambda2",     "lambda2",      _fmt, float,             "0"),
+    _Column("solver",                   _solver_cell, _read_solver, None, "{}" + _EXTERNAL),
+    _col("seed",        "seed",         *_optional(str, int),    ""),
+    _col("energy",      "energy",       _fmt, float,             "nan",    "{}"),
+    _col("risk",        "risk",         _fmt, float,             None,     "{}"),
+    _col("return",      "ret",          _fmt, float,             "nan",    "{}"),
+    _col("feasible",    "feasible",     lambda v: str(v).lower(), _BOOLS.__getitem__, "true"),
+    _col("gap_percent", "gap_percent",  *_optional(_fmt, float), ""),
+    _col("wall_time_s", "wall_time_s",  _fmt, float,             "0"),
+)
+CSV_COLUMNS = [column.name for column in _COLUMNS]
+
+
 def render_report(report: BenchReport, fmt: str = "csv") -> str:
     if not report.rows:
         raise ValueError("report has no rows")
@@ -362,107 +353,95 @@ def _render_csv(report: BenchReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.instance,
-                r.n_assets,
-                r.n,
-                _fmt(r.r_star),
-                r.qubo_dim,
-                _fmt(r.lambda1),
-                _fmt(r.lambda2),
-                r.solver + ("*" if r.optimal else "") + ("(ext)" if r.external else ""),
-                r.seed if r.seed is not None else "",
-                _fmt(r.energy),
-                _fmt(r.risk),
-                _fmt(r.ret),
-                str(r.feasible).lower(),
-                _fmt(r.gap_percent) if r.gap_percent is not None else "",
-                _fmt(r.wall_time_s),
-            ]
-        )
+    # csv quotes only the lineterminator's line ends, and a bare \r read back ends a line
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for cells in ([column.write(row) for column in _COLUMNS] for row in report.rows):
+        (quote_all if any("\r" in cell for cell in cells) else writer).writerow(cells)
     return buf.getvalue()
 
 
 def _render_markdown(report: BenchReport) -> str:
-    instances = []
-    for r in report.rows:
-        if r.instance not in instances:
-            instances.append(r.instance)
-    solvers = []
-    for r in report.rows:
-        if r.solver not in solvers and r.solver != ORACLE_SOLVER_NAME:
-            solvers.append(r.solver)
+    solvers = [s for s in dict.fromkeys(r.solver for r in report.rows) if s != ORACLE_SOLVER_NAME]
     header = ["instance", "N", "n", "R*", "Size(Q)"] + solvers + ["best"]
     lines = [
         "| " + " | ".join(header) + " |",
         "|" + "|".join("---" for _ in header) + "|",
     ]
     summary_by_id = {s.instance: s for s in report.summaries}
-    for inst_id in instances:
+    for inst_id in dict.fromkeys(r.instance for r in report.rows):
         inst_rows = [r for r in report.rows if r.instance == inst_id]
-        meta = next(r for r in inst_rows if not r.external)
-        cells = [inst_id, str(meta.n_assets), str(meta.n), f"{meta.r_star:g}", str(meta.qubo_dim)]
+        meta = next((r for r in inst_rows if not r.external), None)  # None: external rows only
+        cells = [inst_id] + (
+            ["-"] * 4
+            if meta is None
+            else [str(meta.n_assets), str(meta.n), f"{meta.r_star:g}", str(meta.qubo_dim)]
+        )
         for solver in solvers:
-            candidates = [
-                r
-                for r in inst_rows
-                if r.solver == solver and r.feasible and not math.isnan(r.risk)
-            ]
-            if candidates:
-                best = min(c.risk for c in candidates)
-                cells.append(f"{best:.6g}")
-            else:
-                cells.append("-")
+            risks = [r.risk for r in inst_rows if r.solver == solver and r.feasible]
+            risks = [risk for risk in risks if not math.isnan(risk)]
+            cells.append(f"{min(risks):.6g}" if risks else "-")
         summary = summary_by_id[inst_id]
-        if summary.best_risk is None:
-            cells.append("-")
-        else:
-            marker = "*" if summary.proven_optimal else ("(ext)" if summary.external else "")
-            cells.append(f"{summary.best_risk:.6g}{marker}")
+        marker = _OPTIMAL if summary.proven_optimal else (_EXTERNAL if summary.external else "")
+        cells.append("-" if summary.best_risk is None else f"{summary.best_risk:.6g}{marker}")
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
+def _read_csv(path) -> tuple[list[str] | None, list[tuple[str, list[str]]]]:
+    """A CSV file's header (None if empty) and its nonblank records, each
+    with the "path:line" where it ends; a DataFormatError names a record
+    whose cell count differs from the header's, or one that csv rejects."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            for cells in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if len(cells) != len(header):
+                    raise DataFormatError(f"{where}: {len(cells)} cells, expected {len(header)}")
+                records.append((where, cells))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    return header, records
+
+
+def _parse_row(where: str, cells: list[str]) -> BenchRow:
+    """The BenchRow of a record's report cells, in ``_COLUMNS`` order."""
+    fields = {}
+    for c, cell in zip(_COLUMNS, cells):
+        try:
+            fields.update(c.read(cell))
+        except (KeyError, ValueError):
+            raise DataFormatError(f"{where}: column {c.name!r}: cannot read {cell!r}") from None
+    return BenchRow(**fields)
+
+
 def parse_report_csv(path) -> BenchReport:
     """Rebuild a BenchReport from a CSV produced by :func:`render_report`."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected report columns {reader.fieldnames}")
-        for rec in reader:
-            solver = rec["solver"]
-            optimal = solver.endswith("*")
-            external = solver.endswith("(ext)")
-            solver = solver.rstrip("*").removesuffix("(ext)")
-            rows.append(
-                BenchRow(
-                    instance=rec["instance"],
-                    n_assets=int(rec["N"]),
-                    n=int(rec["n"]),
-                    r_star=float(rec["r_star"]),
-                    qubo_dim=int(rec["qubo_dim"]),
-                    lambda1=float(rec["lambda1"]),
-                    lambda2=float(rec["lambda2"]),
-                    solver=solver,
-                    seed=int(rec["seed"]) if rec["seed"] else None,
-                    energy=float(rec["energy"]),
-                    risk=float(rec["risk"]),
-                    ret=float(rec["return"]),
-                    feasible=rec["feasible"] == "true",
-                    wall_time_s=float(rec["wall_time_s"]),
-                    gap_percent=float(rec["gap_percent"]) if rec["gap_percent"] else None,
-                    optimal=optimal,
-                    external=external,
-                )
-            )
+    header, records = _read_csv(path)
+    if header != CSV_COLUMNS:
+        raise DataFormatError(f"{path}: unexpected report columns {header}")
+    rows = [_parse_row(*record) for record in records]
     if not rows:
         raise DataFormatError(f"{path}: report has no rows")
-    seen = []
-    for r in rows:
-        if r.instance not in seen:
-            seen.append(r.instance)
-    summaries = tuple(_summarize(i, [r for r in rows if r.instance == i]) for i in seen)
+    instances = dict.fromkeys(r.instance for r in rows)
+    summaries = tuple(_summarize(i, [r for r in rows if r.instance == i]) for i in instances)
     return BenchReport(rows=tuple(rows), summaries=summaries)
+
+
+def load_external_results(path) -> list[BenchRow]:
+    """The rows of a sidecar CSV of externally produced results, marked
+    external, with the columns and defaults that ``_COLUMNS`` gives it."""
+    header, records = _read_csv(path)
+    index = {name: i for i, name in enumerate(header or ())}
+    missing = [c.name for c in _COLUMNS if c.external is None and c.name not in index]
+    if missing:
+        raise DataFormatError(f"{path}: external results need column(s) {', '.join(missing)}")
+
+    def report_cells(cells):
+        for c in _COLUMNS:
+            cell = cells[index[c.name]] if c.sidecar and c.name in index else ""
+            yield c.sidecar.format(cell) if cell or c.external is None else c.external
+
+    return [_parse_row(where, list(report_cells(cells))) for where, cells in records]

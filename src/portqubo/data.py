@@ -232,6 +232,25 @@ def require_fields(doc, keys, source) -> dict:
     return doc
 
 
+def int_field(doc: dict, key: str, source, default=None) -> int:
+    """Field ``key`` (``default`` when absent) as an int: a JSON integer, or a
+    number with no fractional part. Anything else, 1.7 and true included,
+    raises a DataFormatError naming ``source`` and the field."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise DataFormatError(f"{source}: field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def number_field(doc: dict, key: str, source, default=None) -> float:
+    """Field ``key`` (``default`` when absent) as a float: a JSON number; a
+    DataFormatError naming ``source`` and the field otherwise."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataFormatError(f"{source}: field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _float_field(doc: dict, key: str, shape: tuple, source) -> np.ndarray:
     """Field ``key`` as a float64 array of ``shape``, given nested or, for a
     matrix, as a flat list in row-major order."""
@@ -354,10 +373,11 @@ def load_instance(path) -> PortfolioInstance:
     if doc["return_mode"] != "none" and "r_star" not in doc:
         raise DataFormatError(f"{path}: missing field 'r_star'")
     universe = _universe_from_dict(doc, path)
+    n = int_field(doc, "n", path)
     try:
         return PortfolioInstance(
             universe=universe,
-            n=int(doc["n"]),
+            n=n,
             r_star=float(doc.get("r_star", 0.0)),
             return_mode=doc["return_mode"],
         )

@@ -2,9 +2,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from portqubo import load_plan, parse_report_csv, render_report, run_benchmark
-from portqubo.bench import BenchPlan, ORACLE_SOLVER_NAME
+from portqubo import (
+    DataFormatError,
+    load_plan,
+    parse_report_csv,
+    render_report,
+    run_benchmark,
+)
+from portqubo import bench as bench_mod
+from portqubo.bench import BenchPlan, BenchReport, BenchRow, ORACLE_SOLVER_NAME
 from portqubo.solvers import SUBSET_ENUMERATION_GUARD
 
 
@@ -329,3 +338,214 @@ class TestExternalResults:
         summary = report.summaries[0]
         assert summary.external
         assert summary.best_risk == 0.0001
+
+
+# names with the cells a CSV writer must quote: commas, quotes and line ends
+_NAMES = st.text(st.characters() | st.sampled_from(',"\n\r*'), max_size=8)
+_INTS = st.integers(-(2**63), 2**63)
+_FLOATS = st.floats()  # NaN, +-inf and -0.0 included
+
+
+@st.composite
+def _report_rows(draw) -> BenchRow:
+    return BenchRow(
+        instance=draw(_NAMES),
+        n_assets=draw(_INTS),
+        n=draw(_INTS),
+        r_star=draw(_FLOATS),
+        qubo_dim=draw(_INTS),
+        lambda1=draw(_FLOATS),
+        lambda2=draw(_FLOATS),
+        # a name that ends in a marker would read back as marked
+        solver=draw(_NAMES.filter(lambda s: not s.endswith(("*", "(ext)")))),
+        seed=draw(st.none() | _INTS),
+        energy=draw(_FLOATS),
+        risk=draw(_FLOATS),
+        ret=draw(_FLOATS),
+        feasible=draw(st.booleans()),
+        wall_time_s=draw(_FLOATS),
+        gap_percent=draw(st.none() | _FLOATS),
+        optimal=draw(st.booleans()),
+        external=draw(st.booleans()),
+    )
+
+
+class TestReportCsvRoundTrip:
+    @given(rows=st.lists(_report_rows(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_render_of_parse_is_byte_identical(self, tmp_path_factory, rows):
+        text = render_report(BenchReport(rows=tuple(rows), summaries=()), "csv")
+        path = tmp_path_factory.mktemp("report") / "report.csv"
+        path.write_bytes(text.encode())
+        assert render_report(parse_report_csv(path), "csv") == text
+
+
+def _write_plan(tmp_path, **overrides):
+    doc = {
+        "instances": [{"synthetic": {"n_assets": 6, "seed": 1}, "n": 2, "id": "p"}],
+        "solvers": [{"name": "sa", "options": {"sweeps": 20, "restarts": 1}}],
+        "seeds": [0],
+    }
+    doc.update(overrides)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_SYNTH = {"n_assets": 6, "seed": 1}
+
+
+class TestPlanFieldTypes:
+    """A plan field of the wrong type raises a DataFormatError naming the
+    plan or the entry, and the field; no count is truncated."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"instances": 5}, r"plan\.json: field 'instances'"),
+            ({"solvers": "sa"}, r"plan\.json: field 'solvers'"),
+            ({"seeds": 5}, r"plan\.json: field 'seeds'"),
+            ({"seeds": ["a"]}, r"plan\.json: field 'seeds'"),
+            ({"seeds": [1.5]}, r"plan\.json: field 'seeds'"),
+            ({"grid_repeats": "5"}, r"plan\.json: field 'grid_repeats'"),
+            ({"time_limit_s": "x"}, r"plan\.json: field 'time_limit_s'"),
+            ({"external_results": 5}, r"plan\.json: field 'external_results'"),
+            ({"penalty_policy": {"lambda1": [1]}}, r"plan\.json: penalty_policy: field 'lambda1'"),
+        ],
+    )
+    def test_plan_field(self, tmp_path, overrides, message):
+        with pytest.raises(DataFormatError, match=message):
+            load_plan(_write_plan(tmp_path, **overrides))
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"synthetic": {**_SYNTH, "return_range": 5}, "n": 2}, "return_range"),
+            ({"synthetic": {**_SYNTH, "return_range": [0, "x"]}, "n": 2}, "return_range"),
+            ({"synthetic": _SYNTH, "n": [2]}, "n"),
+            ({"synthetic": _SYNTH, "n": 1.7}, "n"),
+            ({"synthetic": _SYNTH, "n": True}, "n"),
+            ({"synthetic": _SYNTH, "n": 2, "r_star": [1]}, "r_star"),
+            ({"synthetic": {"n_assets": 6.5}, "n": 2}, "n_assets"),
+            ({"synthetic": {**_SYNTH, "n_factors": 2.5}, "n": 2}, "n_factors"),
+            ({"synthetic": {**_SYNTH, "seed": 1.5}, "n": 2}, "seed"),
+            ({"synthetic": {**_SYNTH, "idiosyncratic_floor": "1"}, "n": 2}, "idiosyncratic_floor"),
+        ],
+    )
+    def test_instance_entry_field(self, tmp_path, entry, field):
+        plan = load_plan(_write_plan(tmp_path, instances=[entry]))
+        with pytest.raises(DataFormatError, match=rf"instance entry .*\b{field}\b"):
+            run_benchmark(plan)
+
+    def test_whole_number_counts_accepted(self, tmp_path):
+        entry = {"synthetic": {"n_assets": 6.0, "seed": 1.0}, "n": 2.0, "id": "p"}
+        plan = load_plan(_write_plan(tmp_path, instances=[entry], seeds=[0.0]))
+        report = run_benchmark(plan, no_timing=True)
+        assert plan.seeds == (0,) and report.rows[0].n == 2
+
+    @pytest.mark.parametrize("options", [[1], 5, "sweeps"])
+    def test_solver_options_not_an_object(self, tmp_path, options):
+        plan = load_plan(_write_plan(tmp_path, solvers=[{"name": "sa", "options": options}]))
+        with pytest.raises(DataFormatError, match=r"solver entry .*'options'"):
+            run_benchmark(plan)
+
+
+class TestEntriesReadFirst:
+    """Every instance and solver entry is read before the first solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = bench_mod.make_solver
+
+        def counting(kind, options=None):
+            solver = real(kind, options)
+            return lambda q, seed: calls.append(seed) or solver(q, seed)
+
+        monkeypatch.setattr(bench_mod, "make_solver", counting)
+        return calls
+
+    def test_bad_second_instance_runs_nothing(self, solves):
+        good = {"synthetic": {"n_assets": 6, "seed": 1}, "n": 2, "id": "a"}
+        bad = {"synthetic": {"seed": 2}, "n": 2, "id": "b"}
+        with pytest.raises(DataFormatError, match="missing field 'n_assets'"):
+            run_benchmark(_plan(instances=(good, bad), seeds=(0, 1, 2)))
+        assert solves == []
+
+    def test_bad_second_solver_runs_nothing(self, solves):
+        solvers = ({"name": "sa", "options": {"sweeps": 5}}, {"options": {}})
+        with pytest.raises(DataFormatError, match="missing field 'name'"):
+            run_benchmark(_plan(solvers=solvers))
+        assert solves == []
+
+    def test_grid_policy_searches_with_the_first_solver(self, solves):
+        plan = _plan(penalty_policy="grid", grid_repeats=1, seeds=(7,))
+        report = run_benchmark(plan, no_timing=True)
+        assert not any(r.error for r in report.rows)
+        assert set(solves) == {7}
+
+
+class TestExternalResultFaults:
+    def test_sidecar_resolves_against_the_plan_directory(self, tmp_path):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "ext.csv").write_text("instance,solver,risk\np,cplex,0.5\n")
+        plan = load_plan(_write_plan(sub, external_results="ext.csv"))
+        assert plan.external_results == str(sub / "ext.csv")
+        report = run_benchmark(plan, no_timing=True)
+        assert [r.solver for r in report.rows if r.external] == ["cplex"]
+
+    def test_defaults_of_optional_columns(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("solver,risk,instance,return,N\ncplex*,0.5,p,,9\n")
+        (row,) = bench_mod.load_external_results(path)
+        assert (row.instance, row.solver, row.risk, row.r_star) == ("p", "cplex*", 0.5, 0.0)
+        assert math.isnan(row.ret) and math.isnan(row.energy) and row.n_assets == 0
+        assert row.external and row.feasible and not row.optimal and row.seed is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("instance,solver,return\np,cplex,5\n", r"ext\.csv: .*\brisk\b"),
+            ("", r"ext\.csv: .*\binstance, solver, risk\b"),
+            ("instance,solver,risk\np,cplex\n", r"ext\.csv:2: 2 cells, expected 3"),
+            ("instance,solver,risk\np,cplex,low\n", r"ext\.csv:2: column 'risk'"),
+            ("instance,solver,risk,energy\np,cplex,1,x\n", r"ext\.csv:2: column 'energy'"),
+        ],
+    )
+    def test_sidecar_fault_names_the_path(self, tmp_path, text, message):
+        path = tmp_path / "ext.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            bench_mod.load_external_results(path)
+
+
+class TestReportFaults:
+    @pytest.fixture
+    def report_text(self):
+        return render_report(run_benchmark(_plan(), no_timing=True), "csv")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda line: line.rsplit(",", 1)[0], r"report\.csv:2: 14 cells, expected 15"),
+            (lambda line: line + ",1", r"report\.csv:2: 16 cells, expected 15"),
+            (lambda line: line.replace(",sa,", ",sa,x", 1), r"report\.csv:2: column 'seed'"),
+            (lambda line: line.replace(",true,", ",yes,", 1).replace(",false,", ",no,", 1),
+             r"report\.csv:2: column 'feasible'"),
+        ],
+    )
+    def test_malformed_row_names_path_line_and_column(self, tmp_path, report_text, mutate, message):
+        header, first, *rest = report_text.split("\n")
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join([header, mutate(first), *rest]))
+        with pytest.raises(DataFormatError, match=message):
+            parse_report_csv(path)
+
+    def test_markdown_of_an_external_only_instance(self, tmp_path):
+        path = tmp_path / "report.csv"
+        row = "x,0,0,0,0,0,0,cplex(ext),,nan,0.5,nan,true,0,0"
+        path.write_text(",".join(bench_mod.CSV_COLUMNS) + "\n" + row + "\n")
+        lines = render_report(parse_report_csv(path), "markdown").splitlines()
+        assert lines[0] == "| instance | N | n | R* | Size(Q) | cplex | best |"
+        assert lines[2] == "| x | - | - | - | - | 0.5 | 0.5(ext) |"

@@ -272,3 +272,99 @@ def test_malformed_plan_entry_is_data_error(tmp_path, capsys, overrides, message
     path.write_text(_plan_text(**overrides))
     assert cli_main(["bench", str(path), "--no-timing"]) == 2
     assert message in capsys.readouterr().err
+
+
+_SYNTH = {"n_assets": 6, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"instances": 5}, "field 'instances'"),
+        ({"seeds": 5}, "field 'seeds'"),
+        ({"seeds": ["a"]}, "field 'seeds'"),
+        ({"instances": [{"synthetic": {**_SYNTH, "return_range": 5}, "n": 2}]}, "'return_range'"),
+        ({"instances": [{"synthetic": _SYNTH, "n": [2]}]}, "field 'n'"),
+        ({"instances": [{"synthetic": _SYNTH, "n": 1.7}]}, "field 'n'"),
+        ({"instances": [{"synthetic": {**_SYNTH, "n_assets": 6.5}, "n": 2}]}, "field 'n_assets'"),
+        ({"solvers": [{"name": "sa", "options": [1]}]}, "'options'"),
+    ],
+)
+def test_plan_field_of_wrong_type_is_data_error(tmp_path, capsys, overrides, message):
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_text(**overrides))
+    assert cli_main(["bench", str(path), "--no-timing"]) == 2  # no exception leaves cli_main
+    err = capsys.readouterr().err
+    assert message in err
+    assert str(path) in err or "entry" in err
+
+
+def test_fractional_n_in_instance_file_is_data_error(diag_instance, capsys):
+    doc = json.loads(diag_instance.read_text())
+    doc["n"] = 1.7
+    diag_instance.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(diag_instance), "--solver", "exact"]) == 2
+    assert f"{diag_instance}: field 'n'" in capsys.readouterr().err
+
+
+def test_sidecar_next_to_its_plan(tmp_path, capsys):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "ext.csv").write_text("instance,solver,risk\np,cplex,0.25\n")
+    (sub / "plan.json").write_text(_plan_text(external_results="ext.csv"))
+    out = tmp_path / "report.csv"
+    assert cli_main(["bench", str(sub / "plan.json"), "--no-timing", "-o", str(out)]) == 0
+    assert "\np,0,0,0,0,0,0,cplex(ext),,nan,0.25,nan,true," in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("instance,solver,return\np,cplex,5\n", "risk"),
+        ("instance,solver,risk\np,cplex\n", "ext.csv:2:"),
+        ("instance,solver,risk\np,cplex,low\n", "ext.csv:2: column 'risk'"),
+    ],
+)
+def test_sidecar_fault_is_data_error(tmp_path, capsys, text, message):
+    (tmp_path / "ext.csv").write_text(text)
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_text(external_results="ext.csv"))
+    assert cli_main(["bench", str(path), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(tmp_path / "ext.csv") in err
+
+
+@pytest.fixture
+def bench_report(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(_plan_text())
+    report = tmp_path / "report.csv"
+    assert cli_main(["bench", str(plan), "--no-timing", "-o", str(report)]) == 0
+    return report
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda line: line.split(",", 1)[0], ":2: 1 cells, expected 15"),
+        (lambda line: line.replace(",true,", ",x,").replace(",false,", ",x,"), ":2: column 'feasible'"),
+        (lambda line: ",".join(line.split(",")[:10] + ["low"] + line.split(",")[11:]),
+         ":2: column 'risk'"),
+    ],
+)
+def test_malformed_report_is_data_error(bench_report, capsys, mutate, message):
+    header, first, *rest = bench_report.read_text().split("\n")
+    bench_report.write_text("\n".join([header, mutate(first), *rest]))
+    capsys.readouterr()
+    assert cli_main(["report", str(bench_report), "--format", "markdown"]) == 2
+    assert f"{bench_report}{message}" in capsys.readouterr().err
+
+
+def test_markdown_report_of_external_only_instance(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    path.write_text(
+        "instance,N,n,r_star,qubo_dim,lambda1,lambda2,solver,seed,energy,risk,return,"
+        "feasible,gap_percent,wall_time_s\nx,0,0,0,0,0,0,cplex(ext),,nan,0.5,nan,true,0,0\n"
+    )
+    assert cli_main(["report", str(path), "--format", "markdown"]) == 0
+    assert "| x | - | - | - | - | 0.5 | 0.5(ext) |" in capsys.readouterr().out

@@ -291,6 +291,20 @@ class TestJsonInputFaults:
         flat = load_universe(_write(tmp_path, json.dumps(doc), "flat.json"))
         assert nested.sigma.tolist() == flat.sigma.tolist() == [[4.0, 1.0], [1.0, 9.0]]
 
+    @pytest.mark.parametrize("n", [1.7, True, "1", None, float("inf")])
+    def test_n_that_is_not_a_whole_number_names_path_and_field(self, tmp_path, n):
+        doc = {"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+               "n": n, "return_mode": "none"}
+        path = _write(tmp_path, json.dumps(doc), "doc.json")
+        with pytest.raises(DataFormatError, match=r"doc\.json: field 'n' must be an integer"):
+            load_instance(path)
+
+    def test_whole_float_n_loads_as_int(self, tmp_path):
+        doc = {"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+               "n": 2.0, "return_mode": "none"}
+        inst = load_instance(_write(tmp_path, json.dumps(doc), "doc.json"))
+        assert inst.n == 2 and type(inst.n) is int
+
     def test_non_integer_n_names_the_path(self, tmp_path):
         doc = {"symbols": ["A"], "mu": [1.0], "sigma": [1.0], "n": [1], "return_mode": "none"}
         path = _write(tmp_path, json.dumps(doc), "doc.json")
@@ -464,3 +478,26 @@ class TestJsonWriter:
         by_rows = peak(lambda: save_universe(universe, tmp_path / "rows.json"))
         assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "list.json").read_bytes()
         assert by_rows <= 1.1 * as_list
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2.0, -2), (2**70, 2**70)])
+    def test_int_field_accepts_whole_numbers(self, value, expected):
+        got = data_mod.int_field({"k": value}, "k", "src")
+        assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [1.5, True, False, "3", None, [3], float("inf"), float("nan")]
+    )
+    def test_int_field_rejects_everything_else(self, value):
+        with pytest.raises(DataFormatError, match=r"src: field 'k' must be an integer"):
+            data_mod.int_field({"k": value}, "k", "src")
+
+    def test_defaults(self):
+        assert data_mod.int_field({}, "k", "src", 4) == 4
+        assert data_mod.number_field({}, "k", "src", 0.5) == 0.5
+
+    @pytest.mark.parametrize("value", [True, "1.5", None, [1.0], {}])
+    def test_number_field_rejects_non_numbers(self, value):
+        with pytest.raises(DataFormatError, match=r"src: field 'k' must be a number"):
+            data_mod.number_field({"k": value}, "k", "src")
