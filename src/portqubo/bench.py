@@ -130,19 +130,23 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     block = f"{source}, 'synthetic' block"
     require_fields(synth, ("n_assets",), block)
     return_range = {"return_range": (0.0, 200.0), **synth}
-    spec = SyntheticSpec(
+    spec_fields = dict(
         n_assets=int_field(synth, "n_assets", block),
         n_factors=int_field(synth, "n_factors", block, 3),
         idiosyncratic_floor=number_field(synth, "idiosyncratic_floor", block, 1.0),
         return_range=tuple(_float_field(return_range, "return_range", (2,), block).tolist()),
         seed=int_field(synth, "seed", block, 0),
     )
-    instance = PortfolioInstance(
-        universe=generate_synthetic(spec),
+    instance_fields = dict(
         n=int_field(entry, "n", source),
         r_star=number_field(entry, "r_star", source, 0.0),
         return_mode=entry.get("return_mode", "none"),
     )
+    try:
+        spec = SyntheticSpec(**spec_fields)
+        instance = PortfolioInstance(universe=generate_synthetic(spec), **instance_fields)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{source}: {exc}") from exc
     default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
     return str(entry.get("id", default_id)), instance
 

@@ -248,7 +248,10 @@ def _dispatch(args) -> int:
         plan = bench_mod.load_plan(args.plan)
         report = bench_mod.run_benchmark(plan, no_timing=args.no_timing)
         _emit(bench_mod.render_report(report, "csv"), args.output)
-        return EXIT_OK
+        failed = [r for r in report.rows if r.error]
+        for r in failed:
+            print(f"error: {r.instance}/{r.solver}/seed {r.seed}: {r.error}", file=sys.stderr)
+        return EXIT_DATA if failed else EXIT_OK
 
     if args.command == "report":
         report = bench_mod.parse_report_csv(args.results)

@@ -231,6 +231,11 @@ def solve_sa(
     best_x: list[float] | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
+    # each sweep shuffles a fresh arange and fills the thresholds in place,
+    # the same streams as rng.permutation(dim) and rng.exponential(size=dim)
+    identity = np.arange(dim)
+    order = np.empty_like(identity)
+    exp_draws = np.empty(dim)
     for _ in range(config.restarts):
         x_arr = rng.integers(0, 2, size=dim).astype(np.float64)
         fields = coupling @ x_arr
@@ -242,8 +247,11 @@ def solve_sa(
             best_energy, best_x = energy, x.copy()
             trace.append((evaluations, best_energy))
         for beta in betas:
-            perm = rng.permutation(dim).tolist()
-            thresholds = rng.exponential(size=dim).tolist()
+            order[:] = identity
+            rng.shuffle(order)
+            perm = order.tolist()
+            rng.standard_exponential(out=exp_draws)
+            thresholds = exp_draws.tolist()
             evaluations += dim
             for k, i in enumerate(perm):
                 s = 1.0 - 2.0 * x[i]
@@ -289,64 +297,90 @@ def solve_tabu(
     of the last `tenure` moves.
     """
     t0 = time.perf_counter()
-    dim = q.dim
+    limits = _tabu_limits(q.dim, config)
+    state = FlipEvaluator(q)
+    first = _tabu_restart(state, (math.inf, None, [], 0), *limits, deadline)
+    return _tabu_later_restarts(state, first, config, limits, deadline, t0)
+
+
+def _tabu_limits(dim: int, config: TabuConfig) -> tuple[int, int]:
+    """(tenure, max_iterations) of a tabu run; warns, for the caller of the
+    solver, when the tenure leaves no bit free."""
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
     if tenure >= dim:
-        warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=2)
+        warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=3)
     max_iterations = (
         config.max_iterations if config.max_iterations is not None else 50 * dim
     )
-    rng = np.random.default_rng(config.seed)
-    best_energy = math.inf
-    best_x: list[float] | None = None
-    trace: list[tuple[int, float]] = []
-    evaluations = 0
-    blocked = np.empty(dim)
-    state = FlipEvaluator(q)
-    for restart in range(config.restarts):
-        if restart:
-            state.reset(rng.integers(0, 2, size=dim))
-        if state.energy < best_energy:
-            best_energy, best_x = state.energy, state.x.tolist()
-            trace.append((evaluations, best_energy))
-        # bit j is tabu at `step` while tabu_until[j] >= step
-        tabu_until = [0] * dim
-        blocked.fill(0.0)
-        n_tabu = 0
-        recent: deque[int] = deque()
-        for step in range(1, max_iterations + 1):
-            if len(recent) > tenure:
-                e = recent.popleft()
-                if tabu_until[e] < step:
-                    blocked[e] = 0.0
-                    n_tabu -= 1
-            gains = state.all_gains()
-            evaluations += dim
+    return tenure, max_iterations
+
+
+def _tabu_restart(
+    state: FlipEvaluator, best: tuple, tenure: int, max_iterations: int, deadline: float | None
+) -> tuple:
+    """One restart of `solve_tabu` from the bits `state` holds. `best` is the
+    outcome of the restarts before it, (best energy, best bits as a list,
+    trace, evaluations); returns the outcome after this one, its trace
+    extended in place."""
+    best_energy, best_x, trace, evaluations = best
+    dim = state.dim
+    if state.energy < best_energy:
+        best_energy, best_x = state.energy, state.x.tolist()
+        trace.append((evaluations, best_energy))
+    # bit j is tabu at `step` while tabu_until[j] >= step
+    tabu_until = [0] * dim
+    blocked = np.zeros(dim)
+    n_tabu = 0
+    recent: deque[int] = deque()
+    for step in range(1, max_iterations + 1):
+        if len(recent) > tenure:
+            e = recent.popleft()
+            if tabu_until[e] < step:
+                blocked[e] = 0.0
+                n_tabu -= 1
+        gains = state.all_gains()
+        evaluations += dim
+        i = int(gains.argmin())
+        if (
+            tabu_until[i] >= step
+            and not gains.item(i) + state.energy < best_energy
+            and n_tabu < dim
+        ):
+            gains += blocked
             i = int(gains.argmin())
-            if (
-                tabu_until[i] >= step
-                and not gains.item(i) + state.energy < best_energy
-                and n_tabu < dim
-            ):
-                gains += blocked
-                i = int(gains.argmin())
-            energy = state.flip(i)
-            if tabu_until[i] < step:
-                blocked[i] = math.inf
-                n_tabu += 1
-            tabu_until[i] = step + tenure
-            recent.append(i)
-            if energy < best_energy:
-                best_energy, best_x = energy, state.x.tolist()
-                trace.append((evaluations, best_energy))
-            elif energy == best_energy:
-                x = state.x.tolist()
-                if x < best_x:
-                    best_x = x
-            if deadline is not None and time.perf_counter() > deadline:
-                break
+        energy = state.flip(i)
+        if tabu_until[i] < step:
+            blocked[i] = math.inf
+            n_tabu += 1
+        tabu_until[i] = step + tenure
+        recent.append(i)
+        if energy < best_energy:
+            best_energy, best_x = energy, state.x.tolist()
+            trace.append((evaluations, best_energy))
+        elif energy == best_energy:
+            x = state.x.tolist()
+            if x < best_x:
+                best_x = x
         if deadline is not None and time.perf_counter() > deadline:
             break
+    return best_energy, best_x, trace, evaluations
+
+
+def _tabu_later_restarts(
+    state: FlipEvaluator, first: tuple, config: TabuConfig, limits: tuple, deadline, t0: float
+) -> SolveResult:
+    """The restarts of `solve_tabu` after the first, from random starts of
+    `config.seed`, continuing the first's outcome `first`, which is left as
+    it is; `t0` is the start of the run's wall time."""
+    energy, x, trace, evaluations = first
+    best = energy, x, list(trace), evaluations
+    rng = np.random.default_rng(config.seed)
+    for _ in range(1, config.restarts):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        state.reset(rng.integers(0, 2, size=state.dim))
+        best = _tabu_restart(state, best, *limits, deadline)
+    best_energy, best_x, trace, evaluations = best
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
@@ -358,7 +392,11 @@ def solve_ga(
     q: QuboMatrix, config: GaConfig = GaConfig(), deadline: float | None = None
 ) -> SolveResult:
     """Generational GA on the penalized bitstring representation: tournament
-    selection, uniform crossover, per-bit mutation, elitism."""
+    selection, uniform crossover, per-bit mutation, elitism.
+
+    The population is a bool array and each generation is built in place in
+    the gathered parents: a crossing pair exchanges the bits where its mask
+    is 0 and the two differ, and mutation XORs the mutation mask."""
     t0 = time.perf_counter()
     dim = q.dim
     pop_size = config.population
@@ -367,44 +405,43 @@ def solve_ga(
     )
     rng = np.random.default_rng(config.seed)
     upper = q.to_dense()
-    pop = rng.integers(0, 2, size=(pop_size, dim)).astype(np.float64)
-    energies = _population_energies(pop, upper, q.offset)
+    pop = rng.integers(0, 2, size=(pop_size, dim)) == 1
+    values = pop.astype(np.float64)
+    energies = _population_energies(values, upper, q.offset)
     evaluations = pop_size
     best_idx = int(np.argmin(energies))
     best_energy = float(energies[best_idx])
-    best_x = pop[best_idx].tolist()
+    best_x = values[best_idx].tolist()
     trace: list[tuple[int, float]] = [(evaluations, best_energy)]
     half = pop_size // 2
     for _ in range(config.generations):
         elite_order = np.argsort(energies, kind="stable")[: config.elitism_count]
-        elites = pop[elite_order].copy()
         contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
         winners = contenders[
             np.arange(pop_size), np.argmin(energies[contenders], axis=1)
         ]
-        parents = pop[winners]
-        mothers, fathers = parents[0::2], parents[1::2]
+        children = pop[winners]
+        mothers, fathers = children[0::2], children[1::2]
         do_cross = rng.random(half) < config.crossover_rate
-        mask = rng.integers(0, 2, size=(half, dim)).astype(bool)
-        first = np.where(mask, mothers, fathers)
-        second = np.where(mask, fathers, mothers)
-        children = np.empty_like(parents)
-        children[0::2] = np.where(do_cross[:, None], first, mothers)
-        children[1::2] = np.where(do_cross[:, None], second, fathers)
-        mutate = rng.random((pop_size, dim)) < mutation_rate
-        children = np.where(mutate, 1.0 - children, children)
+        swap = rng.integers(0, 2, size=(half, dim)) == 0
+        swap &= do_cross[:, None]
+        swap &= mothers ^ fathers
+        mothers ^= swap
+        fathers ^= swap
+        children ^= rng.random((pop_size, dim)) < mutation_rate
         if config.elitism_count:
-            children[: config.elitism_count] = elites
+            children[: config.elitism_count] = pop[elite_order]
         pop = children
-        energies = _population_energies(pop, upper, q.offset)
+        values = pop.astype(np.float64)
+        energies = _population_energies(values, upper, q.offset)
         evaluations += pop_size
         gen_best = int(np.argmin(energies))
         if energies[gen_best] < best_energy:
             best_energy = float(energies[gen_best])
-            best_x = pop[gen_best].tolist()
+            best_x = values[gen_best].tolist()
             trace.append((evaluations, best_energy))
         elif energies[gen_best] == best_energy:
-            x = pop[gen_best].tolist()
+            x = values[gen_best].tolist()
             if x < best_x:
                 best_x = x
         if deadline is not None and time.perf_counter() > deadline:
@@ -656,6 +693,37 @@ class ExactSolver:
         )
 
 
+class TabuSolver:
+    """The `tabu` solver of `make_solver`. The first restart of `solve_tabu`
+    starts from all zeros and draws nothing from the RNG, so its outcome
+    depends only on the QUBO and the config: this solver runs it once for
+    the last QUBO it saw, kept in `qubo` and compared with `is`, and runs
+    each seed's later restarts from that outcome. A result's `wall_time_s`
+    still counts the first restart. A solver with `time_limit_s` keeps
+    nothing: each call is a plain `solve_tabu` run under its deadline."""
+
+    def __init__(self, config: TabuConfig, time_limit_s: float | None = None):
+        self.config = config
+        self.time_limit_s = time_limit_s
+        self.qubo: QuboMatrix | None = None
+        self._first = None  # (evaluator, outcome, seconds) of the first restart on `qubo`
+
+    def __call__(self, q: QuboMatrix, seed: int) -> SolveResult:
+        t0 = time.perf_counter()
+        config = replace(self.config, seed=seed)
+        if self.time_limit_s is not None:
+            return solve_tabu(q, config, deadline=t0 + self.time_limit_s)
+        limits = _tabu_limits(q.dim, config)
+        if q is not self.qubo:
+            self.qubo = self._first = None  # freed before the next is built
+            state = FlipEvaluator(q)
+            first = _tabu_restart(state, (math.inf, None, [], 0), *limits, None)
+            self.qubo, self._first = q, (state, first, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+        state, first, first_s = self._first
+        return _tabu_later_restarts(state, first, config, limits, None, t0 - first_s)
+
+
 def run_restarts(
     solver: Callable[[QuboMatrix, int], SolveResult],
     q: QuboMatrix,
@@ -697,10 +765,12 @@ def make_solver(
     if config_type is None:
         return ExactSolver()
     config = config_type(**options)
+    if name == "tabu":
+        return TabuSolver(config, deadline_s)
 
     def run(q, seed):
         # looked up per call, so a wrapper bound to these names later is called
-        solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
+        solve = {"sa": solve_sa, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)
 

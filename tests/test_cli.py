@@ -299,6 +299,44 @@ def test_plan_field_of_wrong_type_is_data_error(tmp_path, capsys, overrides, mes
     assert str(path) in err or "entry" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"synthetic": _SYNTH, "n": 9}, "n must be in [1, 6], got 9"),
+        ({"synthetic": _SYNTH, "n": 2, "return_mode": "most"}, "return_mode must be one of"),
+        ({"synthetic": {**_SYNTH, "n_assets": 0}, "n": 2}, "n_assets must be positive"),
+    ],
+)
+def test_plan_entry_the_model_rejects_is_named(tmp_path, capsys, entry, message):
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_text(instances=[entry]))
+    assert cli_main(["bench", str(path), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: instance entry {entry!r}: " in err and message in err
+
+
+def test_failed_runs_are_reported_and_exit_2(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(
+        _plan_text(
+            instances=[{"synthetic": {"n_assets": 30, "seed": 1}, "n": 3, "id": "big"}],
+            solvers=["exact", {"name": "sa", "options": {"sweeps": 5, "restarts": 1}}],
+            seeds=[0, 1],
+        )
+    )
+    out = tmp_path / "report.csv"
+    assert cli_main(["bench", str(path), "--no-timing", "-o", str(out)]) == 2
+    guard = "dim 30 exceeds the brute-force guard 24"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: big/exact/seed 0: {guard}",
+        f"error: big/exact/seed 1: {guard}",
+    ]
+    rows = out.read_text().splitlines()
+    # the whole report is still written: header, 2 exact, 2 sa and the oracle row
+    assert len(rows) == 6
+    assert rows[1].startswith("big,30,3,0,30,") and rows[1].endswith(",exact,0,nan,nan,nan,false,,0")
+
+
 def test_fractional_n_in_instance_file_is_data_error(diag_instance, capsys):
     doc = json.loads(diag_instance.read_text())
     doc["n"] = 1.7

@@ -1,6 +1,9 @@
 
+import gc
+import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -486,6 +489,85 @@ class TestTabu:
         result = solve_tabu(q, TabuConfig(seed=2))
         energies = [e for _, e in result.energy_trace]
         assert all(a >= b for a, b in zip(energies, energies[1:]))
+
+
+_TABU_SOLVER_OPTIONS = (
+    {"max_iterations": 40, "restarts": 3},
+    {"max_iterations": 40, "restarts": 1},
+    {"max_iterations": 30, "restarts": 2, "tenure": 12},  # tenure >= dim
+)
+
+
+@pytest.mark.filterwarnings("ignore:tabu tenure")
+class TestTabuSolver:
+    """The solver of make_solver("tabu") runs the seed-independent first
+    restart once per QUBO, and every seed's result equals a fresh run."""
+
+    @staticmethod
+    def _count_restarts(monkeypatch) -> list:
+        """Patches the restart loop; each call appends True when it is a
+        first restart (nothing before it), False otherwise."""
+        calls = []
+        restart = solvers_mod._tabu_restart
+
+        def counting_restart(state, best, *args):
+            calls.append(best[0] == float("inf"))
+            return restart(state, best, *args)
+
+        monkeypatch.setattr(solvers_mod, "_tabu_restart", counting_restart)
+        return calls
+
+    @pytest.mark.parametrize("options", _TABU_SOLVER_OPTIONS)
+    def test_one_solver_over_qubos_matches_fresh_runs(self, monkeypatch, options):
+        rng = np.random.default_rng(23)
+        a, b = random_qubo(rng, 12), _integer_qubo(rng, 12, density=0.6)
+        solver = make_solver("tabu", options)
+        calls = self._count_restarts(monkeypatch)
+        got = [_outcome(solver(q, seed)) for q in (a, b, a) for seed in range(5)]
+        monkeypatch.undo()
+        want = [
+            (q, TabuConfig(seed=seed, **options)) for q in (a, b, a) for seed in range(5)
+        ]
+        assert got == [reference_tabu(q, config) for q, config in want]
+        assert got == [_outcome(solve_tabu(q, config)) for q, config in want]
+        # three first restarts, one per change of QUBO, and the later ones
+        assert calls.count(True) == 3
+        assert calls.count(False) == 15 * (options["restarts"] - 1)
+
+    def test_time_limited_solver_never_reuses(self, rng, monkeypatch):
+        q = random_qubo(rng, 12)
+        options = {"max_iterations": 40, "restarts": 3}
+        solver = make_solver("tabu", {**options, "time_limit_s": 600.0})
+        calls = self._count_restarts(monkeypatch)
+        got = [_outcome(solver(q, seed)) for seed in range(3)]
+        assert calls.count(True) == 3 and solver.qubo is None
+        monkeypatch.undo()
+        assert got == [reference_tabu(q, TabuConfig(seed=s, **options)) for s in range(3)]
+
+    def test_wall_time_counts_the_shared_restart(self, rng, monkeypatch):
+        restart = solvers_mod._tabu_restart
+
+        def slow_first_restart(state, best, *args):
+            if best[0] == float("inf"):
+                time.sleep(0.05)
+            return restart(state, best, *args)
+
+        monkeypatch.setattr(solvers_mod, "_tabu_restart", slow_first_restart)
+        solver = make_solver("tabu", {"max_iterations": 5, "restarts": 2})
+        q = random_qubo(rng, 8)
+        assert all(solver(q, seed).wall_time_s >= 0.05 for seed in range(3))
+
+    def test_kept_qubo_is_released_with_the_solver(self, rng):
+        q = random_qubo(rng, 8)
+        kept = weakref.ref(q)
+        solver = make_solver("tabu", {"max_iterations": 5})
+        solver(q, 0)
+        del q
+        gc.collect()
+        assert kept() is solver.qubo
+        del solver
+        gc.collect()
+        assert kept() is None
 
 
 class TestGa:
