@@ -123,9 +123,9 @@ def load_plan(path) -> BenchPlan:
 
 def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     """(id, instance) of a plan entry: an instance file path or a synthetic block."""
-    if isinstance(entry, str):
-        return Path(entry).stem, load_instance(entry)
     source = f"instance entry {entry!r}"
+    if isinstance(entry, str):
+        return _entry_id(Path(entry).stem, source), load_instance(entry)
     synth = require_fields(entry, ("synthetic", "n"), source)["synthetic"]
     block = f"{source}, 'synthetic' block"
     require_fields(synth, ("n_assets",), block)
@@ -148,17 +148,39 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{source}: {exc}") from exc
     default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
-    return str(entry.get("id", default_id)), instance
+    return _entry_id(str(entry.get("id", default_id)), source), instance
 
 
 def _solver_entry(entry) -> tuple[str, str, dict]:
     """Returns (display name, solver type, options)."""
-    if isinstance(entry, str):
-        return entry, entry, {}
     source = f"solver entry {entry!r}"
+    if isinstance(entry, str):
+        return _entry_id(entry, source), entry, {}
     name = require_fields(entry, ("name",), source)["name"]
     options = require_fields(entry.get("options", {}), (), f"{source}, 'options'")
-    return str(entry.get("id", name)), name, dict(options)
+    return _entry_id(str(entry.get("id", name)), source), name, dict(options)
+
+
+def _entry_id(ident: str, source: str) -> str:
+    """`ident` as the id of the plan entry `source`; the report holds it as
+    UTF-8 text, so an id that is not (such as a lone surrogate) is rejected."""
+    try:
+        ident.encode()
+    except UnicodeEncodeError:
+        raise DataFormatError(f"{source}: id {ident!r} is not UTF-8 text") from None
+    return ident
+
+
+def _check_unique_ids(kind: str, ids: list[str], entries) -> None:
+    """Reject two plan entries with one id, whose report rows would merge;
+    sidecar rows join the instances by id and are not checked."""
+    seen = {}
+    for ident, entry in zip(ids, entries):
+        if ident in seen:
+            raise DataFormatError(
+                f"{kind} entries {seen[ident]!r} and {entry!r} have the same id {ident!r}"
+            )
+        seen[ident] = entry
 
 
 def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance, grid_solver) -> PenaltyParams:
@@ -186,6 +208,8 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     """
     instances = [_instance_from_entry(entry) for entry in plan.instances]
     entries = [_solver_entry(entry) for entry in plan.solvers]
+    _check_unique_ids("instance", [inst_id for inst_id, _ in instances], plan.instances)
+    _check_unique_ids("solver", [display for display, _, _ in entries], plan.solvers)
     limit = {} if plan.time_limit_s is None else {"time_limit_s": plan.time_limit_s}
     solvers = [(display, make_solver(kind, {**limit, **opts})) for display, kind, opts in entries]
     # the grid policy searches with the first solver, without the time limit

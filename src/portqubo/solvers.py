@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+import weakref
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -272,6 +273,11 @@ def solve_sa(
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
+# per live QUBO: ((tenure, max_iterations), outcome, seconds) of the first
+# restart of `solve_tabu`; an entry dies with its QUBO
+_FIRST_RESTARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def solve_tabu(
     q: QuboMatrix, config: TabuConfig = TabuConfig(), deadline: float | None = None
 ) -> SolveResult:
@@ -295,24 +301,41 @@ def solve_tabu(
     any other) give unless a sum overflows. `blocked` is maintained: a bit is
     set when it is flipped and cleared when its last flip leaves the window
     of the last `tenure` moves.
+
+    The first restart draws nothing from the RNG, so its outcome depends only
+    on the QUBO, the tenure and `max_iterations`. Without a deadline it is run
+    once per live QUBO and that pair, kept until the QUBO is freed, and every
+    later seed's restarts continue from it; `wall_time_s` still counts it.
+    With a deadline nothing is kept or reused.
     """
     t0 = time.perf_counter()
-    limits = _tabu_limits(q.dim, config)
-    state = FlipEvaluator(q)
-    first = _tabu_restart(state, (math.inf, None, [], 0), *limits, deadline)
-    return _tabu_later_restarts(state, first, config, limits, deadline, t0)
-
-
-def _tabu_limits(dim: int, config: TabuConfig) -> tuple[int, int]:
-    """(tenure, max_iterations) of a tabu run; warns, for the caller of the
-    solver, when the tenure leaves no bit free."""
+    dim = q.dim
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
     if tenure >= dim:
-        warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=3)
+        warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=2)
     max_iterations = (
         config.max_iterations if config.max_iterations is not None else 50 * dim
     )
-    return tenure, max_iterations
+    limits = (tenure, max_iterations)
+    state = FlipEvaluator(q)
+    kept = None if deadline is not None else _FIRST_RESTARTS.get(q)
+    if kept is not None and kept[0] == limits:
+        first, first_s = kept[1:]
+        t0 -= first_s
+    else:
+        first = _tabu_restart(state, (math.inf, None, [], 0), *limits, deadline)
+        if deadline is None:
+            _FIRST_RESTARTS[q] = (limits, first, time.perf_counter() - t0)
+    best_energy, best_x, trace, evaluations = first
+    best = best_energy, best_x, list(trace), evaluations  # `first` may be kept
+    rng = np.random.default_rng(config.seed)
+    for _ in range(1, config.restarts):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        state.reset(rng.integers(0, 2, size=dim))
+        best = _tabu_restart(state, best, *limits, deadline)
+    best_energy, best_x, trace, evaluations = best
+    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 def _tabu_restart(
@@ -364,24 +387,6 @@ def _tabu_restart(
         if deadline is not None and time.perf_counter() > deadline:
             break
     return best_energy, best_x, trace, evaluations
-
-
-def _tabu_later_restarts(
-    state: FlipEvaluator, first: tuple, config: TabuConfig, limits: tuple, deadline, t0: float
-) -> SolveResult:
-    """The restarts of `solve_tabu` after the first, from random starts of
-    `config.seed`, continuing the first's outcome `first`, which is left as
-    it is; `t0` is the start of the run's wall time."""
-    energy, x, trace, evaluations = first
-    best = energy, x, list(trace), evaluations
-    rng = np.random.default_rng(config.seed)
-    for _ in range(1, config.restarts):
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        state.reset(rng.integers(0, 2, size=state.dim))
-        best = _tabu_restart(state, best, *limits, deadline)
-    best_energy, best_x, trace, evaluations = best
-    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 def _population_energies(pop: np.ndarray, upper: np.ndarray, offset: float) -> np.ndarray:
@@ -693,37 +698,6 @@ class ExactSolver:
         )
 
 
-class TabuSolver:
-    """The `tabu` solver of `make_solver`. The first restart of `solve_tabu`
-    starts from all zeros and draws nothing from the RNG, so its outcome
-    depends only on the QUBO and the config: this solver runs it once for
-    the last QUBO it saw, kept in `qubo` and compared with `is`, and runs
-    each seed's later restarts from that outcome. A result's `wall_time_s`
-    still counts the first restart. A solver with `time_limit_s` keeps
-    nothing: each call is a plain `solve_tabu` run under its deadline."""
-
-    def __init__(self, config: TabuConfig, time_limit_s: float | None = None):
-        self.config = config
-        self.time_limit_s = time_limit_s
-        self.qubo: QuboMatrix | None = None
-        self._first = None  # (evaluator, outcome, seconds) of the first restart on `qubo`
-
-    def __call__(self, q: QuboMatrix, seed: int) -> SolveResult:
-        t0 = time.perf_counter()
-        config = replace(self.config, seed=seed)
-        if self.time_limit_s is not None:
-            return solve_tabu(q, config, deadline=t0 + self.time_limit_s)
-        limits = _tabu_limits(q.dim, config)
-        if q is not self.qubo:
-            self.qubo = self._first = None  # freed before the next is built
-            state = FlipEvaluator(q)
-            first = _tabu_restart(state, (math.inf, None, [], 0), *limits, None)
-            self.qubo, self._first = q, (state, first, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-        state, first, first_s = self._first
-        return _tabu_later_restarts(state, first, config, limits, None, t0 - first_s)
-
-
 def run_restarts(
     solver: Callable[[QuboMatrix, int], SolveResult],
     q: QuboMatrix,
@@ -733,12 +707,7 @@ def run_restarts(
     (ties broken by smaller seed); per-seed results are attached."""
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    results = []
-    for seed in seeds:
-        try:
-            results.append(solver(q, seed))
-        except Exception as exc:
-            raise RuntimeError(f"solver failed for seed {seed}: {exc}") from exc
+    results = [solver(q, seed) for seed in seeds]
     by_seed = sorted(results, key=lambda r: (r.seed if r.seed is not None else 0))
     best = min(by_seed, key=lambda r: (r.energy, r.seed if r.seed is not None else 0))
     return replace(best, per_seed=by_seed)
@@ -765,12 +734,10 @@ def make_solver(
     if config_type is None:
         return ExactSolver()
     config = config_type(**options)
-    if name == "tabu":
-        return TabuSolver(config, deadline_s)
 
     def run(q, seed):
         # looked up per call, so a wrapper bound to these names later is called
-        solve = {"sa": solve_sa, "ga": solve_ga}[name]
+        solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)
 

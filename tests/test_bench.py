@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from portqubo import (
     DataFormatError,
+    PortfolioInstance,
+    SyntheticSpec,
+    generate_synthetic,
     load_plan,
     parse_report_csv,
     render_report,
     run_benchmark,
+    save_instance,
 )
 from portqubo import bench as bench_mod
 from portqubo.bench import BenchPlan, BenchReport, BenchRow, ORACLE_SOLVER_NAME
@@ -341,7 +345,7 @@ class TestExternalResults:
 
 
 # names with the cells a CSV writer must quote: commas, quotes and line ends
-_NAMES = st.text(st.characters() | st.sampled_from(',"\n\r*'), max_size=8)
+_NAMES = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\n\r*'), max_size=8)
 _INTS = st.integers(-(2**63), 2**63)
 _FLOATS = st.floats()  # NaN, +-inf and -0.0 included
 
@@ -450,8 +454,17 @@ class TestPlanFieldTypes:
             run_benchmark(plan)
 
 
+_A = {"synthetic": {"n_assets": 6, "seed": 1}, "n": 2}
+_B = {"synthetic": {"n_assets": 6, "seed": 2}, "n": 2}
+
+
+def _tiny_instance():
+    return PortfolioInstance(generate_synthetic(SyntheticSpec(n_assets=6, seed=2)), n=2)
+
+
 class TestEntriesReadFirst:
-    """Every instance and solver entry is read before the first solve."""
+    """Every instance and solver entry is read before the first solve, and
+    two entries with one id, or an id that is not UTF-8 text, stop the plan."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -476,6 +489,72 @@ class TestEntriesReadFirst:
         solvers = ({"name": "sa", "options": {"sweeps": 5}}, {"options": {}})
         with pytest.raises(DataFormatError, match="missing field 'name'"):
             run_benchmark(_plan(solvers=solvers))
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "first, second, ident",
+        [
+            ({**_A, "id": "x"}, {**_B, "id": "x"}, "x"),
+            (_A, {**_B, "id": "syn6n2s1"}, "syn6n2s1"),  # the default id of _A
+        ],
+    )
+    def test_duplicate_instance_ids_run_nothing(self, solves, first, second, ident):
+        with pytest.raises(DataFormatError) as info:
+            run_benchmark(_plan(instances=(first, second)))
+        assert str(info.value) == (
+            f"instance entries {first!r} and {second!r} have the same id {ident!r}"
+        )
+        assert solves == []
+
+    def test_instance_files_with_one_stem_run_nothing(self, tmp_path, solves):
+        paths = [str(tmp_path / d / "inst.json") for d in ("a", "b")]
+        for path in paths:
+            (tmp_path / path).parent.mkdir()
+            save_instance(_tiny_instance(), path)
+        with pytest.raises(DataFormatError, match="have the same id 'inst'") as info:
+            run_benchmark(_plan(instances=tuple(paths)))
+        assert f"{paths[0]!r} and {paths[1]!r}" in str(info.value)
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "first, second, ident",
+        [
+            ("sa", {"name": "sa", "options": {"sweeps": 5}}, "sa"),
+            ({"name": "sa", "id": "x"}, {"name": "tabu", "id": "x"}, "x"),
+        ],
+    )
+    def test_duplicate_solver_ids_run_nothing(self, solves, first, second, ident):
+        with pytest.raises(DataFormatError) as info:
+            run_benchmark(_plan(solvers=(first, second)))
+        assert str(info.value) == (
+            f"solver entries {first!r} and {second!r} have the same id {ident!r}"
+        )
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [
+            ("instance", {**_A, "id": "\ud800"}),
+            ("solver", "\ud800"),
+            ("solver", {"name": "sa", "id": "\ud800"}),
+            ("solver", {"name": "\ud800"}),
+        ],
+    )
+    def test_id_that_is_not_utf8_runs_nothing(self, solves, kind, entry):
+        with pytest.raises(DataFormatError) as info:
+            run_benchmark(_plan(**{f"{kind}s": (entry,)}))
+        assert str(info.value) == f"{kind} entry {entry!r}: id '\\ud800' is not UTF-8 text"
+        assert solves == []
+
+    # "\udc80" names the file byte 0x80, which opens; "\ud800" opens no file
+    @pytest.mark.parametrize("stem", ["\udc80", "\ud800"])
+    def test_path_stem_that_is_not_utf8_runs_nothing(self, tmp_path, solves, stem):
+        path = str(tmp_path / f"{stem}.json")
+        if stem == "\udc80":
+            save_instance(_tiny_instance(), path)
+        with pytest.raises(DataFormatError) as info:
+            run_benchmark(_plan(instances=(path,)))
+        assert str(info.value) == f"instance entry {path!r}: id {stem!r} is not UTF-8 text"
         assert solves == []
 
     def test_grid_policy_searches_with_the_first_solver(self, solves):

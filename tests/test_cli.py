@@ -5,10 +5,12 @@ import pytest
 
 from portqubo import (
     PortfolioInstance,
+    QuboMatrix,
     SyntheticSpec,
     generate_synthetic,
     read_qubo,
     save_instance,
+    write_qubo,
 )
 from portqubo.cli import cli_main
 
@@ -335,6 +337,44 @@ def test_failed_runs_are_reported_and_exit_2(tmp_path, capsys):
     # the whole report is still written: header, 2 exact, 2 sa and the oracle row
     assert len(rows) == 6
     assert rows[1].startswith("big,30,3,0,30,") and rows[1].endswith(",exact,0,nan,nan,nan,false,,0")
+
+
+def test_solver_error_on_a_qubo_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "big.qubo"
+    write_qubo(QuboMatrix(30, {(0, 29): 1.0}), path)
+    assert cli_main(["solve", str(path), "--solver", "exact"]) == 2  # nothing raised
+    assert "dim 30 exceeds the brute-force guard 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, entries",
+    [
+        (
+            {"instances": [{"synthetic": _SYNTH, "n": 2, "id": "x"},
+                           {"synthetic": _SYNTH, "n": 3, "id": "x"}]},
+            "instance entries {'synthetic': {'n_assets': 6, 'seed': 1}, 'n': 2, 'id': 'x'} and "
+            "{'synthetic': {'n_assets': 6, 'seed': 1}, 'n': 3, 'id': 'x'} have the same id 'x'",
+        ),
+        (
+            {"solvers": ["sa", {"name": "sa", "options": {"sweeps": 5}}]},
+            "solver entries 'sa' and {'name': 'sa', 'options': {'sweeps': 5}} have the same id 'sa'",
+        ),
+        (
+            {"instances": [{"synthetic": _SYNTH, "n": 2, "id": "\ud800"}]},
+            "instance entry {'synthetic': {'n_assets': 6, 'seed': 1}, 'n': 2, 'id': '\\ud800'}: "
+            "id '\\ud800' is not UTF-8 text",
+        ),
+    ],
+)
+def test_plan_ids_that_would_break_the_report_are_data_errors(
+    tmp_path, capsys, overrides, entries
+):
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_text(**overrides))
+    out = tmp_path / "report.csv"
+    assert cli_main(["bench", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {entries}\n"
+    assert not out.exists()
 
 
 def test_fractional_n_in_instance_file_is_data_error(diag_instance, capsys):

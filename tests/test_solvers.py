@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,7 +492,7 @@ class TestTabu:
         assert all(a >= b for a, b in zip(energies, energies[1:]))
 
 
-_TABU_SOLVER_OPTIONS = (
+_SHARED_RESTART_OPTIONS = (
     {"max_iterations": 40, "restarts": 3},
     {"max_iterations": 40, "restarts": 1},
     {"max_iterations": 30, "restarts": 2, "tenure": 12},  # tenure >= dim
@@ -499,73 +500,91 @@ _TABU_SOLVER_OPTIONS = (
 
 
 @pytest.mark.filterwarnings("ignore:tabu tenure")
-class TestTabuSolver:
-    """The solver of make_solver("tabu") runs the seed-independent first
-    restart once per QUBO, and every seed's result equals a fresh run."""
+class TestTabuSharedFirstRestart:
+    """solve_tabu runs the seed-independent first restart once per live QUBO
+    and (tenure, max_iterations), and every seed's result equals a fresh run."""
 
     @staticmethod
-    def _count_restarts(monkeypatch) -> list:
-        """Patches the restart loop; each call appends True when it is a
-        first restart (nothing before it), False otherwise."""
+    def _count_first_restarts(monkeypatch) -> list:
+        """Patches the restart loop; each first restart (nothing before it)
+        appends its (tenure, max_iterations)."""
         calls = []
         restart = solvers_mod._tabu_restart
 
-        def counting_restart(state, best, *args):
-            calls.append(best[0] == float("inf"))
-            return restart(state, best, *args)
+        def counting_restart(state, best, tenure, max_iterations, deadline):
+            if best[0] == float("inf"):
+                calls.append((tenure, max_iterations))
+            return restart(state, best, tenure, max_iterations, deadline)
 
         monkeypatch.setattr(solvers_mod, "_tabu_restart", counting_restart)
         return calls
 
-    @pytest.mark.parametrize("options", _TABU_SOLVER_OPTIONS)
-    def test_one_solver_over_qubos_matches_fresh_runs(self, monkeypatch, options):
+    @pytest.mark.parametrize("options", _SHARED_RESTART_OPTIONS)
+    def test_qubos_a_b_a_match_fresh_runs(self, monkeypatch, options):
         rng = np.random.default_rng(23)
         a, b = random_qubo(rng, 12), _integer_qubo(rng, 12, density=0.6)
-        solver = make_solver("tabu", options)
-        calls = self._count_restarts(monkeypatch)
-        got = [_outcome(solver(q, seed)) for q in (a, b, a) for seed in range(5)]
+        calls = self._count_first_restarts(monkeypatch)
+        want = [(q, TabuConfig(seed=seed, **options)) for q in (a, b, a) for seed in range(5)]
+        got = [_outcome(solve_tabu(q, config)) for q, config in want]
         monkeypatch.undo()
-        want = [
-            (q, TabuConfig(seed=seed, **options)) for q in (a, b, a) for seed in range(5)
-        ]
+        assert len(calls) == 2  # one per QUBO, A kept while B runs
         assert got == [reference_tabu(q, config) for q, config in want]
-        assert got == [_outcome(solve_tabu(q, config)) for q, config in want]
-        # three first restarts, one per change of QUBO, and the later ones
-        assert calls.count(True) == 3
-        assert calls.count(False) == 15 * (options["restarts"] - 1)
+        # a copy of the QUBO has no kept restart
+        assert got == [
+            _outcome(solve_tabu(QuboMatrix(q.dim, q.coeffs, q.offset), config))
+            for q, config in want
+        ]
 
-    def test_time_limited_solver_never_reuses(self, rng, monkeypatch):
+    def test_another_tenure_or_max_iterations_recomputes(self, rng, monkeypatch):
         q = random_qubo(rng, 12)
-        options = {"max_iterations": 40, "restarts": 3}
-        solver = make_solver("tabu", {**options, "time_limit_s": 600.0})
-        calls = self._count_restarts(monkeypatch)
-        got = [_outcome(solver(q, seed)) for seed in range(3)]
-        assert calls.count(True) == 3 and solver.qubo is None
+        calls = self._count_first_restarts(monkeypatch)
+        configs = [
+            TabuConfig(max_iterations=40, restarts=2),
+            TabuConfig(max_iterations=40, restarts=2, tenure=3),
+            TabuConfig(max_iterations=30, restarts=2, tenure=3),
+            TabuConfig(max_iterations=30, restarts=2, tenure=3, seed=1),
+        ]
+        got = [_outcome(solve_tabu(q, config)) for config in configs]
         monkeypatch.undo()
-        assert got == [reference_tabu(q, TabuConfig(seed=s, **options)) for s in range(3)]
+        assert calls == [(7, 40), (3, 40), (3, 30)]
+        assert got == [reference_tabu(q, config) for config in configs]
+
+    def test_deadline_never_reads_or_stores(self, rng, monkeypatch):
+        q = random_qubo(rng, 12)
+        config = TabuConfig(max_iterations=40, restarts=3)
+        calls = self._count_first_restarts(monkeypatch)
+        far = time.perf_counter() + 600.0
+        timed = [_outcome(solve_tabu(q, replace(config, seed=s), far)) for s in range(2)]
+        assert len(calls) == 2 and q not in solvers_mod._FIRST_RESTARTS
+        solve_tabu(q, config)
+        kept = solvers_mod._FIRST_RESTARTS[q]
+        timed.append(_outcome(solve_tabu(q, replace(config, seed=2), far)))
+        assert len(calls) == 4 and solvers_mod._FIRST_RESTARTS[q] is kept
+        monkeypatch.undo()
+        assert timed == [reference_tabu(q, replace(config, seed=s)) for s in range(3)]
 
     def test_wall_time_counts_the_shared_restart(self, rng, monkeypatch):
         restart = solvers_mod._tabu_restart
+        slow = []
 
         def slow_first_restart(state, best, *args):
             if best[0] == float("inf"):
+                slow.append(state)
                 time.sleep(0.05)
             return restart(state, best, *args)
 
         monkeypatch.setattr(solvers_mod, "_tabu_restart", slow_first_restart)
-        solver = make_solver("tabu", {"max_iterations": 5, "restarts": 2})
         q = random_qubo(rng, 8)
-        assert all(solver(q, seed).wall_time_s >= 0.05 for seed in range(3))
+        configs = [TabuConfig(seed=s, max_iterations=5, restarts=2) for s in range(3)]
+        walls = [solve_tabu(q, config).wall_time_s for config in configs]
+        assert len(slow) == 1 and all(wall >= 0.05 for wall in walls)
 
-    def test_kept_qubo_is_released_with_the_solver(self, rng):
+    def test_kept_restart_does_not_keep_the_qubo_alive(self, rng):
         q = random_qubo(rng, 8)
         kept = weakref.ref(q)
-        solver = make_solver("tabu", {"max_iterations": 5})
-        solver(q, 0)
+        solve_tabu(q, TabuConfig(max_iterations=5))
+        assert q in solvers_mod._FIRST_RESTARTS
         del q
-        gc.collect()
-        assert kept() is solver.qubo
-        del solver
         gc.collect()
         assert kept() is None
 
@@ -719,6 +738,16 @@ class TestMakeSolver:
         for seed in (0, 3):
             got, want = solver(q, seed), solve(q, config(seed=seed, **options))
             assert (got.bits, got.energy, got.seed) == (want.bits, want.energy, seed)
+
+    @pytest.mark.parametrize("name", ["sa", "tabu", "ga"])
+    def test_solver_calls_the_name_bound_at_call_time(self, rng, monkeypatch, name):
+        solver = make_solver(name)
+        calls = []
+        monkeypatch.setattr(
+            solvers_mod, f"solve_{name}", lambda q, config, deadline: calls.append(config.seed)
+        )
+        solver(random_qubo(rng, 4), 3)
+        assert calls == [3]
 
     def test_exact_reports_enumeration_count(self, rng):
         q = random_qubo(rng, 6)
