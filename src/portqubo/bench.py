@@ -35,7 +35,7 @@ from .solvers import (
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import default_grid, estimate_lambdas, grid_search
+from .tuning import estimate_lambdas, grid_search
 
 ORACLE_SOLVER_NAME = "oracle"
 
@@ -108,6 +108,9 @@ def load_plan(path) -> BenchPlan:
     limit = doc.get("time_limit_s")
     if external is not None and not isinstance(external, str):
         raise DataFormatError(f"{path}: field 'external_results' must be a path, got {external!r}")
+    grid_repeats = int_field(doc, "grid_repeats", path, 5)
+    if grid_repeats < 1:
+        raise DataFormatError(f"{path}: field 'grid_repeats' must be at least 1")
     return BenchPlan(
         instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
@@ -117,7 +120,7 @@ def load_plan(path) -> BenchPlan:
         explicit_lambda2=number_field(explicit, "lambda2", f"{path}: penalty_policy", 0.0),
         time_limit_s=None if limit is None else number_field(doc, "time_limit_s", path),
         external_results=None if external is None else str(base / external),
-        grid_repeats=int_field(doc, "grid_repeats", path, 5),
+        grid_repeats=grid_repeats,
     )
 
 
@@ -152,13 +155,23 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
 
 
 def _solver_entry(entry) -> tuple[str, str, dict]:
-    """Returns (display name, solver type, options)."""
+    """Returns (display name, solver type, options). The display name is
+    the report's solver cell, so one that reads as the oracle or ends in a
+    marker that cell can carry is rejected."""
     source = f"solver entry {entry!r}"
     if isinstance(entry, str):
-        return _entry_id(entry, source), entry, {}
-    name = require_fields(entry, ("name",), source)["name"]
-    options = require_fields(entry.get("options", {}), (), f"{source}, 'options'")
-    return _entry_id(str(entry.get("id", name)), source), name, dict(options)
+        ident, name, options = entry, entry, {}
+    else:
+        name = require_fields(entry, ("name",), source)["name"]
+        options = require_fields(entry.get("options", {}), (), f"{source}, 'options'")
+        ident = str(entry.get("id", name))
+    ident = _entry_id(ident, source)
+    if ident == ORACLE_SOLVER_NAME or ident.endswith((_OPTIMAL, _EXTERNAL)):
+        raise DataFormatError(
+            f"{source}: id {ident!r} would read as a report marker "
+            f"(the id {ORACLE_SOLVER_NAME!r}, or one ending in {_OPTIMAL!r} or {_EXTERNAL!r})"
+        )
+    return ident, name, dict(options)
 
 
 def _entry_id(ident: str, source: str) -> str:
@@ -186,17 +199,11 @@ def _check_unique_ids(kind: str, ids: list[str], entries) -> None:
 def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance, grid_solver) -> PenaltyParams:
     if plan.penalty_policy == "explicit":
         return PenaltyParams(1.0, plan.explicit_lambda1, plan.explicit_lambda2)
-    est = estimate_lambdas(instance)
     if plan.penalty_policy == "estimate":
+        est = estimate_lambdas(instance)
         return PenaltyParams(1.0, est.lambda1_hat, est.lambda2_hat)
-    return grid_search(
-        instance,
-        grid_solver,
-        default_grid(est.lambda1_hat),
-        default_grid(est.lambda2_hat),
-        repeats=plan.grid_repeats,
-        seeds=list(plan.seeds[: plan.grid_repeats]),
-    )[0]
+    seeds = list(plan.seeds[: plan.grid_repeats])
+    return grid_search(instance, grid_solver, None, None, plan.grid_repeats, seeds)[0]
 
 
 def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:

@@ -27,14 +27,7 @@ from .solvers import (
     run_restarts,
     solve_exhaustive_subsets,
 )
-from .tuning import (
-    default_grid,
-    estimate_lambdas,
-    grid_search,
-    grid_csv,
-    lambda_sweep,
-    sweep_csv,
-)
+from .tuning import estimate_lambdas, grid_search, lambda_sweep, runs_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,19 +213,16 @@ def _dispatch(args) -> int:
 
     if args.command == "tune":
         instance = data_mod.load_instance(args.instance)
-        est = estimate_lambdas(instance)
-        grid1 = args.grid1 if args.grid1 else default_grid(est.lambda1_hat)
-        grid2 = args.grid2 if args.grid2 else default_grid(est.lambda2_hat)
         solver = make_solver(args.solver)
         best, cells, feasible = grid_search(
-            instance, solver, grid1, grid2, repeats=args.repeats
+            instance, solver, args.grid1, args.grid2, repeats=args.repeats
         )
         print(
             f"best lambda1={best.lambda1:.17g} lambda2={best.lambda2:.17g} "
             f"feasible={feasible}"
         )
         if args.output:
-            _emit(grid_csv(cells), args.output)
+            _emit(runs_csv([run for cell in cells for run in cell.runs]), args.output)
         return EXIT_OK if feasible else EXIT_INFEASIBLE
 
     if args.command == "sweep":
@@ -241,8 +231,11 @@ def _dispatch(args) -> int:
         solver = make_solver(args.solver)
         base = PenaltyParams(1.0, 0.0, args.lambda2)
         points = lambda_sweep(instance, solver, values, base, seed=args.seed)
-        _emit(sweep_csv(points, lambda2=args.lambda2), args.output)
-        return EXIT_OK
+        _emit(runs_csv(points), args.output)
+        failed = [p for p in points if p.error is not None]
+        for p in failed:
+            print(f"error: lambda1={p.lambda1:.17g}: {p.error}", file=sys.stderr)
+        return EXIT_DATA if failed else EXIT_OK
 
     if args.command == "bench":
         plan = bench_mod.load_plan(args.plan)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PortfolioInstance, check_feasible
+from .model import PortfolioInstance, Solution, check_feasible
 from .qubo import PenaltyParams, build_qubo, decode
 from .solvers import SolveResult
 
@@ -31,6 +31,8 @@ class LambdaEstimate:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One seeded solve at (lambda1, lambda2): a sweep point or a grid run."""
+
     lambda1: float
     best_risk: float
     feasible: bool
@@ -38,6 +40,7 @@ class SweepPoint:
     seed: int | None = None
     wall_time_s: float = 0.0
     error: str | None = None
+    lambda2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -47,18 +50,7 @@ class GridCell:
     feasible: bool
     best_risk: float
     residual: float
-    runs: tuple
-
-
-@dataclass(frozen=True)
-class GridRun:
-    lambda1: float
-    lambda2: float
-    seed: int
-    energy: float
-    risk: float
-    feasible: bool
-    wall_time_s: float
+    runs: tuple[SweepPoint, ...]
 
 
 def _row_prefix_sums(sigma: np.ndarray, n: int) -> np.ndarray:
@@ -134,6 +126,17 @@ def estimate_lambdas(instance: PortfolioInstance) -> LambdaEstimate:
     )
 
 
+def _solve_at(instance, solver, params, q, layout, seed) -> tuple[SweepPoint, Solution]:
+    """One seeded solve of ``q``, the QUBO built for ``params``, decoded."""
+    result = solver(q, seed)
+    sol = decode(instance, layout, result.bits, energy=result.energy)
+    point = SweepPoint(
+        params.lambda1, sol.risk, sol.feasible, result.energy, seed, result.wall_time_s,
+        lambda2=params.lambda2,
+    )
+    return point, sol
+
+
 def lambda_sweep(
     instance: PortfolioInstance,
     solver: Callable[..., SolveResult],
@@ -150,26 +153,12 @@ def lambda_sweep(
         params = PenaltyParams(base.lambda0, float(l1), base.lambda2)
         try:
             q, layout = build_qubo(instance, params)
-            result = solver(q, seed)
-            sol = decode(instance, layout, result.bits, energy=result.energy)
-            points.append(
-                SweepPoint(
-                    lambda1=float(l1),
-                    best_risk=sol.risk,
-                    feasible=sol.feasible,
-                    energy=result.energy,
-                    seed=seed,
-                    wall_time_s=result.wall_time_s,
-                )
-            )
+            points.append(_solve_at(instance, solver, params, q, layout, seed)[0])
         except Exception as exc:
             points.append(
                 SweepPoint(
-                    lambda1=float(l1),
-                    best_risk=float("nan"),
-                    feasible=False,
-                    seed=seed,
-                    error=str(exc),
+                    params.lambda1, float("nan"), False,
+                    seed=seed, error=str(exc), lambda2=params.lambda2,
                 )
             )
     return points
@@ -196,18 +185,23 @@ def default_grid(estimate: float) -> list[float]:
 def grid_search(
     instance: PortfolioInstance,
     solver: Callable[..., SolveResult],
-    grid1: list[float],
-    grid2: list[float],
+    grid1: list[float] | None,
+    grid2: list[float] | None,
     repeats: int = 5,
     seeds: list[int] | None = None,
 ) -> tuple[PenaltyParams, list[GridCell], bool]:
-    """Evaluate every (lambda1, lambda2) cell with seeded repeats.
+    """Evaluate every (lambda1, lambda2) cell with seeded repeats; a grid of
+    None is ``default_grid`` around that penalty's ``estimate_lambdas`` value.
 
     Returns (best params, all cells, feasible flag). Best cell is the lowest
     recomputed risk among feasible decoded solutions; ties go to the smaller
     lambda1 + lambda2 and then lexicographically. With no feasible cell, the
     smallest total constraint violation wins and the flag is False.
     """
+    if grid1 is None or grid2 is None:
+        est = estimate_lambdas(instance)
+        grid1 = default_grid(est.lambda1_hat) if grid1 is None else grid1
+        grid2 = default_grid(est.lambda2_hat) if grid2 is None else grid2
     if not grid1 or not grid2:
         raise ValueError("grids must be nonempty")
     if repeats < 1:
@@ -219,36 +213,17 @@ def grid_search(
         for l2 in grid2:
             params = PenaltyParams(1.0, float(l1), float(l2))
             q, layout = build_qubo(instance, params)
-            runs = []
-            best_risk = float("inf")
-            best_violation = float("inf")
-            any_feasible = False
-            for s in seeds:
-                result = solver(q, s)
-                sol = decode(instance, layout, result.bits, energy=result.energy)
-                runs.append(
-                    GridRun(
-                        lambda1=float(l1),
-                        lambda2=float(l2),
-                        seed=s,
-                        energy=result.energy,
-                        risk=sol.risk,
-                        feasible=sol.feasible,
-                        wall_time_s=result.wall_time_s,
-                    )
-                )
-                if sol.feasible:
-                    any_feasible = True
-                    best_risk = min(best_risk, sol.risk)
-                best_violation = min(best_violation, _violation(instance, sol.x))
+            solved = [_solve_at(instance, solver, params, q, layout, s) for s in seeds]
+            risks = [sol.risk for _, sol in solved if sol.feasible]
+            violations = [_violation(instance, sol.x) for _, sol in solved]
             cells.append(
                 GridCell(
-                    lambda1=float(l1),
-                    lambda2=float(l2),
-                    feasible=any_feasible,
-                    best_risk=best_risk if any_feasible else float("nan"),
-                    residual=best_violation,
-                    runs=tuple(runs),
+                    lambda1=params.lambda1,
+                    lambda2=params.lambda2,
+                    feasible=bool(risks),
+                    best_risk=min(risks, default=float("nan")),
+                    residual=min(violations, default=float("inf")),
+                    runs=tuple(point for point, _ in solved),
                 )
             )
     feasible_cells = [c for c in cells if c.feasible]
@@ -262,39 +237,21 @@ def grid_search(
     return PenaltyParams(1.0, best.lambda1, best.lambda2), cells, False
 
 
-def _runs_csv(runs) -> str:
-    """CSV of (lambda1, lambda2, seed, energy, risk, feasible, wall_time_s)
-    tuples, the columns shared by sweep and grid results."""
+def runs_csv(points: list[SweepPoint]) -> str:
+    """CSV export of seeded solves: a sweep's points or every grid cell's runs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda1", "lambda2", "seed", "energy", "risk", "feasible", "wall_time_s"])
-    for l1, l2, seed, energy, risk, feasible, wall in runs:
+    for p in points:
         writer.writerow(
             [
-                f"{l1:.17g}",
-                f"{l2:.17g}",
-                seed if seed is not None else "",
-                f"{energy:.17g}",
-                f"{risk:.17g}",
-                str(feasible).lower(),
-                f"{wall:.17g}",
+                f"{p.lambda1:.17g}",
+                f"{p.lambda2:.17g}",
+                p.seed if p.seed is not None else "",
+                f"{p.energy:.17g}",
+                f"{p.best_risk:.17g}",
+                str(p.feasible).lower(),
+                f"{p.wall_time_s:.17g}",
             ]
         )
     return buf.getvalue()
-
-
-def sweep_csv(points: list[SweepPoint], lambda2: float = 0.0) -> str:
-    """CSV export with columns shared by sweep and grid results."""
-    return _runs_csv(
-        (p.lambda1, lambda2, p.seed, p.energy, p.best_risk, p.feasible, p.wall_time_s)
-        for p in points
-    )
-
-
-def grid_csv(cells: list[GridCell]) -> str:
-    """CSV export of every seeded run of every grid cell."""
-    return _runs_csv(
-        (r.lambda1, r.lambda2, r.seed, r.energy, r.risk, r.feasible, r.wall_time_s)
-        for cell in cells
-        for r in cell.runs
-    )

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from portqubo import (
     save_instance,
 )
 from portqubo import bench as bench_mod
+from portqubo import tuning as tuning_mod
 from portqubo.bench import BenchPlan, BenchReport, BenchRow, ORACLE_SOLVER_NAME
 from portqubo.solvers import SUBSET_ENUMERATION_GUARD
 
@@ -179,6 +181,20 @@ class TestRunBenchmark:
         ok = [r for r in report.rows if r.instance == "b-reachable"]
         assert len(ok) == 2 + 1 and not any(r.error for r in ok)
         assert [s.instance for s in report.summaries] == ["a-unreachable", "b-reachable"]
+
+    @pytest.mark.parametrize("policy", ["estimate", "grid"])
+    def test_penalty_policy_estimates_once_per_instance(self, monkeypatch, policy):
+        estimated = []
+
+        def counting(instance, _original=tuning_mod.estimate_lambdas):
+            estimated.append(instance)
+            return _original(instance)
+
+        monkeypatch.setattr(tuning_mod, "estimate_lambdas", counting)
+        monkeypatch.setattr(bench_mod, "estimate_lambdas", counting)
+        plan = _matrix_plan()
+        run_benchmark(replace(plan, penalty_policy=policy, grid_repeats=1, solvers=plan.solvers[1:]))
+        assert [inst.n for inst in estimated] == [3, 2]
 
     def test_oracle_row_up_to_subset_enumeration_guard(self):
         # C(25, 8) = 1,081,575 subsets: above 10**6, within the oracle's guard
@@ -412,6 +428,8 @@ class TestPlanFieldTypes:
             ({"seeds": ["a"]}, r"plan\.json: field 'seeds'"),
             ({"seeds": [1.5]}, r"plan\.json: field 'seeds'"),
             ({"grid_repeats": "5"}, r"plan\.json: field 'grid_repeats'"),
+            ({"grid_repeats": 0}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
+            ({"grid_repeats": -1}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
             ({"time_limit_s": "x"}, r"plan\.json: field 'time_limit_s'"),
             ({"external_results": 5}, r"plan\.json: field 'external_results'"),
             ({"penalty_policy": {"lambda1": [1]}}, r"plan\.json: penalty_policy: field 'lambda1'"),

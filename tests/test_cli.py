@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,9 @@ from portqubo import (
     QuboMatrix,
     SyntheticSpec,
     generate_synthetic,
+    grid_search,
+    load_instance,
+    make_solver,
     read_qubo,
     save_instance,
     write_qubo,
@@ -186,6 +190,52 @@ def test_sweep_writes_csv(synth_instance, tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_sweep_reports_failed_points_and_exits_2(tmp_path, capsys):
+    universe = generate_synthetic(SyntheticSpec(n_assets=30, seed=2))
+    path = tmp_path / "big.json"
+    save_instance(PortfolioInstance(universe, n=3), path)
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", str(path), "--lambda1-from", "0", "--lambda1-to", "1", "--points", "3"]
+    assert cli_main(argv + ["-o", str(out_path)]) == 2
+    guard = "dim 30 exceeds the brute-force guard 24"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: lambda1=0: {guard}",
+        f"error: lambda1=0.5: {guard}",
+        f"error: lambda1=1: {guard}",
+    ]
+    rows = out_path.read_text().splitlines()[1:]
+    assert [row.split(",")[4:6] for row in rows] == [["nan", "false"]] * 3
+
+
+def test_sweep_rows_carry_lambda2(synth_instance, tmp_path, capsys):
+    inst = load_instance(synth_instance)
+    r_star = float(np.sort(inst.universe.mu)[-3:].sum())
+    path = tmp_path / "equality.json"
+    save_instance(PortfolioInstance(inst.universe, n=3, r_star=r_star, return_mode="equality"), path)
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", str(path), "--lambda1-from", "0", "--lambda1-to", "50", "--points", "4"]
+    assert cli_main(argv + ["--lambda2", "3", "-o", str(out_path)]) == 0
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
+    assert len(rows) == 4
+    assert [row["lambda2"] for row in rows] == ["3"] * 4
+
+
+def test_tune_output_is_the_cells_runs_in_order(synth_instance, tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    argv = ["tune", str(synth_instance), "--solver", "exact", "--repeats", "2"]
+    assert cli_main(argv + ["--grid1", "0", "20", "--grid2", "0", "-o", str(grid_path)]) == 0
+    _, cells, _ = grid_search(
+        load_instance(synth_instance), make_solver("exact"), [0.0, 20.0], [0.0], repeats=2
+    )
+    rows = [line.split(",") for line in grid_path.read_text().splitlines()[1:]]
+    assert [row[:6] for row in rows] == [
+        [f"{r.lambda1:.17g}", f"{r.lambda2:.17g}", str(r.seed), f"{r.energy:.17g}",
+         f"{r.best_risk:.17g}", str(r.feasible).lower()]
+        for cell in cells
+        for r in cell.runs
+    ]
+
+
 def test_tune_and_report_flow(synth_instance, tmp_path, capsys):
     grid_path = tmp_path / "grid.csv"
     code = cli_main(
@@ -358,6 +408,21 @@ def test_solver_error_on_a_qubo_file_is_data_error(tmp_path, capsys):
         (
             {"solvers": ["sa", {"name": "sa", "options": {"sweeps": 5}}]},
             "solver entries 'sa' and {'name': 'sa', 'options': {'sweeps': 5}} have the same id 'sa'",
+        ),
+        (
+            {"solvers": [{"name": "sa", "id": "sa*"}]},
+            "solver entry {'name': 'sa', 'id': 'sa*'}: id 'sa*' would read as a report marker "
+            "(the id 'oracle', or one ending in '*' or '(ext)')",
+        ),
+        (
+            {"solvers": ["sa", {"name": "tabu", "id": "oracle"}]},
+            "solver entry {'name': 'tabu', 'id': 'oracle'}: id 'oracle' would read as a report "
+            "marker (the id 'oracle', or one ending in '*' or '(ext)')",
+        ),
+        (
+            {"solvers": [{"name": "sa", "id": "cplex(ext)"}]},
+            "solver entry {'name': 'sa', 'id': 'cplex(ext)'}: id 'cplex(ext)' would read as a "
+            "report marker (the id 'oracle', or one ending in '*' or '(ext)')",
         ),
         (
             {"instances": [{"synthetic": _SYNTH, "n": 2, "id": "\ud800"}]},

@@ -12,7 +12,7 @@ from portqubo import (
     lambda_sweep,
 )
 from portqubo.solvers import make_solver
-from portqubo.tuning import default_grid, sweep_csv
+from portqubo.tuning import default_grid, runs_csv
 
 from conftest import random_instance
 
@@ -204,7 +204,7 @@ class TestLambdaSweep:
     def test_csv_export(self):
         inst = _sweep_instance()
         solver = make_solver("exact")
-        text = sweep_csv(lambda_sweep(inst, solver, [0.0, 1.0]))
+        text = runs_csv(lambda_sweep(inst, solver, [0.0, 1.0]))
         lines = text.splitlines()
         assert lines[0] == "lambda1,lambda2,seed,energy,risk,feasible,wall_time_s"
         assert len(lines) == 3
@@ -247,11 +247,49 @@ class TestGridSearch:
         def stable(cells):
             return [
                 (c.lambda1, c.lambda2, c.feasible, c.best_risk, c.residual)
-                + tuple((r.seed, r.energy, r.risk, r.feasible) for r in c.runs)
+                + tuple((r.seed, r.energy, r.best_risk, r.feasible) for r in c.runs)
                 for c in cells
             ]
 
         assert stable(runs[0][1]) == stable(runs[1][1])
+
+    def test_none_grid_is_default_grid_around_estimate(self):
+        universe = _sweep_instance().universe
+        r_star = float(universe.mu[:3].sum())
+        inst = PortfolioInstance(universe, n=3, r_star=r_star, return_mode="equality")
+        solver = make_solver("sa", {"sweeps": 20, "restarts": 1})
+        est = estimate_lambdas(inst)
+        grid1, grid2 = default_grid(est.lambda1_hat), default_grid(est.lambda2_hat)
+        assert len(grid1) > 1 and len(grid2) > 1
+
+        def stable(search):
+            best, cells, feasible = search
+            return best, feasible, [
+                (c.lambda1, c.lambda2, c.feasible, c.residual)
+                + tuple((r.seed, r.energy, r.best_risk, r.feasible) for r in c.runs)
+                for c in cells
+            ]
+
+        assert stable(grid_search(inst, solver, None, None, repeats=2)) == stable(
+            grid_search(inst, solver, grid1, grid2, repeats=2)
+        )
+        assert stable(grid_search(inst, solver, [1.0], None, repeats=1)) == stable(
+            grid_search(inst, solver, [1.0], grid2, repeats=1)
+        )
+
+    def test_runs_record_their_cell(self):
+        inst = _sweep_instance()
+        _, cells, _ = grid_search(inst, make_solver("exact"), [0.0, 5.0, 50.0], [0.0], repeats=2)
+        assert any(cell.feasible for cell in cells) and not all(cell.feasible for cell in cells)
+        for cell in cells:
+            assert [(r.lambda1, r.lambda2, r.seed) for r in cell.runs] == [
+                (cell.lambda1, cell.lambda2, 0),
+                (cell.lambda1, cell.lambda2, 1),
+            ]
+            feasible = [r.best_risk for r in cell.runs if r.feasible]
+            assert cell.feasible == bool(feasible)
+            if feasible:
+                assert cell.best_risk == min(feasible)
 
     def test_rejects_empty_grid(self):
         inst = _sweep_instance()
