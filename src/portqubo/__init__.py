@@ -38,6 +38,7 @@ from .tuning import (
     estimate_lambdas,
     grid_search,
     lambda_sweep,
+    resolve_penalties,
 )
 from .solvers import (
     AnnealConfig,

@@ -28,14 +28,14 @@ from .data import (
     require_fields,
 )
 from .model import PortfolioInstance
-from .qubo import PenaltyParams, build_qubo, decode
+from .qubo import build_qubo, decode
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
     InfeasibleInstanceError,
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import estimate_lambdas, grid_search
+from .tuning import PENALTY_POLICIES, resolve_penalties
 
 ORACLE_SOLVER_NAME = "oracle"
 
@@ -83,8 +83,8 @@ class BenchPlan:
     solvers: tuple
     seeds: tuple[int, ...]
     penalty_policy: str = "estimate"
-    explicit_lambda1: float = 0.0
-    explicit_lambda2: float = 0.0
+    explicit_lambda1: float | None = None  # None: not given
+    explicit_lambda2: float | None = None
     time_limit_s: float | None = None
     external_results: str | None = None
     grid_repeats: int = 5
@@ -92,7 +92,7 @@ class BenchPlan:
     def __post_init__(self):
         if not self.instances or not self.solvers or not self.seeds:
             raise ValueError("plan needs nonempty instances, solvers and seeds")
-        if self.penalty_policy not in ("estimate", "grid", "explicit"):
+        if self.penalty_policy not in PENALTY_POLICIES:
             raise ValueError(f"unknown penalty policy {self.penalty_policy!r}")
 
 
@@ -101,8 +101,6 @@ def load_plan(path) -> BenchPlan:
     for key in ("instances", "solvers", "seeds"):
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: field {key!r} must be a list, got {doc[key]!r}")
-    policy = doc.get("penalty_policy", "estimate")
-    explicit = policy if isinstance(policy, dict) else {}
     base = Path(path).parent  # joined to an absolute path, gives that path
     external = doc.get("external_results")
     limit = doc.get("time_limit_s")
@@ -115,13 +113,26 @@ def load_plan(path) -> BenchPlan:
         instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
         seeds=tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"]),
-        penalty_policy=policy.get("policy", "explicit") if isinstance(policy, dict) else policy,
-        explicit_lambda1=number_field(explicit, "lambda1", f"{path}: penalty_policy", 0.0),
-        explicit_lambda2=number_field(explicit, "lambda2", f"{path}: penalty_policy", 0.0),
+        **_penalty_fields(doc.get("penalty_policy", "estimate"), path),
         time_limit_s=None if limit is None else number_field(doc, "time_limit_s", path),
         external_results=None if external is None else str(base / external),
         grid_repeats=grid_repeats,
     )
+
+
+def _penalty_fields(policy, path) -> dict:
+    """The BenchPlan fields of a plan's ``penalty_policy``: a policy name, or
+    an object of ``policy`` (default explicit) and the lambdas it gives."""
+    where = f"{path}: penalty_policy"
+    policy = policy if isinstance(policy, dict) else {"policy": policy}
+    unknown = sorted(set(policy) - {"policy", "lambda1", "lambda2"})
+    if unknown:
+        raise DataFormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    name = policy.get("policy", "explicit")
+    if name not in PENALTY_POLICIES:
+        raise DataFormatError(f"{where}: {name!r} is not one of {', '.join(PENALTY_POLICIES)}")
+    given = {f"explicit_{k}": number_field(policy, k, where) for k in policy if k != "policy"}
+    return {"penalty_policy": name, **given}
 
 
 def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
@@ -196,16 +207,6 @@ def _check_unique_ids(kind: str, ids: list[str], entries) -> None:
         seen[ident] = entry
 
 
-def _resolve_penalties(plan: BenchPlan, instance: PortfolioInstance, grid_solver) -> PenaltyParams:
-    if plan.penalty_policy == "explicit":
-        return PenaltyParams(1.0, plan.explicit_lambda1, plan.explicit_lambda2)
-    if plan.penalty_policy == "estimate":
-        est = estimate_lambdas(instance)
-        return PenaltyParams(1.0, est.lambda1_hat, est.lambda2_hat)
-    seeds = list(plan.seeds[: plan.grid_repeats])
-    return grid_search(instance, grid_solver, None, None, plan.grid_repeats, seeds)[0]
-
-
 def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     """Execute the full (instance, solver, seed) matrix plus oracle rows.
 
@@ -221,13 +222,14 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     solvers = [(display, make_solver(kind, {**limit, **opts})) for display, kind, opts in entries]
     # the grid policy searches with the first solver, without the time limit
     grid_solver = make_solver(*entries[0][1:]) if plan.penalty_policy == "grid" else None
+    penalty_args = (plan.explicit_lambda1, plan.explicit_lambda2, grid_solver, plan.grid_repeats)
     external_rows = load_external_results(plan.external_results) if plan.external_results else []
     rows: list[BenchRow] = []
     summaries: list[InstanceSummary] = []
     for inst_id, instance in instances:
         params = q = layout = build_error = None
         try:
-            params = _resolve_penalties(plan, instance, grid_solver)
+            params = resolve_penalties(instance, plan.penalty_policy, *penalty_args)
             q, layout = build_qubo(instance, params)
         except ValueError as exc:
             build_error = str(exc)

@@ -27,7 +27,7 @@ from .solvers import (
     run_restarts,
     solve_exhaustive_subsets,
 )
-from .tuning import estimate_lambdas, grid_search, lambda_sweep, runs_csv
+from .tuning import grid_search, lambda_sweep, resolve_penalties, runs_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +42,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _count(text: str) -> int:
+    """The value of a count flag: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("target")
     p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--restarts", type=_count, default=1)
     p.add_argument("--lambda1", type=float, default=None)
     p.add_argument("--lambda2", type=float, default=None)
     p.add_argument("--estimate", action="store_true")
@@ -91,7 +98,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
     p.add_argument("--grid1", type=float, nargs="+", default=None)
     p.add_argument("--grid2", type=float, nargs="+", default=None)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_count, default=5)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("sweep", help="lambda1 sweep for the feasibility threshold")
@@ -99,7 +106,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     p.add_argument("--lambda1-from", type=float, required=True)
     p.add_argument("--lambda1-to", type=float, required=True)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_count, default=20)
     p.add_argument("--lambda2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
@@ -125,17 +132,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _instance_penalties(instance, lambda1, lambda2, estimate) -> PenaltyParams:
-    if estimate or (lambda1 is None and lambda2 is None):
-        est = estimate_lambdas(instance)
-        l1, l2 = est.lambda1_hat, est.lambda2_hat
-        print(f"estimated lambda1={l1:.17g} lambda2={l2:.17g}")
-        if lambda1 is not None:
-            l1 = lambda1
-        if lambda2 is not None:
-            l2 = lambda2
-        return PenaltyParams(1.0, l1, l2)
-    return PenaltyParams(1.0, lambda1 or 0.0, lambda2 or 0.0)
+def _compile(instance, args):
+    """(penalties, QUBO, layout): `--estimate`, or no lambda given, is the estimate policy."""
+    given = (args.lambda1, args.lambda2)
+    policy = "estimate" if args.estimate or given == (None, None) else "explicit"
+    params = resolve_penalties(instance, policy, *given)
+    if policy == "estimate":
+        print(f"estimated lambda1={params.lambda1:.17g} lambda2={params.lambda2:.17g}")
+    return (params, *build_qubo(instance, params))
 
 
 def _cmd_solve(args) -> int:
@@ -152,8 +156,7 @@ def _cmd_solve(args) -> int:
         print(f"x={list(sol.x)}")
         print(f"risk={sol.risk:.17g} return={sol.ret:.17g} feasible={sol.feasible}")
         return EXIT_OK
-    params = _instance_penalties(instance, args.lambda1, args.lambda2, args.estimate)
-    q, layout = build_qubo(instance, params)
+    _, q, layout = _compile(instance, args)
     solver = make_solver(args.solver)
     result = run_restarts(solver, q, [args.seed + k for k in range(args.restarts)])
     sol = decode(instance, layout, result.bits, energy=result.energy)
@@ -198,8 +201,7 @@ def _dispatch(args) -> int:
 
     if args.command == "build":
         instance = data_mod.load_instance(args.instance)
-        params = _instance_penalties(instance, args.lambda1, args.lambda2, args.estimate)
-        q, layout = build_qubo(instance, params)
+        params, q, layout = _compile(instance, args)
         write_qubo(q, args.output)
         print(
             f"wrote {args.output}: dim={q.dim} (assets={layout.n_assets} "

@@ -22,6 +22,9 @@ from .qubo import PenaltyParams, build_qubo, decode
 from .solvers import SolveResult
 
 
+PENALTY_POLICIES = ("explicit", "estimate", "grid")
+
+
 @dataclass(frozen=True)
 class LambdaEstimate:
     lambda1_hat: float
@@ -188,10 +191,9 @@ def grid_search(
     grid1: list[float] | None,
     grid2: list[float] | None,
     repeats: int = 5,
-    seeds: list[int] | None = None,
 ) -> tuple[PenaltyParams, list[GridCell], bool]:
-    """Evaluate every (lambda1, lambda2) cell with seeded repeats; a grid of
-    None is ``default_grid`` around that penalty's ``estimate_lambdas`` value.
+    """Evaluate every (lambda1, lambda2) cell with seeds 0..repeats-1; a grid
+    of None is ``default_grid`` around that penalty's ``estimate_lambdas`` value.
 
     Returns (best params, all cells, feasible flag). Best cell is the lowest
     recomputed risk among feasible decoded solutions; ties go to the smaller
@@ -206,14 +208,12 @@ def grid_search(
         raise ValueError("grids must be nonempty")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if seeds is None:
-        seeds = list(range(repeats))
     cells = []
     for l1 in grid1:
         for l2 in grid2:
             params = PenaltyParams(1.0, float(l1), float(l2))
             q, layout = build_qubo(instance, params)
-            solved = [_solve_at(instance, solver, params, q, layout, s) for s in seeds]
+            solved = [_solve_at(instance, solver, params, q, layout, s) for s in range(repeats)]
             risks = [sol.risk for _, sol in solved if sol.feasible]
             violations = [_violation(instance, sol.x) for _, sol in solved]
             cells.append(
@@ -227,14 +227,28 @@ def grid_search(
                 )
             )
     feasible_cells = [c for c in cells if c.feasible]
-    if feasible_cells:
-        best = min(
-            feasible_cells,
-            key=lambda c: (c.best_risk, c.lambda1 + c.lambda2, c.lambda1, c.lambda2),
-        )
-        return PenaltyParams(1.0, best.lambda1, best.lambda2), cells, True
-    best = min(cells, key=lambda c: (c.residual, c.lambda1 + c.lambda2, c.lambda1, c.lambda2))
-    return PenaltyParams(1.0, best.lambda1, best.lambda2), cells, False
+    score = (lambda c: c.best_risk) if feasible_cells else (lambda c: c.residual)
+    best = min(
+        feasible_cells or cells,
+        key=lambda c: (score(c), c.lambda1 + c.lambda2, c.lambda1, c.lambda2),
+    )
+    return PenaltyParams(1.0, best.lambda1, best.lambda2), cells, bool(feasible_cells)
+
+
+def resolve_penalties(
+    instance, policy: str, lambda1=None, lambda2=None, solver=None, repeats: int = 5
+) -> PenaltyParams:
+    """The penalties a run compiles with. A given lambda is used as it is; a
+    missing one is 0 ('explicit'), its ``estimate_lambdas`` value ('estimate') or its
+    value in the best ``grid_search`` cell, a given one a one-value grid ('grid')."""
+    if policy not in PENALTY_POLICIES:
+        raise ValueError(f"unknown penalty policy {policy!r}")
+    given = (lambda1, lambda2)
+    if policy == "grid" and None in given:
+        return grid_search(instance, solver, *[g if g is None else [g] for g in given], repeats)[0]
+    est = estimate_lambdas(instance) if policy == "estimate" and None in given else None
+    missing = (0.0, 0.0) if est is None else (est.lambda1_hat, est.lambda2_hat)
+    return PenaltyParams(1.0, *(m if g is None else g for g, m in zip(given, missing)))
 
 
 def runs_csv(points: list[SweepPoint]) -> str:

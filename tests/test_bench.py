@@ -191,7 +191,6 @@ class TestRunBenchmark:
             return _original(instance)
 
         monkeypatch.setattr(tuning_mod, "estimate_lambdas", counting)
-        monkeypatch.setattr(bench_mod, "estimate_lambdas", counting)
         plan = _matrix_plan()
         run_benchmark(replace(plan, penalty_policy=policy, grid_repeats=1, solvers=plan.solvers[1:]))
         assert [inst.n for inst in estimated] == [3, 2]
@@ -433,6 +432,11 @@ class TestPlanFieldTypes:
             ({"time_limit_s": "x"}, r"plan\.json: field 'time_limit_s'"),
             ({"external_results": 5}, r"plan\.json: field 'external_results'"),
             ({"penalty_policy": {"lambda1": [1]}}, r"plan\.json: penalty_policy: field 'lambda1'"),
+            ({"penalty_policy": "foo"}, r"plan\.json: penalty_policy: 'foo' is not one of"),
+            ({"penalty_policy": 5}, r"plan\.json: penalty_policy: 5 is not one of"),
+            ({"penalty_policy": {"policy": 5}}, r"plan\.json: penalty_policy: 5 is not one of"),
+            ({"penalty_policy": {"policy": "explicit", "lamda1": 50}},
+             r"plan\.json: penalty_policy: unknown key\(s\) 'lamda1'$"),
         ],
     )
     def test_plan_field(self, tmp_path, overrides, message):
@@ -579,7 +583,18 @@ class TestEntriesReadFirst:
         plan = _plan(penalty_policy="grid", grid_repeats=1, seeds=(7,))
         report = run_benchmark(plan, no_timing=True)
         assert not any(r.error for r in report.rows)
-        assert set(solves) == {7}
+        assert set(solves) == {0, 7}  # the grid's seed 0, the matrix's seed 7
+
+    def test_grid_cells_run_seeds_0_to_grid_repeats(self, tmp_path, solves):
+        universe, path = _tiny_instance().universe, str(tmp_path / "i.json")
+        instance = PortfolioInstance(universe, 2, universe.mu.max(), return_mode="at_least")
+        save_instance(instance, path)
+        plan = _plan(instances=(path,), penalty_policy="grid", grid_repeats=3, seeds=(7,))
+        run_benchmark(plan, no_timing=True)
+        est = tuning_mod.estimate_lambdas(instance)
+        grids = [tuning_mod.default_grid(hat) for hat in (est.lambda1_hat, est.lambda2_hat)]
+        cells = len(grids[0]) * len(grids[1])
+        assert cells > 1 and solves == [0, 1, 2] * cells + [7]
 
 
 class TestExternalResultFaults:

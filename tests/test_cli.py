@@ -511,3 +511,76 @@ def test_markdown_report_of_external_only_instance(tmp_path, capsys):
     )
     assert cli_main(["report", str(path), "--format", "markdown"]) == 0
     assert "| x | - | - | - | - | 0.5 | 0.5(ext) |" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--restarts"],
+        ["tune", "--repeats"],
+        ["sweep", "--lambda1-from", "0", "--lambda1-to", "1", "--points"],
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_count_flag_below_one_is_usage_error(tmp_path, capsys, argv, value):
+    command, *options = argv
+    missing = tmp_path / "missing.json"  # a usage error is raised before any file is read
+    assert cli_main([command, str(missing), *options, value]) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {options[-1]}: must be a whole number of at least 1" in err
+    assert f"got {value!r}" in err
+
+
+@pytest.fixture
+def at_least_instance(synth_instance, tmp_path):
+    """The synth instance with a return target, so both penalties have an estimate."""
+    path = tmp_path / "at_least.json"
+    universe = load_instance(synth_instance).universe
+    save_instance(PortfolioInstance(universe, n=3, r_star=5.0, return_mode="at_least"), path)
+    return path
+
+
+def _bench_lambdas(tmp_path, instance_path, policy, **plan) -> dict:
+    """The lambda1 and lambda2 cells of a one-instance bench plan's rows."""
+    path, out = tmp_path / "plan.json", tmp_path / "report.csv"
+    path.write_text(_plan_text(instances=[str(instance_path)], penalty_policy=policy, **plan))
+    assert cli_main(["bench", str(path), "--no-timing", "-o", str(out)]) == 0
+    rows = csv.DictReader(out.read_text().splitlines())
+    cells = {(row["lambda1"], row["lambda2"]) for row in rows}
+    assert len(cells) == 1
+    return dict(zip(("lambda1", "lambda2"), cells.pop()))
+
+
+_GIVEN = [{}, {"lambda1": 7.5}, {"lambda2": 0.25}, {"lambda1": 7.5, "lambda2": 0.25}]
+
+
+@pytest.mark.parametrize(
+    "policy, given",
+    # explicit with no lambda is no build call: no flag at all means estimate
+    [("estimate", g) for g in _GIVEN] + [("explicit", g) for g in _GIVEN[1:]],
+)
+def test_build_and_bench_resolve_penalties_alike(
+    at_least_instance, tmp_path, capsys, policy, given
+):
+    flags = [f"--{key}={value}" for key, value in given.items()]
+    flags += ["--estimate"] if policy == "estimate" else []
+    out = tmp_path / "q.qubo"
+    assert cli_main(["build", str(at_least_instance), "-o", str(out), *flags]) == 0
+    *estimated, wrote = capsys.readouterr().out.splitlines()
+    assert wrote.startswith(f"wrote {out}: ")
+    built = dict(cell.split("=") for cell in wrote.split()[-2:])
+    resolved = f"lambda1={built['lambda1']} lambda2={built['lambda2']}"
+    assert estimated == ([f"estimated {resolved}"] if policy == "estimate" else [])
+    assert all(built[key] == f"{value:.17g}" for key, value in given.items())
+    assert _bench_lambdas(tmp_path, at_least_instance, {"policy": policy, **given}) == built
+
+
+@pytest.mark.parametrize("given", [{}, {"lambda2": 0.25}])
+def test_bench_grid_policy_picks_what_tune_picks(at_least_instance, tmp_path, capsys, given):
+    grid2 = ["--grid2", str(given["lambda2"])] if given else []
+    argv = ["tune", str(at_least_instance), "--solver", "exact", "--repeats", "2", *grid2]
+    assert cli_main(argv) == 0
+    (best,) = capsys.readouterr().out.splitlines()
+    policy = {"policy": "grid", **given}
+    picked = _bench_lambdas(tmp_path, at_least_instance, policy, solvers=["exact"], grid_repeats=2)
+    assert best == f"best lambda1={picked['lambda1']} lambda2={picked['lambda2']} feasible=True"

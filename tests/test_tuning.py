@@ -12,7 +12,7 @@ from portqubo import (
     lambda_sweep,
 )
 from portqubo.solvers import make_solver
-from portqubo.tuning import default_grid, runs_csv
+from portqubo.tuning import default_grid, resolve_penalties, runs_csv
 
 from conftest import random_instance
 
@@ -295,6 +295,52 @@ class TestGridSearch:
         inst = _sweep_instance()
         with pytest.raises(ValueError):
             grid_search(inst, make_solver("exact"), [], [0.0])
+
+
+class TestResolvePenalties:
+    """A given lambda is used as it is; a missing one comes from the policy."""
+
+    @staticmethod
+    def _instance():
+        universe = _sweep_instance().universe
+        r_star = float(universe.mu[:3].sum())
+        return PortfolioInstance(universe, n=3, r_star=r_star, return_mode="at_least")
+
+    @pytest.mark.parametrize("lambda1", [None, 3.0])
+    @pytest.mark.parametrize("lambda2", [None, 0.5])
+    def test_explicit_and_estimate(self, lambda1, lambda2):
+        inst = self._instance()
+        est = estimate_lambdas(inst)
+        assert est.lambda1_hat > 0 and est.lambda2_hat > 0
+        assert resolve_penalties(inst, "explicit", lambda1, lambda2) == PenaltyParams(
+            1.0, 0.0 if lambda1 is None else lambda1, 0.0 if lambda2 is None else lambda2
+        )
+        assert resolve_penalties(inst, "estimate", lambda1, lambda2) == PenaltyParams(
+            1.0,
+            est.lambda1_hat if lambda1 is None else lambda1,
+            est.lambda2_hat if lambda2 is None else lambda2,
+        )
+
+    def test_grid_searches_the_missing_axis(self):
+        inst = self._instance()
+        solver = make_solver("exact")
+        assert resolve_penalties(inst, "grid", None, 0.5, solver, 2) == (
+            grid_search(inst, solver, None, [0.5], repeats=2)[0]
+        )
+        assert resolve_penalties(inst, "grid", 3.0, None, solver, 1) == (
+            grid_search(inst, solver, [3.0], None, repeats=1)[0]
+        )
+
+    def test_grid_with_both_given_solves_nothing(self):
+        def no_solver(q, seed):
+            raise AssertionError("solved")
+
+        params = resolve_penalties(self._instance(), "grid", 3.0, 0.5, no_solver)
+        assert params == PenaltyParams(1.0, 3.0, 0.5)
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown penalty policy 'grid2'"):
+            resolve_penalties(self._instance(), "grid2", 3.0, 0.5)
 
 
 def test_default_grid():
