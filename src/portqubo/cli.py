@@ -143,7 +143,23 @@ def _compile(instance, args):
 
 
 def _cmd_solve(args) -> int:
-    if args.target.endswith(".qubo"):
+    # a QUBO file holds its penalties already, and the exact solver
+    # enumerates the instance's n-subsets, which need none
+    is_qubo = args.target.endswith(".qubo")
+    if is_qubo or args.solver == "exact":
+        given = [
+            flag
+            for flag, on in (
+                ("--lambda1", args.lambda1 is not None),
+                ("--lambda2", args.lambda2 is not None),
+                ("--estimate", args.estimate),
+            )
+            if on
+        ]
+        if given:
+            target = "a .qubo target" if is_qubo else "--solver exact"
+            raise _UsageError(f"solve with {target} takes no {' or '.join(given)}")
+    if is_qubo:
         q = read_qubo(args.target)
         solver = make_solver(args.solver)
         result = run_restarts(solver, q, [args.seed + k for k in range(args.restarts)])

@@ -26,8 +26,13 @@ from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
 BRUTEFORCE_DIM_GUARD = 24
-# assignment rows per block times dim; dim <= 16 fits in one block
-_BRUTEFORCE_BLOCK_ELEMENTS = 1 << 20
+# assignment rows per block of the QUBO oracle: a power of two, so blocks tile
+# the 2^dim rows, and above dim 16 enough rows that OpenBLAS runs every block
+# through one dgemm kernel (its kernel for products of up to about 10^6
+# multiply-adds sums in another order); 512 KiB of float64 at dim 16
+_BRUTEFORCE_BLOCK_ROWS = 1 << 12
+# the largest dim whose assignment table is kept: 1 MiB of uint8 at 16
+_ASSIGNMENT_TABLE_MAX_DIM = 16
 # extensions per block times n * N; bounds the subset oracle's working memory
 _SUBSET_BLOCK_ELEMENTS = 1 << 21
 
@@ -615,7 +620,7 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
 
 
 def _assignment_block(dim: int, start: int, stop: int) -> np.ndarray:
-    """Assignments start..stop-1 of `dim` bits as float64 0/1 rows, row k
+    """Assignments start..stop-1 of `dim` bits as uint8 0/1 rows, row k
     the bits of code start + k, most significant first.
 
     The low bytes of big-endian codes unpack most significant bit first, so
@@ -624,16 +629,16 @@ def _assignment_block(dim: int, start: int, stop: int) -> np.ndarray:
     codes = np.arange(start, stop, dtype=np.uint64).astype(">u8")
     n_bytes = (dim + 7) // 8
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes :], axis=1)
-    return bits[:, 8 * n_bytes - dim :].astype(np.float64)
+    return bits[:, 8 * n_bytes - dim :]
 
 
 def assignment_table(dim: int) -> np.ndarray | None:
-    """The read-only table of all 2^dim assignments that
-    `solve_qubo_bruteforce` enumerates, when they fit in one of its blocks
-    (dim <= 16); None for a larger dim, whose blocks are built per call."""
-    if dim < 1 or (1 << dim) * dim > _BRUTEFORCE_BLOCK_ELEMENTS:
+    """The contiguous, read-only uint8 table of all 2^dim assignments that
+    `solve_qubo_bruteforce` enumerates (1 MiB at dim 16), for dim <= 16;
+    None for a larger dim, whose blocks are built per call."""
+    if dim < 1 or dim > _ASSIGNMENT_TABLE_MAX_DIM:
         return None
-    table = _assignment_block(dim, 0, 1 << dim)
+    table = np.ascontiguousarray(_assignment_block(dim, 0, 1 << dim))
     table.setflags(write=False)
     return table
 
@@ -643,7 +648,10 @@ def solve_qubo_bruteforce(
 ) -> tuple[tuple[int, ...], float]:
     """Exact QUBO oracle: enumerate all 2^dim assignments, lexicographic
     tie-break on the bit vector. `table`, when given, is
-    `assignment_table(q.dim)`, used instead of building it again."""
+    `assignment_table(q.dim)`, sliced instead of unpacking each block.
+
+    Blocks of `_BRUTEFORCE_BLOCK_ROWS` rows go through float64 buffers
+    allocated once per call, each row through the same operations."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
     dim = q.dim
@@ -653,22 +661,25 @@ def solve_qubo_bruteforce(
     upper = q.to_dense()
     best_energy = math.inf
     best_code = 0
-    block = max(1, _BRUTEFORCE_BLOCK_ELEMENTS // dim)
+    block = min(total, _BRUTEFORCE_BLOCK_ROWS)
+    # each block is cast into the second half of `work`. One allocation:
+    # glibc then reuses its heap block on later calls instead of returning
+    # it and faulting its pages in again
+    work = np.empty((2 * block, dim))
+    energies, bits = work[:block], work[block:]
     for start in range(0, total, block):
-        if table is None:
-            bits = _assignment_block(dim, start, min(start + block, total))
-        else:
-            bits = table  # one block: dim <= 16
-        energies = bits @ upper
+        stop = start + block
+        np.copyto(bits, _assignment_block(dim, start, stop) if table is None else table[start:stop])
+        np.matmul(bits, upper, out=energies)
         energies *= bits
-        energies = np.add.reduce(energies, axis=1)
+        sums = np.add.reduce(energies, axis=1)
         # rows are in lexicographic order, so argmin lands on the lex winner;
         # the offset goes in before argmin: ties that adding it rounds into
         # break lexicographically too
-        energies += q.offset
-        idx = int(np.argmin(energies))
-        if energies[idx] < best_energy:
-            best_energy = float(energies[idx])
+        sums += q.offset
+        idx = int(sums.argmin())
+        if sums[idx] < best_energy:
+            best_energy = float(sums[idx])
             best_code = start + idx
     bits = tuple((best_code >> (dim - 1 - i)) & 1 for i in range(dim))
     return bits, best_energy

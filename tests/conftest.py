@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def naive_bruteforce(q: QuboMatrix):
         if best is None or e < best[1] or (e == best[1] and bits < best[0]):
             best = (bits, e)
     return best
+
+
+def traced_peak(fn) -> int:
+    """The peak of memory that tracemalloc traces while `fn()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def naive_risk(sigma, x) -> float:

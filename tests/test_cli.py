@@ -584,3 +584,38 @@ def test_bench_grid_policy_picks_what_tune_picks(at_least_instance, tmp_path, ca
     policy = {"policy": "grid", **given}
     picked = _bench_lambdas(tmp_path, at_least_instance, policy, solvers=["exact"], grid_repeats=2)
     assert best == f"best lambda1={picked['lambda1']} lambda2={picked['lambda2']} feasible=True"
+
+
+@pytest.mark.parametrize(
+    "target, solver, unused",
+    [
+        ("q.qubo", "sa", "a .qubo target"),
+        ("q.qubo", "exact", "a .qubo target"),
+        ("inst.json", "exact", "--solver exact"),
+    ],
+)
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--lambda1", "50"], "--lambda1"),
+        (["--lambda2", "5"], "--lambda2"),
+        (["--estimate"], "--estimate"),
+        (["--lambda1", "50", "--estimate"], "--lambda1 or --estimate"),
+    ],
+)
+def test_solve_penalty_flag_without_effect_is_usage_error(
+    tmp_path, capsys, target, solver, unused, flags, named
+):
+    missing = tmp_path / target  # a usage error is raised before any file is read
+    assert cli_main(["solve", str(missing), "--solver", solver, *flags]) == 1
+    assert f"error: solve with {unused} takes no {named}\n" in capsys.readouterr().err
+
+
+def test_solve_with_both_lambdas_prints_what_it_did(at_least_instance, capsys):
+    # the solve-large workload's call, pinned to its output before flags were checked
+    argv = ["solve", str(at_least_instance), "--solver", "sa", "--lambda1", "50", "--lambda2", "5"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == (
+        "x=[1, 1, 0, 0, 1, 0, 0, 0]\n"
+        "risk=3.5326238198717892 return=6.1314202406641574 energy=3.6189802181362865 feasible=True\n"
+    )

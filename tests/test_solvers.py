@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from portqubo import (
@@ -46,6 +46,7 @@ from conftest import (
     reference_ga,
     reference_sa,
     reference_tabu,
+    traced_peak,
 )
 
 
@@ -171,13 +172,7 @@ class TestExhaustiveSubsetsMatchesReference:
         # the all-subsets gather of C(24, 9) = 1.3M subsets peaks at about 908 MB
         universe = generate_synthetic(SyntheticSpec(n_assets=24, seed=9))
         inst = PortfolioInstance(universe, 9)
-        tracemalloc.start()
-        try:
-            solve_exhaustive_subsets(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert traced_peak(lambda: solve_exhaustive_subsets(inst)) <= 32 * 2**20
 
 
 class TestBruteforce:
@@ -224,6 +219,53 @@ class TestBruteforce:
         with pytest.raises(ValueError, match="guard"):
             solve_qubo_bruteforce(q)
 
+    @pytest.mark.parametrize("dim, kept_table", [(16, True), (16, False), (20, False)])
+    def test_memory_bounded(self, rng, dim, kept_table):
+        # a float64 table of every assignment and its energies took 8.5 MiB
+        # with the kept table of dim 16, and 16.5-18 MiB without one
+        q = random_qubo(rng, dim, density=0.5)
+        table = solvers_mod.assignment_table(dim) if kept_table else None
+        assert traced_peak(lambda: solve_qubo_bruteforce(q, table=table)) <= 2 * 2**20
+
+    @given(
+        dim=st.integers(1, 20),
+        integer=st.booleans(),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_match_reference(self, dim, integer, density, seed):
+        # integer coefficients make energy ties; the kept table and the
+        # per-call blocks must give the same bits as the reference's blocks
+        q = (_integer_qubo if integer else random_qubo)(np.random.default_rng(seed), dim, density)
+        ref_bits, ref_energy = reference_bruteforce(q)
+        tables = [None] + ([solvers_mod.assignment_table(dim)] if dim <= 16 else [])
+        for table in tables:
+            bits, energy = solve_qubo_bruteforce(q, table=table)
+            # the reference's last block at dim 20 is 16 rows, and OpenBLAS
+            # sums so short a product in another order than a long one, so
+            # float energies of those rows may differ in the last bits
+            assume(integer or dim < 20 or 0 in bits[:16] and 0 in ref_bits[:16])
+            assert bits == ref_bits
+            assert _int64_bits(energy) == _int64_bits(ref_energy)
+
+    def test_dim_20_last_row_energy_is_that_of_a_full_block(self):
+        # all coefficients negative: the winner is the all-ones row, the last
+        # of 2^20. Every block now has 4,096 rows, so its energy is the one a
+        # full block gives it. The reference's blocks of 52,428 rows leave it
+        # in a last block of 16 rows, whose shorter product OpenBLAS sums in
+        # another order: -0x1.0544137c173cdp+10 there, one ulp above
+        dim = 20
+        rng = np.random.default_rng(2)
+        coeffs = {(i, j): -float(rng.uniform(0, 10)) for i in range(dim) for j in range(i, dim)}
+        q = QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.uniform(-5, 5)))
+        bits, energy = solve_qubo_bruteforce(q)
+        assert bits == (1,) * dim
+        block = solvers_mod._assignment_block(dim, (1 << dim) - 4096, 1 << dim).astype(np.float64)
+        full_block = np.add.reduce((block @ q.to_dense()) * block, axis=1) + q.offset
+        assert _int64_bits(energy) == _int64_bits(full_block[-1])
+        assert energy == float.fromhex("-0x1.0544137c173ccp+10")
+
 
 def _int64_bits(value: float):
     return np.float64(value).view(np.int64)
@@ -236,7 +278,7 @@ class TestExactSolver:
     def test_one_solver_across_dims_matches_reference(self):
         solver = make_solver("exact")
         rng = np.random.default_rng(17)
-        # 17 takes three blocks and has no table; 12 and 1 replace the table
+        # 17 takes 32 blocks and has no table; 12 and 1 replace the table
         for dim in (16, 12, 16, 17, 1):
             for q in (_integer_qubo(rng, dim, density=0.5), random_qubo(rng, dim, density=0.6)):
                 result = solver(q, 3)
@@ -265,16 +307,32 @@ class TestExactSolver:
 
     def test_table_is_released_with_the_solver(self, rng):
         q = random_qubo(rng, 16)
-        tracemalloc.start()
-        try:
+        released = []
+
+        def solve_and_drop():
             solver = make_solver("exact")
             solver(q, 0)
             held = tracemalloc.get_traced_memory()[0]
             del solver
-            released = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert released >= (1 << 16) * 16 * 8  # the 8 MB table of dim 16
+            released.append(held - tracemalloc.get_traced_memory()[0])
+
+        peak = traced_peak(solve_and_drop)
+        assert released[0] >= (1 << 16) * 16  # the 1 MiB uint8 table of dim 16
+        assert peak <= 3 * 2**20  # the table and one call's blocks
+
+    def test_sweep_csv_equals_reference_oracle(self, tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        save_instance(PortfolioInstance(generate_synthetic(SyntheticSpec(n_assets=16, seed=5)), 4), path)
+        argv = ["sweep", str(path), "--lambda1-from", "0", "--lambda1-to", "4", "--points", "8"]
+
+        def rows_but_wall_time(out):
+            assert cli_main([*argv, "-o", str(out)]) == 0
+            return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+
+        rows = rows_but_wall_time(tmp_path / "oracle.csv")
+        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", lambda q, table: reference_bruteforce(q))
+        assert rows_but_wall_time(tmp_path / "reference.csv") == rows
+        assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"true", "false"}
 
     @pytest.mark.parametrize(
         "argv",
