@@ -25,6 +25,7 @@ from .data import (
     int_field,
     load_instance,
     number_field,
+    positive_number_field,
     require_fields,
 )
 from .model import PortfolioInstance
@@ -114,7 +115,7 @@ def load_plan(path) -> BenchPlan:
         solvers=tuple(doc["solvers"]),
         seeds=tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"]),
         **_penalty_fields(doc.get("penalty_policy", "estimate"), path),
-        time_limit_s=None if limit is None else number_field(doc, "time_limit_s", path),
+        time_limit_s=None if limit is None else positive_number_field(doc, "time_limit_s", path),
         external_results=None if external is None else str(base / external),
         grid_repeats=grid_repeats,
     )

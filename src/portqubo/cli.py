@@ -144,8 +144,11 @@ def _compile(instance, args):
 
 def _cmd_solve(args) -> int:
     # a QUBO file holds its penalties already, and the exact solver
-    # enumerates the instance's n-subsets, which need none
+    # enumerates the instance's n-subsets, which need none; its one
+    # enumeration gives every seed the same answer
     is_qubo = args.target.endswith(".qubo")
+    if args.solver == "exact" and args.restarts > 1:
+        raise _UsageError("solve with --solver exact takes no --restarts above 1")
     if is_qubo or args.solver == "exact":
         given = [
             flag

@@ -251,6 +251,15 @@ def number_field(doc: dict, key: str, source, default=None) -> float:
     return float(value)
 
 
+def positive_number_field(doc: dict, key: str, source) -> float:
+    """Field ``key`` as a float above 0 and below infinity; a DataFormatError
+    naming ``source`` and the field otherwise (NaN and -1 included)."""
+    value = number_field(doc, key, source)
+    if not 0 < value < math.inf:
+        raise DataFormatError(f"{source}: field {key!r} must be a positive finite number")
+    return value
+
+
 def _float_field(doc: dict, key: str, shape: tuple, source) -> np.ndarray:
     """Field ``key`` as a float64 array of ``shape``, given nested or, for a
     matrix, as a flat list in row-major order."""

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import int_field, positive_number_field
 from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, solution_from_bits
 from .qubo import QuboMatrix
 
@@ -31,8 +32,6 @@ BRUTEFORCE_DIM_GUARD = 24
 # through one dgemm kernel (its kernel for products of up to about 10^6
 # multiply-adds sums in another order); 512 KiB of float64 at dim 16
 _BRUTEFORCE_BLOCK_ROWS = 1 << 12
-# the largest dim whose assignment table is kept: 1 MiB of uint8 at 16
-_ASSIGNMENT_TABLE_MAX_DIM = 16
 # extensions per block times n * N; bounds the subset oracle's working memory
 _SUBSET_BLOCK_ELEMENTS = 1 << 21
 
@@ -54,6 +53,15 @@ class SolveResult:
     per_seed: list["SolveResult"] | None = None
 
 
+def _read_counts(config, *names: str) -> None:
+    """Set each named count field of the frozen `config` that is not None to
+    the int `data.int_field` reads from it: an int, or a float with no
+    fractional part. A bool or anything else raises a ValueError naming it."""
+    for name in names:
+        if getattr(config, name) is not None:
+            object.__setattr__(config, name, int_field(vars(config), name, type(config).__name__))
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     sweeps: int = 1000
@@ -64,6 +72,7 @@ class AnnealConfig:
     restarts: int = 10
 
     def __post_init__(self):
+        _read_counts(self, "sweeps", "restarts")
         if self.sweeps < 1 or self.restarts < 1:
             raise ValueError("sweeps and restarts must be positive")
         if self.schedule not in ("geometric", "linear"):
@@ -83,6 +92,7 @@ class TabuConfig:
     restarts: int = 5
 
     def __post_init__(self):
+        _read_counts(self, "tenure", "max_iterations", "restarts")
         if self.tenure is not None and self.tenure < 1:
             raise ValueError("tenure must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -102,6 +112,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _read_counts(self, "population", "generations", "tournament_size", "elitism_count")
         if self.population < 2 or self.population % 2:
             raise ValueError("population must be a positive even integer")
         if self.generations < 1:
@@ -632,44 +643,33 @@ def _assignment_block(dim: int, start: int, stop: int) -> np.ndarray:
     return bits[:, 8 * n_bytes - dim :]
 
 
-def assignment_table(dim: int) -> np.ndarray | None:
-    """The contiguous, read-only uint8 table of all 2^dim assignments that
-    `solve_qubo_bruteforce` enumerates (1 MiB at dim 16), for dim <= 16;
-    None for a larger dim, whose blocks are built per call."""
-    if dim < 1 or dim > _ASSIGNMENT_TABLE_MAX_DIM:
-        return None
-    table = np.ascontiguousarray(_assignment_block(dim, 0, 1 << dim))
-    table.setflags(write=False)
-    return table
-
-
-def solve_qubo_bruteforce(
-    q: QuboMatrix, *, table: np.ndarray | None = None
-) -> tuple[tuple[int, ...], float]:
+def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     """Exact QUBO oracle: enumerate all 2^dim assignments, lexicographic
-    tie-break on the bit vector. `table`, when given, is
-    `assignment_table(q.dim)`, sliced instead of unpacking each block.
+    tie-break on the bit vector.
 
-    Blocks of `_BRUTEFORCE_BLOCK_ROWS` rows go through float64 buffers
-    allocated once per call, each row through the same operations."""
+    Blocks of `_BRUTEFORCE_BLOCK_ROWS` = 2^12 rows go through float64
+    buffers allocated once per call, each row through the same operations.
+    Every block has the same low min(dim, 12) bit columns, written once, and
+    one constant row of high columns, the bits of its first code."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
     dim = q.dim
     total = 1 << dim
-    if table is not None and table.shape != (total, dim):
-        raise ValueError(f"assignment table of shape {table.shape} does not fit dim {dim}")
     upper = q.to_dense()
     best_energy = math.inf
     best_code = 0
     block = min(total, _BRUTEFORCE_BLOCK_ROWS)
-    # each block is cast into the second half of `work`. One allocation:
-    # glibc then reuses its heap block on later calls instead of returning
-    # it and faulting its pages in again
+    high = dim - (block.bit_length() - 1)
+    # each block goes into the second half of `work`. One allocation: glibc
+    # then reuses its heap block on later calls instead of returning it and
+    # faulting its pages in again
     work = np.empty((2 * block, dim))
     energies, bits = work[:block], work[block:]
+    bits[:, high:] = _assignment_block(dim - high, 0, block)
+    # column i holds code bit dim-1-i
+    high_shifts = np.arange(dim - 1, dim - 1 - high, -1)
     for start in range(0, total, block):
-        stop = start + block
-        np.copyto(bits, _assignment_block(dim, start, stop) if table is None else table[start:stop])
+        bits[:, :high] = (start >> high_shifts) & 1
         np.matmul(bits, upper, out=energies)
         energies *= bits
         sums = np.add.reduce(energies, axis=1)
@@ -683,30 +683,6 @@ def solve_qubo_bruteforce(
             best_code = start + idx
     bits = tuple((best_code >> (dim - 1 - i)) & 1 for i in range(dim))
     return bits, best_energy
-
-
-class ExactSolver:
-    """The `exact` solver of `make_solver`: `solve_qubo_bruteforce` with the
-    assignment table of the last QUBO dim it saw kept in `table`, so a
-    sweep or grid over one QUBO dim builds the table once. The table lives
-    as long as this object does; a dim without one (above 16) drops it."""
-
-    def __init__(self):
-        self.table: np.ndarray | None = None
-
-    def __call__(self, q: QuboMatrix, seed: int) -> SolveResult:
-        t0 = time.perf_counter()
-        if self.table is None or self.table.shape[1] != q.dim:
-            self.table = None  # freed before the next is built
-            self.table = assignment_table(q.dim)
-        bits, energy = solve_qubo_bruteforce(q, table=self.table)
-        return SolveResult(
-            bits=bits,
-            energy=energy,
-            evaluations=1 << q.dim,
-            wall_time_s=time.perf_counter() - t0,
-            seed=seed,
-        )
 
 
 def run_restarts(
@@ -732,22 +708,27 @@ def make_solver(
 ) -> Callable[[QuboMatrix, int], SolveResult]:
     """Resolve a solver name to a `(qubo, seed) -> SolveResult` callable.
     Its options, `time_limit_s` and the fields of its config but `seed`, are
-    checked here, once: any other key raises a ValueError naming it."""
+    checked here, once: any other key, or a bad value, raises a ValueError
+    naming it. `exact` takes no config and ignores a valid `time_limit_s`."""
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVER_NAMES)}")
     options = dict(options or {})
+    if options.get("time_limit_s") is not None:
+        positive_number_field(options, "time_limit_s", f"solver {name!r}")
     deadline_s = options.pop("time_limit_s", None)
     config_type = {"sa": AnnealConfig, "tabu": TabuConfig, "ga": GaConfig}.get(name)
     known = {f.name for f in fields(config_type)} - {"seed"} if config_type else set()
     for key in options:
         if key not in known:
             raise ValueError(f"solver {name!r} has no option {key!r}")
-    if config_type is None:
-        return ExactSolver()
-    config = config_type(**options)
+    config = config_type(**options) if config_type else None
 
     def run(q, seed):
         # looked up per call, so a wrapper bound to these names later is called
+        if config is None:
+            t0 = time.perf_counter()
+            bits, energy = solve_qubo_bruteforce(q)
+            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

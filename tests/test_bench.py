@@ -430,6 +430,10 @@ class TestPlanFieldTypes:
             ({"grid_repeats": 0}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
             ({"grid_repeats": -1}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
             ({"time_limit_s": "x"}, r"plan\.json: field 'time_limit_s'"),
+            ({"time_limit_s": math.nan}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
+            ({"time_limit_s": -1}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
+            ({"time_limit_s": 0}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
+            ({"time_limit_s": math.inf}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
             ({"external_results": 5}, r"plan\.json: field 'external_results'"),
             ({"penalty_policy": {"lambda1": [1]}}, r"plan\.json: penalty_policy: field 'lambda1'"),
             ({"penalty_policy": "foo"}, r"plan\.json: penalty_policy: 'foo' is not one of"),

@@ -587,20 +587,26 @@ def test_bench_grid_policy_picks_what_tune_picks(at_least_instance, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "target, solver, unused",
+    "target, solver, unused, flags, named",
     [
-        ("q.qubo", "sa", "a .qubo target"),
-        ("q.qubo", "exact", "a .qubo target"),
-        ("inst.json", "exact", "--solver exact"),
-    ],
-)
-@pytest.mark.parametrize(
-    "flags, named",
-    [
-        (["--lambda1", "50"], "--lambda1"),
-        (["--lambda2", "5"], "--lambda2"),
-        (["--estimate"], "--estimate"),
-        (["--lambda1", "50", "--estimate"], "--lambda1 or --estimate"),
+        (target, solver, unused, flags, named)
+        for target, solver, unused in [
+            ("q.qubo", "sa", "a .qubo target"),
+            ("q.qubo", "exact", "a .qubo target"),
+            ("inst.json", "exact", "--solver exact"),
+        ]
+        for flags, named in [
+            (["--lambda1", "50"], "--lambda1"),
+            (["--lambda2", "5"], "--lambda2"),
+            (["--estimate"], "--estimate"),
+            (["--lambda1", "50", "--estimate"], "--lambda1 or --estimate"),
+        ]
+    ]
+    + [
+        # one enumeration gives every seed the same answer
+        (target, "exact", "--solver exact", ["--restarts", restarts], "--restarts above 1")
+        for target in ("q.qubo", "inst.json")
+        for restarts in ("2", "4")
     ],
 )
 def test_solve_penalty_flag_without_effect_is_usage_error(

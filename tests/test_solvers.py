@@ -1,7 +1,7 @@
 
 import gc
+import math
 import time
-import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -219,13 +219,12 @@ class TestBruteforce:
         with pytest.raises(ValueError, match="guard"):
             solve_qubo_bruteforce(q)
 
-    @pytest.mark.parametrize("dim, kept_table", [(16, True), (16, False), (20, False)])
-    def test_memory_bounded(self, rng, dim, kept_table):
-        # a float64 table of every assignment and its energies took 8.5 MiB
-        # with the kept table of dim 16, and 16.5-18 MiB without one
+    @pytest.mark.parametrize("dim", [16, 20])
+    def test_memory_bounded(self, rng, dim):
+        # a float64 table of every assignment and its energies took 16.5 MiB
+        # at dim 16 and 18 MiB at dim 20
         q = random_qubo(rng, dim, density=0.5)
-        table = solvers_mod.assignment_table(dim) if kept_table else None
-        assert traced_peak(lambda: solve_qubo_bruteforce(q, table=table)) <= 2 * 2**20
+        assert traced_peak(lambda: solve_qubo_bruteforce(q)) <= 2 * 2**20
 
     @given(
         dim=st.integers(1, 20),
@@ -235,19 +234,17 @@ class TestBruteforce:
     )
     @settings(max_examples=30, deadline=None)
     def test_blocks_match_reference(self, dim, integer, density, seed):
-        # integer coefficients make energy ties; the kept table and the
-        # per-call blocks must give the same bits as the reference's blocks
+        # integer coefficients make energy ties; the blocks must give the
+        # same bits as the reference's blocks
         q = (_integer_qubo if integer else random_qubo)(np.random.default_rng(seed), dim, density)
         ref_bits, ref_energy = reference_bruteforce(q)
-        tables = [None] + ([solvers_mod.assignment_table(dim)] if dim <= 16 else [])
-        for table in tables:
-            bits, energy = solve_qubo_bruteforce(q, table=table)
-            # the reference's last block at dim 20 is 16 rows, and OpenBLAS
-            # sums so short a product in another order than a long one, so
-            # float energies of those rows may differ in the last bits
-            assume(integer or dim < 20 or 0 in bits[:16] and 0 in ref_bits[:16])
-            assert bits == ref_bits
-            assert _int64_bits(energy) == _int64_bits(ref_energy)
+        bits, energy = solve_qubo_bruteforce(q)
+        # the reference's last block at dim 20 is 16 rows, and OpenBLAS sums
+        # so short a product in another order than a long one, so float
+        # energies of those rows may differ in the last bits
+        assume(integer or dim < 20 or 0 in bits[:16] and 0 in ref_bits[:16])
+        assert bits == ref_bits
+        assert _int64_bits(energy) == _int64_bits(ref_energy)
 
     def test_dim_20_last_row_energy_is_that_of_a_full_block(self):
         # all coefficients negative: the winner is the all-ones row, the last
@@ -272,13 +269,13 @@ def _int64_bits(value: float):
 
 
 class TestExactSolver:
-    """The solver of make_solver("exact") keeps the assignment table of its
-    last dim, read-only, for as long as it lives."""
+    """The solver of make_solver("exact"): `solve_qubo_bruteforce` with the
+    seed and the enumeration count attached."""
 
     def test_one_solver_across_dims_matches_reference(self):
         solver = make_solver("exact")
         rng = np.random.default_rng(17)
-        # 17 takes 32 blocks and has no table; 12 and 1 replace the table
+        # 17 takes 32 blocks, 12 and below one
         for dim in (16, 12, 16, 17, 1):
             for q in (_integer_qubo(rng, dim, density=0.5), random_qubo(rng, dim, density=0.6)):
                 result = solver(q, 3)
@@ -286,39 +283,19 @@ class TestExactSolver:
                 assert result.bits == ref_bits
                 assert _int64_bits(result.energy) == _int64_bits(ref_energy)
                 assert (result.evaluations, result.seed) == (1 << dim, 3)
-            if dim <= 16:
-                assert solver.table.shape == (1 << dim, dim)
-            else:
-                assert solver.table is None
 
-    def test_table_is_built_once_per_dim(self, rng):
+    def test_solver_calls_the_oracle_bound_at_call_time(self, rng, monkeypatch):
+        # perfbench's tracer times the oracle by rebinding this name
         solver = make_solver("exact")
-        solver(random_qubo(rng, 10), 0)
-        table = solver.table
-        solver(random_qubo(rng, 10), 1)
-        assert solver.table is table
-        assert np.array_equal(table, solvers_mod.assignment_table(10))
+        calls = []
 
-    def test_kept_table_is_read_only(self, rng):
-        solver = make_solver("exact")
-        solver(random_qubo(rng, 8), 0)
-        with pytest.raises(ValueError, match="read-only"):
-            solver.table[0, 0] = 1.0
+        def oracle(q):
+            calls.append(q.dim)
+            return (0,) * q.dim, 0.0
 
-    def test_table_is_released_with_the_solver(self, rng):
-        q = random_qubo(rng, 16)
-        released = []
-
-        def solve_and_drop():
-            solver = make_solver("exact")
-            solver(q, 0)
-            held = tracemalloc.get_traced_memory()[0]
-            del solver
-            released.append(held - tracemalloc.get_traced_memory()[0])
-
-        peak = traced_peak(solve_and_drop)
-        assert released[0] >= (1 << 16) * 16  # the 1 MiB uint8 table of dim 16
-        assert peak <= 3 * 2**20  # the table and one call's blocks
+        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", oracle)
+        assert solver(random_qubo(rng, 4), 3).bits == (0,) * 4
+        assert calls == [4]
 
     def test_sweep_csv_equals_reference_oracle(self, tmp_path, monkeypatch):
         path = tmp_path / "instance.json"
@@ -330,35 +307,9 @@ class TestExactSolver:
             return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
 
         rows = rows_but_wall_time(tmp_path / "oracle.csv")
-        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", lambda q, table: reference_bruteforce(q))
+        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", lambda q: reference_bruteforce(q))
         assert rows_but_wall_time(tmp_path / "reference.csv") == rows
         assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"true", "false"}
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--lambda1-from", "0", "--lambda1-to", "4", "--points", "5"],
-            ["tune", "--solver", "exact", "--grid1", "0", "1", "2", "--grid2", "0", "--repeats", "2"],
-        ],
-    )
-    def test_command_builds_the_table_once(self, tmp_path, monkeypatch, capsys, argv):
-        built = []
-        assignment_table = solvers_mod.assignment_table
-
-        def counting_table(dim):
-            built.append(dim)
-            return assignment_table(dim)
-
-        monkeypatch.setattr(solvers_mod, "assignment_table", counting_table)
-        path = tmp_path / "instance.json"
-        save_instance(PortfolioInstance(generate_synthetic(SyntheticSpec(n_assets=10, seed=4)), 3), path)
-        command, *options = argv
-        assert cli_main([command, str(path), *options, "-o", str(tmp_path / "out.csv")]) == 0
-        assert built == [10]
-
-    def test_table_of_another_dim_is_rejected(self, rng):
-        with pytest.raises(ValueError, match="does not fit dim 5"):
-            solve_qubo_bruteforce(random_qubo(rng, 5), table=solvers_mod.assignment_table(4))
 
 
 class TestFlipEvaluator:
@@ -781,6 +732,45 @@ class TestMakeSolver:
     def test_invalid_option_value_rejected_when_made(self):
         with pytest.raises(ValueError, match="sweeps"):
             make_solver("sa", {"sweeps": 0})
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("limit", [math.nan, -1, 0, 0.0, math.inf, True, "1"])
+    def test_time_limit_not_positive_finite_rejected(self, name, limit):
+        # NaN made no deadline ever pass, and -1 cut SA to one sweep
+        with pytest.raises(ValueError, match=r"solver '\w+': field 'time_limit_s'"):
+            make_solver(name, {"time_limit_s": limit})
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("sa", "sweeps"),
+            ("sa", "restarts"),
+            ("tabu", "tenure"),
+            ("tabu", "max_iterations"),
+            ("tabu", "restarts"),
+            ("ga", "population"),
+            ("ga", "generations"),
+            ("ga", "tournament_size"),
+            ("ga", "elitism_count"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [10.5, True, "4"])
+    def test_count_not_an_integer_rejected(self, name, field, value):
+        with pytest.raises(ValueError, match=rf"field '{field}' must be an integer"):
+            make_solver(name, {field: value})
+
+    @pytest.mark.parametrize(
+        "config, counts",
+        [
+            (AnnealConfig, {"sweeps": 30.0, "restarts": 2.0}),
+            (TabuConfig, {"tenure": 3.0, "max_iterations": 40.0, "restarts": 2.0}),
+            (GaConfig, {"population": 10.0, "generations": 5.0, "tournament_size": 2.0, "elitism_count": 1.0}),
+        ],
+    )
+    def test_integral_float_counts_read_as_ints(self, config, counts):
+        made = config(**counts)
+        assert made == config(**{k: int(v) for k, v in counts.items()})
+        assert all(type(getattr(made, k)) is int for k in counts)
 
     @pytest.mark.parametrize(
         "name, options, solve, config",
