@@ -19,8 +19,6 @@ from .qubo import (
     QuboMatrix,
     VariableLayout,
     build_qubo,
-    build_qubo_equality,
-    build_qubo_inequality,
     chain_strength_bound,
     decode,
     ising_energy,
@@ -31,11 +29,9 @@ from .qubo import (
     write_qubo,
 )
 from .tuning import (
-    LambdaEstimate,
     SweepPoint,
     estimate_lambda1,
     estimate_lambda2,
-    estimate_lambdas,
     grid_search,
     lambda_sweep,
     resolve_penalties,

@@ -110,10 +110,13 @@ def load_plan(path) -> BenchPlan:
     grid_repeats = int_field(doc, "grid_repeats", path, 5)
     if grid_repeats < 1:
         raise DataFormatError(f"{path}: field 'grid_repeats' must be at least 1")
+    seeds = tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"])
+    if min(seeds, default=0) < 0:
+        raise DataFormatError(f"{path}: field 'seeds' must hold non-negative integers, got {min(seeds)}")
     return BenchPlan(
         instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
-        seeds=tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"]),
+        seeds=seeds,
         **_penalty_fields(doc.get("penalty_policy", "estimate"), path),
         time_limit_s=None if limit is None else positive_number_field(doc, "time_limit_s", path),
         external_results=None if external is None else str(base / external),

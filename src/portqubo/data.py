@@ -397,8 +397,8 @@ def load_instance(path) -> PortfolioInstance:
 def scale_returns(universe: AssetUniverse, factor: float) -> AssetUniverse:
     """Rescale mu by a positive factor (covariance untouched); used to shrink
     the slack-bit count of the inequality encoding."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"scale factor must be a positive finite number, got {factor}")
     return AssetUniverse(
         symbols=universe.symbols,
         mu=universe.mu * factor,

@@ -8,6 +8,7 @@ product mu'x. Everything here is encoding- and solver-agnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -91,6 +92,9 @@ class PortfolioInstance:
             raise ValueError(
                 f"return_mode must be one of {RETURN_MODES}, got {self.return_mode!r}"
             )
+        n = self.n
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real) or n % 1:
+            raise ValueError(f"n must be a whole number, got {n!r}")
         if not 1 <= self.n <= self.universe.n_assets:
             raise ValueError(
                 f"n must be in [1, {self.universe.n_assets}], got {self.n}"

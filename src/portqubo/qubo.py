@@ -54,12 +54,11 @@ class VariableLayout:
     """Split of the QUBO variables into asset bits and slack bits."""
 
     n_assets: int
-    n_slack: int
     slack_weights: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if len(self.slack_weights) != self.n_slack:
-            raise ValueError("slack_weights length must equal n_slack")
+    @property
+    def n_slack(self) -> int:
+        return len(self.slack_weights)
 
     @property
     def dim(self) -> int:
@@ -255,71 +254,38 @@ def _add_squared_linear(upper: np.ndarray, a: np.ndarray, constant: float, weigh
     return weight * constant * constant
 
 
-def build_qubo_equality(
+def build_qubo(
     instance: PortfolioInstance, params: PenaltyParams
 ) -> tuple[QuboMatrix, VariableLayout]:
-    """Compile with the return constraint (if any) as an exact equality penalty."""
-    if instance.return_mode == "at_least":
-        raise ValueError("at_least instances need the slack encoding; use build_qubo_inequality")
+    """Compile the instance. A return constraint is the penalty
+    lambda2*(a'z - R)^2 with a = mu: exact equality, or for 'at_least' with
+    slack bits of weights 2^0..2^(K-1) appended to z and negated in a."""
+    mu = instance.universe.mu
+    weights = ()
     if instance.return_mode == "none" and params.lambda2 > 0:
         raise ValueError("lambda2 > 0 is meaningless when return_mode is 'none'")
-    upper, offset = _risk_and_cardinality(instance, params, instance.n_assets)
-    if instance.return_mode == "equality":
-        offset += _add_squared_linear(
-            upper, np.array(instance.universe.mu), -instance.r_star, params.lambda2
-        )
-    layout = VariableLayout(n_assets=instance.n_assets, n_slack=0)
-    return QuboMatrix._from_upper(upper, offset), layout
-
-
-def build_qubo_inequality(
-    instance: PortfolioInstance,
-    params: PenaltyParams,
-    literal_weights: bool = False,
-) -> tuple[QuboMatrix, VariableLayout]:
-    """Compile an at-least-return instance with power-of-two slack bits.
-
-    ``literal_weights`` switches the slack weights from 2^0..2^(K-1) to
-    2^1..2^K for comparison; the latter cannot cancel odd surpluses.
-    """
-    if instance.return_mode != "at_least":
-        raise ValueError("slack encoding applies only to return_mode 'at_least'")
-    mu = np.array(instance.universe.mu)
-    total_mu = float(mu.sum())
-    if total_mu <= instance.r_star:
-        raise ValueError("return target exceeds total available return")
-    k = slack_count(mu)
-    if literal_weights:
-        weights = tuple(2**p for p in range(1, k + 1))
-    else:
-        weights = tuple(2**p for p in range(k))
-    max_surplus = total_mu - instance.r_star
-    representable = sum(weights)
-    if max_surplus > representable:
-        warnings.warn(
-            f"slack bits represent surpluses up to {representable}; the maximum "
-            f"feasible surplus {max_surplus:g} exceeds that, so the return "
-            "residual is only bounded, not exactly cancelable",
-            stacklevel=2,
-        )
-    n_assets = instance.n_assets
-    dim = n_assets + k
-    upper, offset = _risk_and_cardinality(instance, params, dim)
-    a = np.zeros(dim)
-    a[:n_assets] = mu
-    a[n_assets:] = [-w for w in weights]
-    offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
-    layout = VariableLayout(n_assets=n_assets, n_slack=k, slack_weights=weights)
-    return QuboMatrix._from_upper(upper, offset), layout
-
-
-def build_qubo(
-    instance: PortfolioInstance, params: PenaltyParams, **kwargs
-) -> tuple[QuboMatrix, VariableLayout]:
-    """Dispatch to the equality or slack encoding based on return_mode."""
     if instance.return_mode == "at_least":
-        return build_qubo_inequality(instance, params, **kwargs)
-    return build_qubo_equality(instance, params)
+        total_mu = float(mu.sum())
+        if total_mu <= instance.r_star:
+            raise ValueError("return target exceeds total available return")
+        weights = tuple(2**p for p in range(slack_count(mu)))
+        max_surplus = total_mu - instance.r_star
+        representable = sum(weights)
+        if max_surplus > representable:
+            warnings.warn(
+                f"slack bits represent surpluses up to {representable}; the maximum "
+                f"feasible surplus {max_surplus:g} exceeds that, so the return "
+                "residual is only bounded, not exactly cancelable",
+                stacklevel=2,
+            )
+    layout = VariableLayout(instance.n_assets, weights)
+    upper, offset = _risk_and_cardinality(instance, params, layout.dim)
+    # no return term to add without a constraint: adding its 0.0 would turn
+    # the -0.0 offset that lambda1 = -0.0 gives into +0.0
+    if instance.return_mode != "none":
+        a = np.append(mu, [-float(w) for w in weights])
+        offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
+    return QuboMatrix._from_upper(upper, offset), layout
 
 
 def qubo_energy(q: QuboMatrix, x) -> float:

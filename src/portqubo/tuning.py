@@ -26,13 +26,6 @@ PENALTY_POLICIES = ("explicit", "estimate", "grid")
 
 
 @dataclass(frozen=True)
-class LambdaEstimate:
-    lambda1_hat: float
-    lambda2_hat: float
-    details: dict
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     """One seeded solve at (lambda1, lambda2): a sweep point or a grid run."""
 
@@ -58,25 +51,34 @@ class GridCell:
 
 def _row_prefix_sums(sigma: np.ndarray, n: int) -> np.ndarray:
     """Per asset, the sum of the n smallest covariance entries of its row
-    (diagonal included). Sequential left-to-right accumulation so the value
-    is reproducible by a plain sort-and-sum."""
-    return np.array([sum(sorted(row)[:n]) for row in sigma.tolist()])
+    (diagonal included), bit for bit a plain sort-and-sum from 0: ``cumsum``
+    adds left to right where ``sum`` would add pairwise, and ``+ 0.0`` gives
+    a zero total the sign of a sum that starts at 0."""
+    return np.sort(sigma, axis=1)[:, :n].cumsum(axis=1)[:, -1] + 0.0
 
 
-def _lambda1_from_sums(sums: np.ndarray) -> float:
-    return max(float(sums.max()), 0.0)
+def estimate_lambda1(instance: PortfolioInstance) -> float:
+    """Cardinality penalty estimate: max over assets of the n-smallest row
+    sum, floored at zero."""
+    return max(float(_row_prefix_sums(instance.universe.sigma, instance.n).max()), 0.0)
 
 
-def _lambda2_from_sums(
-    instance: PortfolioInstance, sums: np.ndarray, pairwise_a1: bool = False
-) -> float:
+def estimate_lambda2(instance: PortfolioInstance) -> float:
+    """Return penalty estimate A1/A2 from the n assets with the smallest
+    covariance row sums.
+
+    A1 is the mean consecutive gap of those sorted sums, i.e.
+    (max - min)/(n - 1); A2 is the mean strictly positive pairwise return
+    difference among the same assets. Returns 0 when return_mode is 'none',
+    when n < 2 (where A1 is undefined) or when the selected returns carry no
+    spread.
+    """
+    if instance.return_mode == "none" or instance.n < 2:
+        return 0.0
+    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
     chosen = np.argsort(sums, kind="stable")[: instance.n]
     s_sel = np.sort(sums[chosen])
-    if pairwise_a1:
-        diffs = np.abs(s_sel[:, None] - s_sel[None, :])
-        a1 = float(diffs[np.triu_indices(instance.n, k=1)].mean())
-    else:
-        a1 = float((s_sel[-1] - s_sel[0]) / (instance.n - 1))
+    a1 = float((s_sel[-1] - s_sel[0]) / (instance.n - 1))
     mu_sel = instance.universe.mu[chosen]
     pair_diffs = mu_sel[:, None] - mu_sel[None, :]
     positive = pair_diffs[pair_diffs > 0]
@@ -86,47 +88,6 @@ def _lambda2_from_sums(
     if a2 == 0.0:
         return 0.0
     return a1 / a2
-
-
-def estimate_lambda1(instance: PortfolioInstance) -> float:
-    """Cardinality penalty estimate: max over assets of the n-smallest row
-    sum, floored at zero."""
-    return _lambda1_from_sums(_row_prefix_sums(instance.universe.sigma, instance.n))
-
-
-def estimate_lambda2(instance: PortfolioInstance, pairwise_a1: bool = False) -> float:
-    """Return penalty estimate A1/A2 from the n assets with the smallest
-    covariance row sums.
-
-    A1 is the mean consecutive gap of those sorted sums, i.e.
-    (max - min)/(n - 1); ``pairwise_a1`` switches to the mean absolute
-    pairwise difference. A2 is the mean strictly positive pairwise return
-    difference among the same assets. Returns 0 when return_mode is 'none' or
-    the selected returns carry no spread.
-    """
-    if instance.return_mode == "none":
-        return 0.0
-    if instance.n < 2:
-        raise ValueError("lambda2 estimation needs n >= 2")
-    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
-    return _lambda2_from_sums(instance, sums, pairwise_a1)
-
-
-def estimate_lambdas(instance: PortfolioInstance) -> LambdaEstimate:
-    """Both estimates plus the intermediate row sums, computed once. The
-    return-penalty estimate is 0 without a return constraint or with n < 2,
-    where it is undefined."""
-    sums = _row_prefix_sums(instance.universe.sigma, instance.n)
-    l2 = (
-        _lambda2_from_sums(instance, sums)
-        if instance.return_mode != "none" and instance.n >= 2
-        else 0.0
-    )
-    return LambdaEstimate(
-        lambda1_hat=_lambda1_from_sums(sums),
-        lambda2_hat=l2,
-        details={"row_sums": sums.tolist()},
-    )
 
 
 def _solve_at(instance, solver, params, q, layout, seed) -> tuple[SweepPoint, Solution]:
@@ -193,17 +154,17 @@ def grid_search(
     repeats: int = 5,
 ) -> tuple[PenaltyParams, list[GridCell], bool]:
     """Evaluate every (lambda1, lambda2) cell with seeds 0..repeats-1; a grid
-    of None is ``default_grid`` around that penalty's ``estimate_lambdas`` value.
+    of None is ``default_grid`` around that penalty's estimate.
 
     Returns (best params, all cells, feasible flag). Best cell is the lowest
     recomputed risk among feasible decoded solutions; ties go to the smaller
     lambda1 + lambda2 and then lexicographically. With no feasible cell, the
     smallest total constraint violation wins and the flag is False.
     """
-    if grid1 is None or grid2 is None:
-        est = estimate_lambdas(instance)
-        grid1 = default_grid(est.lambda1_hat) if grid1 is None else grid1
-        grid2 = default_grid(est.lambda2_hat) if grid2 is None else grid2
+    if grid1 is None:
+        grid1 = default_grid(estimate_lambda1(instance))
+    if grid2 is None:
+        grid2 = default_grid(estimate_lambda2(instance))
     if not grid1 or not grid2:
         raise ValueError("grids must be nonempty")
     if repeats < 1:
@@ -239,16 +200,20 @@ def resolve_penalties(
     instance, policy: str, lambda1=None, lambda2=None, solver=None, repeats: int = 5
 ) -> PenaltyParams:
     """The penalties a run compiles with. A given lambda is used as it is; a
-    missing one is 0 ('explicit'), its ``estimate_lambdas`` value ('estimate') or its
-    value in the best ``grid_search`` cell, a given one a one-value grid ('grid')."""
+    missing one is 0 ('explicit'), its ``estimate_lambda1``/``estimate_lambda2``
+    value ('estimate') or its value in the best ``grid_search`` cell, a given
+    one a one-value grid ('grid')."""
     if policy not in PENALTY_POLICIES:
         raise ValueError(f"unknown penalty policy {policy!r}")
     given = (lambda1, lambda2)
     if policy == "grid" and None in given:
         return grid_search(instance, solver, *[g if g is None else [g] for g in given], repeats)[0]
-    est = estimate_lambdas(instance) if policy == "estimate" and None in given else None
-    missing = (0.0, 0.0) if est is None else (est.lambda1_hat, est.lambda2_hat)
-    return PenaltyParams(1.0, *(m if g is None else g for g, m in zip(given, missing)))
+    if policy == "estimate":
+        given = (
+            estimate_lambda1(instance) if lambda1 is None else lambda1,
+            estimate_lambda2(instance) if lambda2 is None else lambda2,
+        )
+    return PenaltyParams(1.0, *(0.0 if g is None else g for g in given))
 
 
 def runs_csv(points: list[SweepPoint]) -> str:

@@ -252,7 +252,7 @@ def _reference_squared_linear(coeffs: dict, a, constant: float, weight: float) -
     return weight * constant * constant
 
 
-def reference_build_qubo(instance: PortfolioInstance, params, literal_weights: bool = False):
+def reference_build_qubo(instance: PortfolioInstance, params):
     """Independent QUBO build: accumulates every coefficient into a dict, one
     (i, j) pair at a time, and hands the dict to the QuboMatrix constructor.
     Returns (QuboMatrix, slack weights)."""
@@ -268,9 +268,7 @@ def reference_build_qubo(instance: PortfolioInstance, params, literal_weights: b
     offset = l1 * n * n
     weights: tuple = ()
     if instance.return_mode == "at_least":
-        k = slack_count(mu)
-        first = 1 if literal_weights else 0
-        weights = tuple(2**p for p in range(first, first + k))
+        weights = tuple(2**p for p in range(slack_count(mu)))
         a = mu + [-float(w) for w in weights]
         offset += _reference_squared_linear(coeffs, a, -instance.r_star, params.lambda2)
     elif instance.return_mode == "equality":

@@ -186,11 +186,11 @@ class TestRunBenchmark:
     def test_penalty_policy_estimates_once_per_instance(self, monkeypatch, policy):
         estimated = []
 
-        def counting(instance, _original=tuning_mod.estimate_lambdas):
+        def counting(instance, _original=tuning_mod.estimate_lambda1):
             estimated.append(instance)
             return _original(instance)
 
-        monkeypatch.setattr(tuning_mod, "estimate_lambdas", counting)
+        monkeypatch.setattr(tuning_mod, "estimate_lambda1", counting)
         plan = _matrix_plan()
         run_benchmark(replace(plan, penalty_policy=policy, grid_repeats=1, solvers=plan.solvers[1:]))
         assert [inst.n for inst in estimated] == [3, 2]
@@ -426,6 +426,7 @@ class TestPlanFieldTypes:
             ({"seeds": 5}, r"plan\.json: field 'seeds'"),
             ({"seeds": ["a"]}, r"plan\.json: field 'seeds'"),
             ({"seeds": [1.5]}, r"plan\.json: field 'seeds'"),
+            ({"seeds": [-1, 0]}, r"plan\.json: field 'seeds' must hold non-negative integers, got -1$"),
             ({"grid_repeats": "5"}, r"plan\.json: field 'grid_repeats'"),
             ({"grid_repeats": 0}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
             ({"grid_repeats": -1}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
@@ -595,8 +596,10 @@ class TestEntriesReadFirst:
         save_instance(instance, path)
         plan = _plan(instances=(path,), penalty_policy="grid", grid_repeats=3, seeds=(7,))
         run_benchmark(plan, no_timing=True)
-        est = tuning_mod.estimate_lambdas(instance)
-        grids = [tuning_mod.default_grid(hat) for hat in (est.lambda1_hat, est.lambda2_hat)]
+        grids = [
+            tuning_mod.default_grid(estimate(instance))
+            for estimate in (tuning_mod.estimate_lambda1, tuning_mod.estimate_lambda2)
+        ]
         cells = len(grids[0]) * len(grids[1])
         assert cells > 1 and solves == [0, 1, 2] * cells + [7]
 

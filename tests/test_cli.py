@@ -309,6 +309,15 @@ def test_malformed_universe_is_data_error(tmp_path, capsys, doc, field):
     assert f"{path}: " in err and field in err
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "0"])
+def test_make_instance_names_a_bad_scale_factor(tmp_path, capsys, factor):
+    path = tmp_path / "universe.json"
+    path.write_text(json.dumps({"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 0.0, 1.0]}))
+    argv = ["make-instance", str(path), "--n", "1", "--scale-mu", factor, "-o", str(tmp_path / "i.json")]
+    assert cli_main(argv) == 2
+    assert "scale factor must be a positive finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

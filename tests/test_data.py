@@ -317,8 +317,9 @@ def test_scale_returns():
     scaled = scale_returns(universe, 0.1)
     assert scaled.mu.tolist() == [1.0, 2.0]
     assert np.array_equal(scaled.sigma, universe.sigma)
-    with pytest.raises(ValueError):
-        scale_returns(universe, 0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"scale factor must be a positive finite number, got {bad}"):
+            scale_returns(universe, bad)
 
 
 _TRICKY_TEXT = st.sampled_from(['"', ",", "\n", "\\", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "a, \"b\"\n"])

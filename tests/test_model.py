@@ -182,3 +182,15 @@ def test_risk_transpose_symmetry(rng):
 def test_instance_rejects_non_finite_r_star(bad):
     with pytest.raises(ValueError, match="r_star"):
         PortfolioInstance(_universe([1.0, 2.0], np.eye(2)), n=1, r_star=bad, return_mode="at_least")
+
+
+@pytest.mark.parametrize("n", [2, np.int64(2), 2.0, np.float64(2.0)])
+def test_instance_accepts_whole_n(n):
+    inst = PortfolioInstance(_universe([1.0, 2.0, 3.0], np.eye(3)), n=n)
+    assert inst.n == 2 and type(inst.n) is int
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), "2", np.nan, np.inf, None])
+def test_instance_rejects_n_that_is_not_whole(bad):
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        PortfolioInstance(_universe([1.0, 2.0, 3.0], np.eye(3)), n=bad)

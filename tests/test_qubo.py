@@ -14,8 +14,6 @@ from portqubo import (
     PortfolioInstance,
     QuboMatrix,
     build_qubo,
-    build_qubo_equality,
-    build_qubo_inequality,
     chain_strength_bound,
     check_feasible,
     decode,
@@ -87,7 +85,7 @@ class TestSlackCount:
 class TestBuildEquality:
     def test_two_asset_example(self):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-        q, layout = build_qubo_equality(inst, PenaltyParams(1, 2, 0))
+        q, layout = build_qubo(inst, PenaltyParams(1, 2, 0))
         assert q.coeffs == {(0, 0): -1.0, (1, 1): -1.0, (0, 1): 4.0}
         assert q.offset == 2.0
         energies = {
@@ -99,32 +97,25 @@ class TestBuildEquality:
     def test_penalty_free_is_folded_sigma(self):
         sigma = np.array([[4.0, 1.0], [1.0, 9.0]])
         inst = PortfolioInstance(_universe([5, 7], sigma), n=1)
-        q, _ = build_qubo_equality(inst, PenaltyParams(1, 0, 0))
+        q, _ = build_qubo(inst, PenaltyParams(1, 0, 0))
         assert q.coeffs == {(0, 0): 4.0, (1, 1): 9.0, (0, 1): 2.0}
         assert q.offset == 0.0
 
     def test_feasible_point_has_pure_risk_energy(self):
         inst = PortfolioInstance(_universe([1, 1, 1], np.eye(3)), n=3)
-        q, _ = build_qubo_equality(inst, PenaltyParams(1, 1, 0))
+        q, _ = build_qubo(inst, PenaltyParams(1, 1, 0))
         assert qubo_energy(q, [1, 1, 1]) == pytest.approx(3.0)
 
     def test_equality_mode_full_enumeration(self, rng):
         inst = random_instance(rng, 5, mode="equality")
         params = PenaltyParams(1.0, 2.5, 1.5)
-        q, layout = build_qubo_equality(inst, params)
+        q, layout = build_qubo(inst, params)
         assert_encoding_identity(inst, params, q, layout)
 
     def test_rejects_lambda2_when_mode_none(self):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
         with pytest.raises(ValueError, match="lambda2"):
-            build_qubo_equality(inst, PenaltyParams(1, 1, 1))
-
-    def test_rejects_at_least_mode(self):
-        inst = PortfolioInstance(
-            _universe([5, 7], np.eye(2)), n=1, r_star=3, return_mode="at_least"
-        )
-        with pytest.raises(ValueError, match="slack"):
-            build_qubo_equality(inst, PenaltyParams(1, 1, 0))
+            build_qubo(inst, PenaltyParams(1, 1, 1))
 
 
 class TestBuildInequality:
@@ -134,7 +125,7 @@ class TestBuildInequality:
         )
         params = PenaltyParams(1, 0, 1)
         with pytest.warns(UserWarning, match="surplus"):
-            q, layout = build_qubo_inequality(inst, params)
+            q, layout = build_qubo(inst, params)
         assert layout.n_slack == 1
         assert layout.slack_weights == (1,)
         # x=1, y=1: residual 3 - 1 - 1 = 1, energy = risk 2 + 1
@@ -146,9 +137,9 @@ class TestBuildInequality:
             _universe([5.0, 7.0], np.eye(2)), n=1, r_star=3.0, return_mode="at_least"
         )
         with pytest.warns(UserWarning, match="surplus"):
-            q_ineq, layout = build_qubo_inequality(inst, PenaltyParams(1, 2, 0))
+            q_ineq, layout = build_qubo(inst, PenaltyParams(1, 2, 0))
         inst_none = PortfolioInstance(_universe([5.0, 7.0], np.eye(2)), n=1)
-        q_eq, _ = build_qubo_equality(inst_none, PenaltyParams(1, 2, 0))
+        q_eq, _ = build_qubo(inst_none, PenaltyParams(1, 2, 0))
         assert layout.n_slack == slack_count([5.0, 7.0])
         assert q_ineq.dim == q_eq.dim + layout.n_slack
         # slack bits carry no coefficients, so only the asset block remains
@@ -162,7 +153,7 @@ class TestBuildInequality:
         inst = PortfolioInstance(
             _universe(mu, sigma), n=10, r_star=500.0, return_mode="at_least"
         )
-        q, layout = build_qubo_inequality(inst, PenaltyParams(1, 1, 0.1))
+        q, layout = build_qubo(inst, PenaltyParams(1, 1, 0.1))
         assert layout.n_slack == 10
         assert q.dim == 60
 
@@ -171,7 +162,7 @@ class TestBuildInequality:
             _universe([1.0, 1.0], np.eye(2)), n=2, r_star=5.0, return_mode="at_least"
         )
         with pytest.raises(ValueError, match="exceeds total available return"):
-            build_qubo_inequality(inst, PenaltyParams(1, 1, 1))
+            build_qubo(inst, PenaltyParams(1, 1, 1))
 
     def test_quantization_warning(self):
         # max surplus 15 - 1 = 14 exceeds representable 2^3 - 1 = 7
@@ -179,16 +170,7 @@ class TestBuildInequality:
             _universe([7.0, 8.0], np.eye(2)), n=1, r_star=1.0, return_mode="at_least"
         )
         with pytest.warns(UserWarning, match="surplus"):
-            build_qubo_inequality(inst, PenaltyParams(1, 1, 1))
-
-    def test_literal_weights_variant(self):
-        inst = PortfolioInstance(
-            _universe([3.0, 4.0], np.eye(2)), n=1, r_star=2.0, return_mode="at_least"
-        )
-        q, layout = build_qubo_inequality(
-            inst, PenaltyParams(1, 0, 1), literal_weights=True
-        )
-        assert layout.slack_weights == (2, 4)
+            build_qubo(inst, PenaltyParams(1, 1, 1))
 
     def test_random_enumeration(self, rng):
         import warnings
@@ -198,7 +180,7 @@ class TestBuildInequality:
             params = PenaltyParams(1.0, float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # quantization bound is fine here
-                q, layout = build_qubo_inequality(inst, params)
+                q, layout = build_qubo(inst, params)
             assert_encoding_identity(inst, params, q, layout)
 
 
@@ -243,7 +225,7 @@ class TestIsing:
 
     def test_two_variable_bijection(self):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-        q, _ = build_qubo_equality(inst, PenaltyParams(1, 2, 0))
+        q, _ = build_qubo(inst, PenaltyParams(1, 2, 0))
         m = to_ising(q)
         energies = sorted(
             ising_energy(m, [2 * a - 1, 2 * b - 1]) for a in (0, 1) for b in (0, 1)
@@ -327,7 +309,7 @@ class TestChainStrengthBound:
 
     def test_folded_sigma(self):
         inst = PortfolioInstance(_universe([1, 1], [[4.0, 1.0], [1.0, 9.0]]), n=1)
-        q, _ = build_qubo_equality(inst, PenaltyParams(1, 0, 0))
+        q, _ = build_qubo(inst, PenaltyParams(1, 0, 0))
         assert chain_strength_bound(q) == 15.0
 
     def test_dominates_max_and_homogeneous(self, rng):
@@ -346,7 +328,7 @@ class TestChainStrengthBound:
 class TestDecode:
     def test_identity_split(self):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-        layout = VariableLayout(n_assets=2, n_slack=0)
+        layout = VariableLayout(n_assets=2)
         sol = decode(inst, layout, [1, 0])
         assert sol.x == (1, 0)
         assert sol.feasible
@@ -355,14 +337,14 @@ class TestDecode:
         inst = PortfolioInstance(
             _universe([3.0], [[2.0]]), n=1, r_star=1.0, return_mode="at_least"
         )
-        layout = VariableLayout(n_assets=1, n_slack=1, slack_weights=(1,))
+        layout = VariableLayout(n_assets=1, slack_weights=(1,))
         sol = decode(inst, layout, [1, 1])
         assert sol.x == (1,)
         assert sol.provenance["slack_surplus"] == 1.0
 
     def test_round_trip_preserves_asset_prefix(self, rng):
         inst = random_instance(rng, 6, mode="at_least")
-        q, layout = build_qubo_inequality(inst, PenaltyParams(1, 1, 1))
+        q, layout = build_qubo(inst, PenaltyParams(1, 1, 1))
         for _ in range(20):
             bits = rng.integers(0, 2, layout.dim).tolist()
             sol = decode(inst, layout, bits)
@@ -370,7 +352,7 @@ class TestDecode:
 
     def test_length_mismatch(self):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-        layout = VariableLayout(n_assets=2, n_slack=0)
+        layout = VariableLayout(n_assets=2)
         with pytest.raises(ContractViolation):
             decode(inst, layout, [1, 0, 1])
 
@@ -625,11 +607,10 @@ class TestBuildMatchesReference:
         zero_l1=st.booleans(),
         zero_l2=st.booleans(),
         zero_mu=st.booleans(),
-        literal_weights=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equal_to_reference(
-        self, tmp_path_factory, seed, n_assets, mode, zero_l1, zero_l2, zero_mu, literal_weights
+        self, tmp_path_factory, seed, n_assets, mode, zero_l1, zero_l2, zero_mu
     ):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n_assets, mode=mode, mu_range=(0.0, 40.0))
@@ -645,11 +626,10 @@ class TestBuildMatchesReference:
             0.0 if zero_l1 else float(rng.uniform(0.0, 50.0)),
             0.0 if zero_l2 or mode == "none" else float(rng.uniform(0.0, 50.0)),
         )
-        kwargs = {"literal_weights": literal_weights} if mode == "at_least" else {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # slack quantization warning
-            q, layout = build_qubo(inst, params, **kwargs)
-            ref, weights = reference_build_qubo(inst, params, literal_weights)
+            q, layout = build_qubo(inst, params)
+            ref, weights = reference_build_qubo(inst, params)
         assert layout.slack_weights == weights
         assert q.dim == ref.dim
         assert np.array_equal(q.to_dense().view(np.int64), ref.to_dense().view(np.int64))
@@ -662,7 +642,7 @@ class TestBuildMatchesReference:
     @pytest.mark.filterwarnings("ignore:slack bits")
     def test_coefficient_view_is_row_major_and_computed_once(self, rng):
         inst = random_instance(rng, 5, mode="at_least")
-        q, _ = build_qubo_inequality(inst, PenaltyParams(1, 1, 1))
+        q, _ = build_qubo(inst, PenaltyParams(1, 1, 1))
         assert list(q.coeffs) == sorted(q.coeffs)
         assert q.coeffs is q.coeffs
 

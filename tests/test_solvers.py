@@ -21,7 +21,7 @@ from portqubo import (
     PortfolioInstance,
     QuboMatrix,
     TabuConfig,
-    build_qubo_equality,
+    build_qubo,
     make_solver,
     qubo_energy,
     run_restarts,
@@ -64,7 +64,7 @@ def _integer_qubo(rng, dim: int, density: float) -> QuboMatrix:
 
 def _example_qubo():
     inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-    q, _ = build_qubo_equality(inst, PenaltyParams(1, 2, 0))
+    q, _ = build_qubo(inst, PenaltyParams(1, 2, 0))
     return q
 
 
