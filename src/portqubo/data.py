@@ -383,11 +383,12 @@ def load_instance(path) -> PortfolioInstance:
         raise DataFormatError(f"{path}: missing field 'r_star'")
     universe = _universe_from_dict(doc, path)
     n = int_field(doc, "n", path)
+    r_star = number_field(doc, "r_star", path, 0.0)
     try:
         return PortfolioInstance(
             universe=universe,
             n=n,
-            r_star=float(doc.get("r_star", 0.0)),
+            r_star=r_star,
             return_mode=doc["return_mode"],
         )
     except (TypeError, ValueError) as exc:

@@ -43,6 +43,8 @@ class PenaltyParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            # -0.0 -> +0.0: a zero penalty is no penalty
+            object.__setattr__(self, name, value + 0.0)
         if not self.lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -223,19 +225,16 @@ def slack_count(mu) -> int:
     return k
 
 
-def _risk_and_cardinality(
-    instance: PortfolioInstance, params: PenaltyParams, dim: int
-) -> tuple[np.ndarray, float]:
-    """lambda0*x'Sx + lambda1*(sum x - n)^2 over the first n_assets of dim
-    variables: the upper-triangular array and the constant term."""
+def _risk(instance: PortfolioInstance, lambda0: float, dim: int) -> np.ndarray:
+    """lambda0*x'Sx over the first n_assets of dim variables, as an
+    upper-triangular array."""
     sigma = instance.universe.sigma
     n_assets = instance.n_assets
-    l0, l1 = params.lambda0, params.lambda1
     upper = _zero_upper(dim)
-    upper[:n_assets, :n_assets] = np.triu(l0 * (sigma + sigma.T) + 2.0 * l1, 1)
+    upper[:n_assets, :n_assets] = np.triu(lambda0 * (sigma + sigma.T), 1)
     assets = np.arange(n_assets)
-    upper[assets, assets] = l0 * sigma.diagonal() + l1 * (1.0 - 2.0 * instance.n)
-    return upper, l1 * instance.n * instance.n
+    upper[assets, assets] = lambda0 * sigma.diagonal()
+    return upper
 
 
 def _add_squared_linear(upper: np.ndarray, a: np.ndarray, constant: float, weight: float) -> float:
@@ -243,8 +242,9 @@ def _add_squared_linear(upper: np.ndarray, a: np.ndarray, constant: float, weigh
 
     Only variables with a nonzero coefficient in ``a`` get a term, rounded as
     weight*(a_i*a_i + 2c*a_i) on the diagonal and (2*weight*a_i)*a_j above
-    it, and added after the risk and cardinality terms: this order fixes the
-    bits of every coefficient, and so of every QUBO file."""
+    it. `build_qubo` adds the cardinality term and then the return term after
+    the risk term: this order fixes the bits of every coefficient, and so of
+    every QUBO file."""
     if weight == 0.0:
         return 0.0
     nz = np.flatnonzero(a)
@@ -279,12 +279,10 @@ def build_qubo(
                 stacklevel=2,
             )
     layout = VariableLayout(instance.n_assets, weights)
-    upper, offset = _risk_and_cardinality(instance, params, layout.dim)
-    # no return term to add without a constraint: adding its 0.0 would turn
-    # the -0.0 offset that lambda1 = -0.0 gives into +0.0
-    if instance.return_mode != "none":
-        a = np.append(mu, [-float(w) for w in weights])
-        offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
+    upper = _risk(instance, params.lambda0, layout.dim)
+    offset = _add_squared_linear(upper, np.ones(instance.n_assets), -instance.n, params.lambda1)
+    a = np.append(mu, [-float(w) for w in weights])
+    offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
     return QuboMatrix._from_upper(upper, offset), layout
 
 
@@ -334,7 +332,6 @@ def decode(
     layout: VariableLayout,
     bits,
     energy: float | None = None,
-    **provenance,
 ) -> Solution:
     """Split QUBO bits into asset and slack parts and rebuild all metrics."""
     arr = np.asarray(bits)
@@ -342,14 +339,13 @@ def decode(
         raise ContractViolation(
             f"bit vector length {arr.size} does not match layout dim {layout.dim}"
         )
-    x = arr[: layout.n_assets]
-    y = arr[layout.n_assets :]
-    surplus = float(np.dot(y, layout.slack_weights)) if layout.n_slack else 0.0
-    notes = dict(provenance)
-    if layout.n_slack:
-        notes["slack_surplus"] = surplus
-        notes["slack_bits"] = tuple(int(b) for b in y)
-    return solution_from_bits(instance, x, energy=energy, **notes)
+    x, y = arr[: layout.n_assets], arr[layout.n_assets :]
+    if not layout.n_slack:
+        return solution_from_bits(instance, x, energy=energy)
+    surplus = float(np.dot(y, layout.slack_weights))
+    return solution_from_bits(
+        instance, x, energy=energy, slack_surplus=surplus, slack_bits=tuple(int(b) for b in y)
+    )
 
 
 # lines formatted per write: bounds the field list `write_qubo` builds

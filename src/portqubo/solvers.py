@@ -50,7 +50,6 @@ class SolveResult:
     wall_time_s: float
     seed: int | None = None
     energy_trace: list[tuple[int, float]] | None = None
-    per_seed: list["SolveResult"] | None = None
 
 
 def _read_counts(config, *names: str) -> None:
@@ -65,9 +64,6 @@ def _read_counts(config, *names: str) -> None:
 @dataclass(frozen=True)
 class AnnealConfig:
     sweeps: int = 1000
-    beta_initial: float | None = None
-    beta_final: float | None = None
-    schedule: str = "geometric"
     seed: int = 0
     restarts: int = 10
 
@@ -75,13 +71,6 @@ class AnnealConfig:
         _read_counts(self, "sweeps", "restarts")
         if self.sweeps < 1 or self.restarts < 1:
             raise ValueError("sweeps and restarts must be positive")
-        if self.schedule not in ("geometric", "linear"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if (self.beta_initial is None) != (self.beta_final is None):
-            raise ValueError("set both beta_initial and beta_final or neither")
-        if self.beta_initial is not None:
-            if not 0 < self.beta_initial < self.beta_final:
-                raise ValueError("need 0 < beta_initial < beta_final")
 
 
 @dataclass(frozen=True)
@@ -101,30 +90,22 @@ class TabuConfig:
             raise ValueError("restarts must be positive")
 
 
+# GA operators: tournament size, crossover probability per pair, elites kept
+_GA_TOURNAMENT, _GA_CROSSOVER, _GA_ELITES = 3, 0.9, 2
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 100
     generations: int = 200
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # defaults to 1/dim
-    tournament_size: int = 3
-    elitism_count: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        _read_counts(self, "population", "generations", "tournament_size", "elitism_count")
-        if self.population < 2 or self.population % 2:
-            raise ValueError("population must be a positive even integer")
+        _read_counts(self, "population", "generations")
+        if self.population < 4 or self.population % 2:
+            raise ValueError("population must be an even integer of at least 4")
         if self.generations < 1:
             raise ValueError("generations must be positive")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be at least 2")
-        if not 0 <= self.elitism_count < self.population:
-            raise ValueError("elitism_count must be in [0, population)")
 
 
 class FlipEvaluator:
@@ -157,10 +138,6 @@ class FlipEvaluator:
         )
         # Python-float views of the buffers the flips update in place
         self._x, self._s, self._f = map(memoryview, (self.x, self._signs, self.fields))
-
-    def gain(self, i: int) -> float:
-        """Energy change of flipping bit i."""
-        return self._s[i] * (self._d[i] + self._f[i])
 
     def all_gains(self) -> np.ndarray:
         """Energy change of flipping each bit, in a buffer the next call reuses."""
@@ -219,13 +196,12 @@ def _estimate_betas(
     return math.log(1 / 0.8) / mean_delta, math.log(1 / 1e-4) / mean_delta
 
 
-def _beta_schedule(config: AnnealConfig, beta_i: float, beta_f: float) -> np.ndarray:
-    if config.sweeps == 1:
+def _beta_schedule(sweeps: int, beta_i: float, beta_f: float) -> np.ndarray:
+    """Geometric betas from beta_i to beta_f, one per sweep."""
+    if sweeps == 1:
         return np.array([beta_f])
-    t = np.arange(config.sweeps) / (config.sweeps - 1)
-    if config.schedule == "geometric":
-        return beta_i * (beta_f / beta_i) ** t
-    return beta_i + (beta_f - beta_i) * t
+    t = np.arange(sweeps) / (sweeps - 1)
+    return beta_i * (beta_f / beta_i) ** t
 
 
 def solve_sa(
@@ -236,11 +212,7 @@ def solve_sa(
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     diag, coupling = q.to_symmetric_parts()
-    if config.beta_initial is None:
-        beta_i, beta_f = _estimate_betas(diag, coupling, rng)
-    else:
-        beta_i, beta_f = config.beta_initial, config.beta_final
-    betas = _beta_schedule(config, beta_i, beta_f).tolist()
+    betas = _beta_schedule(config.sweeps, *_estimate_betas(diag, coupling, rng)).tolist()
     dim = q.dim
     d = diag.tolist()
     rows = list(coupling)
@@ -421,9 +393,6 @@ def solve_ga(
     t0 = time.perf_counter()
     dim = q.dim
     pop_size = config.population
-    mutation_rate = (
-        config.mutation_rate if config.mutation_rate is not None else 1.0 / dim
-    )
     rng = np.random.default_rng(config.seed)
     upper = q.to_dense()
     pop = rng.integers(0, 2, size=(pop_size, dim)) == 1
@@ -436,22 +405,21 @@ def solve_ga(
     trace: list[tuple[int, float]] = [(evaluations, best_energy)]
     half = pop_size // 2
     for _ in range(config.generations):
-        elite_order = np.argsort(energies, kind="stable")[: config.elitism_count]
-        contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
+        elite_order = np.argsort(energies, kind="stable")[:_GA_ELITES]
+        contenders = rng.integers(0, pop_size, size=(pop_size, _GA_TOURNAMENT))
         winners = contenders[
             np.arange(pop_size), np.argmin(energies[contenders], axis=1)
         ]
         children = pop[winners]
         mothers, fathers = children[0::2], children[1::2]
-        do_cross = rng.random(half) < config.crossover_rate
+        do_cross = rng.random(half) < _GA_CROSSOVER
         swap = rng.integers(0, 2, size=(half, dim)) == 0
         swap &= do_cross[:, None]
         swap &= mothers ^ fathers
         mothers ^= swap
         fathers ^= swap
-        children ^= rng.random((pop_size, dim)) < mutation_rate
-        if config.elitism_count:
-            children[: config.elitism_count] = pop[elite_order]
+        children ^= rng.random((pop_size, dim)) < 1.0 / dim
+        children[:_GA_ELITES] = pop[elite_order]
         pop = children
         values = pop.astype(np.float64)
         energies = _population_energies(values, upper, q.offset)
@@ -691,13 +659,11 @@ def run_restarts(
     seeds: list[int],
 ) -> SolveResult:
     """Run `solver(q, seed)` for each seed and keep the minimum-energy result
-    (ties broken by smaller seed); per-seed results are attached."""
+    (ties broken by smaller seed)."""
     if not seeds:
         raise ValueError("seeds must be nonempty")
     results = [solver(q, seed) for seed in seeds]
-    by_seed = sorted(results, key=lambda r: (r.seed if r.seed is not None else 0))
-    best = min(by_seed, key=lambda r: (r.energy, r.seed if r.seed is not None else 0))
-    return replace(best, per_seed=by_seed)
+    return min(results, key=lambda r: (r.energy, r.seed if r.seed is not None else 0))
 
 
 SOLVER_NAMES = ("sa", "tabu", "ga", "exact")

@@ -90,25 +90,20 @@ def rng():
 
 
 def _reference_betas(q: QuboMatrix, config, rng: np.random.Generator):
-    if config.beta_initial is not None:
-        beta_i, beta_f = config.beta_initial, config.beta_final
+    d, w = q.to_symmetric_parts()
+    states = rng.integers(0, 2, size=(100, q.dim)).astype(np.float64)
+    idx = rng.integers(0, q.dim, size=100)
+    fields = states @ w
+    signs = 1.0 - 2.0 * states[np.arange(100), idx]
+    mean_delta = float(np.abs(signs * (d[idx] + fields[np.arange(100), idx])).mean())
+    if mean_delta <= 0:
+        beta_i, beta_f = 1.0, 1e4
     else:
-        d, w = q.to_symmetric_parts()
-        states = rng.integers(0, 2, size=(100, q.dim)).astype(np.float64)
-        idx = rng.integers(0, q.dim, size=100)
-        fields = states @ w
-        signs = 1.0 - 2.0 * states[np.arange(100), idx]
-        mean_delta = float(np.abs(signs * (d[idx] + fields[np.arange(100), idx])).mean())
-        if mean_delta <= 0:
-            beta_i, beta_f = 1.0, 1e4
-        else:
-            beta_i, beta_f = math.log(1 / 0.8) / mean_delta, math.log(1 / 1e-4) / mean_delta
+        beta_i, beta_f = math.log(1 / 0.8) / mean_delta, math.log(1 / 1e-4) / mean_delta
     if config.sweeps == 1:
         return [beta_f]
     t = np.arange(config.sweeps) / (config.sweeps - 1)
-    if config.schedule == "geometric":
-        return (beta_i * (beta_f / beta_i) ** t).tolist()
-    return (beta_i + (beta_f - beta_i) * t).tolist()
+    return (beta_i * (beta_f / beta_i) ** t).tolist()
 
 
 def reference_sa(q: QuboMatrix, config):
@@ -278,13 +273,11 @@ def reference_build_qubo(instance: PortfolioInstance, params):
 
 def reference_ga(q: QuboMatrix, config):
     """The generational GA as it was before its incumbent became a list: the
-    best bits kept as an int tuple, ties compared as tuples. Returns (bits,
+    best bits kept as an int tuple, ties compared as tuples; tournaments of
+    3, crossover rate 0.9, mutation rate 1/dim and 2 elites. Returns (bits,
     energy, evaluations, energy_trace)."""
     dim = q.dim
     pop_size = config.population
-    mutation_rate = (
-        config.mutation_rate if config.mutation_rate is not None else 1.0 / dim
-    )
     rng = np.random.default_rng(config.seed)
     upper = q.to_dense()
 
@@ -300,25 +293,24 @@ def reference_ga(q: QuboMatrix, config):
     trace = [(evaluations, best_energy)]
     half = pop_size // 2
     for _ in range(config.generations):
-        elite_order = np.argsort(energies, kind="stable")[: config.elitism_count]
+        elite_order = np.argsort(energies, kind="stable")[:2]
         elites = pop[elite_order].copy()
-        contenders = rng.integers(0, pop_size, size=(pop_size, config.tournament_size))
+        contenders = rng.integers(0, pop_size, size=(pop_size, 3))
         winners = contenders[
             np.arange(pop_size), np.argmin(energies[contenders], axis=1)
         ]
         parents = pop[winners]
         mothers, fathers = parents[0::2], parents[1::2]
-        do_cross = rng.random(half) < config.crossover_rate
+        do_cross = rng.random(half) < 0.9
         mask = rng.integers(0, 2, size=(half, dim)).astype(bool)
         first = np.where(mask, mothers, fathers)
         second = np.where(mask, fathers, mothers)
         children = np.empty_like(parents)
         children[0::2] = np.where(do_cross[:, None], first, mothers)
         children[1::2] = np.where(do_cross[:, None], second, fathers)
-        mutate = rng.random((pop_size, dim)) < mutation_rate
+        mutate = rng.random((pop_size, dim)) < 1.0 / dim
         children = np.where(mutate, 1.0 - children, children)
-        if config.elitism_count:
-            children[: config.elitism_count] = elites
+        children[:2] = elites
         pop = children
         energies = population_energies(pop)
         evaluations += pop_size

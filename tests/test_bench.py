@@ -12,6 +12,7 @@ from portqubo import (
     SyntheticSpec,
     generate_synthetic,
     load_plan,
+    make_solver,
     parse_report_csv,
     render_report,
     run_benchmark,
@@ -343,6 +344,26 @@ class TestPlanEntryFaults:
     def test_bad_solver_option_stops_the_plan(self, solver):
         with pytest.raises(ValueError, match=r"solver '(sa|exact)' .*'(sweep|seed)'"):
             run_benchmark(_plan(solvers=(solver,)))
+
+    @pytest.mark.parametrize(
+        "name, option, value",
+        [
+            ("sa", "schedule", "linear"),
+            ("sa", "beta_initial", 0.1),
+            ("sa", "beta_final", 5.0),
+            ("ga", "crossover_rate", 0.5),
+            ("ga", "mutation_rate", 0.1),
+            ("ga", "tournament_size", 2),
+            ("ga", "elitism_count", 1),
+        ],
+    )
+    def test_fixed_operator_setting_is_not_an_option(self, name, option, value):
+        # the SA schedule and the GA operators are constants, not options
+        message = f"solver '{name}' has no option '{option}'"
+        with pytest.raises(ValueError, match=message):
+            make_solver(name, {option: value})
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(_plan(solvers=({"name": name, "options": {option: value}},)))
 
 
 class TestExternalResults:

@@ -584,6 +584,15 @@ def test_build_and_bench_resolve_penalties_alike(
     assert _bench_lambdas(tmp_path, at_least_instance, {"policy": policy, **given}) == built
 
 
+def test_build_with_lambda_of_negative_zero_writes_zero(synth_instance, tmp_path, capsys):
+    # the offset lambda1*n*n was -0.0, written as -0 and printed as lambda1=-0
+    out = tmp_path / "q.qubo"
+    assert cli_main(["build", str(synth_instance), "--lambda1", "-0", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.split()[-2:] == ["lambda1=0", "lambda2=0"]
+    dim, _, offset = out.read_text().splitlines()[0].split()[2:]
+    assert (dim, offset) == ("8", "0")
+
+
 @pytest.mark.parametrize("given", [{}, {"lambda2": 0.25}])
 def test_bench_grid_policy_picks_what_tune_picks(at_least_instance, tmp_path, capsys, given):
     grid2 = ["--grid2", str(given["lambda2"])] if given else []

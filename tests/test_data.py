@@ -305,6 +305,15 @@ class TestJsonInputFaults:
         inst = load_instance(_write(tmp_path, json.dumps(doc), "doc.json"))
         assert inst.n == 2 and type(inst.n) is int
 
+    @pytest.mark.parametrize("r_star", [True, "1.5", None, [1.5]], ids=["bool", "str", "null", "list"])
+    def test_r_star_that_is_not_a_number_names_path_and_field(self, tmp_path, r_star):
+        # a bool or a numeric string loaded as 1.0 or 1.5
+        doc = {"symbols": ["A", "B"], "mu": [1.0, 2.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+               "n": 1, "r_star": r_star, "return_mode": "at_least"}
+        path = _write(tmp_path, json.dumps(doc), "doc.json")
+        with pytest.raises(DataFormatError, match=r"doc\.json: field 'r_star' must be a number"):
+            load_instance(path)
+
     def test_non_integer_n_names_the_path(self, tmp_path):
         doc = {"symbols": ["A"], "mu": [1.0], "sigma": [1.0], "n": [1], "return_mode": "none"}
         path = _write(tmp_path, json.dumps(doc), "doc.json")

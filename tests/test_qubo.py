@@ -595,6 +595,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PenaltyParams(1.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_penalty_of_negative_zero_is_zero(self, name):
+        value = getattr(PenaltyParams(**{name: -0.0}), name)
+        assert value == 0.0 and str(value) == "0.0"
+
 
 class TestBuildMatchesReference:
     """The closed-form array build against the dict-accumulating reference:
