@@ -141,30 +141,22 @@ class FlipEvaluator:
 
     def all_gains(self) -> np.ndarray:
         """Energy change of flipping each bit, in a buffer the next call reuses."""
-        np.add(self.diag, self.fields, out=self._gains)
-        self._gains *= self._signs
-        return self._gains
+        g = self._gains
+        return np.multiply(np.add(self.diag, self.fields, g), self._signs, g)
 
     def flip(self, i: int) -> float:
-        """Apply the flip and return the new energy."""
+        """Apply the flip and return the new energy. The fields gain or lose
+        coupling row i, which is contiguous, unlike column i; in place, that
+        is bitwise equal to adding s * row."""
         s = self._s[i]
         self.energy += s * (self._d[i] + self._f[i])
         self._x[i] += s
         self._s[i] = -s
-        _update_fields(self.fields, self._rows[i], s)
+        (np.add if s > 0.0 else np.subtract)(self.fields, self._rows[i], self.fields)
         return self.energy
 
     def bits(self) -> tuple[int, ...]:
         return tuple(int(b) for b in self.x)
-
-
-def _update_fields(fields: np.ndarray, row: np.ndarray, s: float) -> None:
-    """fields += s * row for s = +-1, in place and bitwise equal to adding the
-    product; row i of the symmetric coupling is contiguous, unlike column i."""
-    if s > 0.0:
-        fields += row
-    else:
-        fields -= row
 
 
 def _result(best_x, energy: float, evaluations: int, t0: float, seed: int, trace) -> SolveResult:
@@ -208,7 +200,17 @@ def solve_sa(
     q: QuboMatrix, config: AnnealConfig = AnnealConfig(), deadline: float | None = None
 ) -> SolveResult:
     """Simulated annealing: randomized single-flip sweeps with Metropolis
-    acceptance exp(-beta * dE), best-ever assignment kept across restarts."""
+    acceptance exp(-beta * dE), best-ever assignment kept across restarts.
+
+    Per restart `rng.integers(0, 2, size=dim)` draws the start; per sweep
+    `rng.shuffle` of the list 0..dim-1 draws the site order and
+    `rng.standard_exponential(dim)` the thresholds, the streams of
+    `rng.permutation(dim)` and `rng.exponential(size=dim)`. Site k flips when
+    its gain is <= 0 or beta * gain < threshold k. The state, and the best
+    one, are kept as flip signs s_i = 1 - 2 x_i (exactly +-1.0), so bit i's
+    gain is s_i * (d_i + f_i) and "bits lexicographically smaller" is "signs
+    larger". The fields take s * row i in place: adding or subtracting the
+    row, bitwise equal for s = +-1. The signs become bits once, at return."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     diag, coupling = q.to_symmetric_parts()
@@ -216,48 +218,44 @@ def solve_sa(
     dim = q.dim
     d = diag.tolist()
     rows = list(coupling)
+    sites = list(range(dim))
+    add, subtract = np.add, np.subtract
     best_energy = math.inf
-    best_x: list[float] | None = None
+    best_s: list[float] | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
-    # each sweep shuffles a fresh arange and fills the thresholds in place,
-    # the same streams as rng.permutation(dim) and rng.exponential(size=dim)
-    identity = np.arange(dim)
-    order = np.empty_like(identity)
-    exp_draws = np.empty(dim)
     for _ in range(config.restarts):
-        x_arr = rng.integers(0, 2, size=dim).astype(np.float64)
-        fields = coupling @ x_arr
+        x = rng.integers(0, 2, size=dim).astype(np.float64)
+        fields = coupling @ x
         # reads Python floats from the buffer the in-place updates write
         field = memoryview(fields)
-        energy = float(q.offset + diag @ x_arr + 0.5 * x_arr @ fields)
-        x = x_arr.tolist()
+        energy = float(q.offset + diag @ x + 0.5 * x @ fields)
+        sg = (1.0 - 2.0 * x).tolist()
         if energy < best_energy:
-            best_energy, best_x = energy, x.copy()
+            best_energy, best_s = energy, sg.copy()
             trace.append((evaluations, best_energy))
         for beta in betas:
-            order[:] = identity
-            rng.shuffle(order)
-            perm = order.tolist()
-            rng.standard_exponential(out=exp_draws)
-            thresholds = exp_draws.tolist()
-            evaluations += dim
+            perm = sites.copy()
+            rng.shuffle(perm)
+            thresholds = rng.standard_exponential(dim).tolist()
             for k, i in enumerate(perm):
-                s = 1.0 - 2.0 * x[i]
+                s = sg[i]
                 gain = s * (d[i] + field[i])
                 if gain <= 0.0 or beta * gain < thresholds[k]:
-                    x[i] += s
+                    sg[i] = -s
                     energy += gain
-                    _update_fields(fields, rows[i], s)
+                    (add if s > 0.0 else subtract)(fields, rows[i], fields)
                     if energy < best_energy:
-                        best_energy, best_x = energy, x.copy()
-                        trace.append((evaluations - dim + k + 1, best_energy))
-                    elif energy == best_energy and x < best_x:
-                        best_x = x.copy()
+                        best_energy, best_s = energy, sg.copy()
+                        trace.append((evaluations + k + 1, best_energy))
+                    elif energy == best_energy and sg > best_s:
+                        best_s = sg.copy()
+            evaluations += dim
             if deadline is not None and time.perf_counter() > deadline:
                 break
         if deadline is not None and time.perf_counter() > deadline:
             break
+    best_x = None if best_s is None else [s < 0.0 for s in best_s]
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
@@ -357,8 +355,7 @@ def _tabu_restart(
             and not gains.item(i) + state.energy < best_energy
             and n_tabu < dim
         ):
-            gains += blocked
-            i = int(gains.argmin())
+            i = int(np.add(gains, blocked, gains).argmin())
         energy = state.flip(i)
         if tabu_until[i] < step:
             blocked[i] = math.inf

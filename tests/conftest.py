@@ -1,3 +1,10 @@
+import os
+
+# before numpy loads: the exact oracle's block matmuls run far slower on two
+# BLAS threads beside busy cores than on one; a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import itertools
 import json
 import math

@@ -1,8 +1,10 @@
 
 import gc
+import itertools
 import math
 import re
 import time
+import types
 import typing
 import warnings
 import weakref
@@ -372,6 +374,24 @@ class TestSimulatedAnnealing:
                 hits += 1
         assert hits >= 19
 
+    @pytest.mark.parametrize("deadline", [-1.0, 1.5, 4.5, 5.5, 9.5])
+    def test_deadline_cuts_after_a_whole_sweep(self, rng, monkeypatch, deadline):
+        # a clock that ticks once per read: SA reads it once at the start and
+        # after each sweep and each restart, so these deadlines cut it in
+        # the middle of its first, second and third restarts
+        q = random_qubo(rng, 9)
+        config = AnnealConfig(sweeps=3, restarts=4, seed=4)
+        full = solve_sa(q, config)
+        clock = types.SimpleNamespace(perf_counter=itertools.count().__next__)
+        monkeypatch.setattr(solvers_mod, "time", clock)
+        cut = solve_sa(q, config, deadline=deadline)
+        assert cut.evaluations % q.dim == 0
+        assert q.dim <= cut.evaluations < full.evaluations
+        assert all(index <= cut.evaluations for index, _ in cut.energy_trace)
+        # the cut run is the full run's first evaluations
+        assert cut.energy_trace == [p for p in full.energy_trace if p[0] <= cut.evaluations]
+        assert cut.energy == cut.energy_trace[-1][1]
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             AnnealConfig(sweeps=0)
@@ -425,6 +445,21 @@ class TestMatchesReference:
         tabu_config = TabuConfig(seed=seed, restarts=2, max_iterations=30)
         assert _outcome(solve_sa(q, sa_config)) == reference_sa(q, sa_config)
         assert _outcome(solve_tabu(q, tabu_config)) == reference_tabu(q, tabu_config)
+
+    @given(
+        dim=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        sweeps=st.integers(1, 6),
+        restarts=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sa_tie_heavy_integer_problems(self, dim, density, seed, sweeps, restarts):
+        # integer coefficients in -2..2 make equal energies, and so the
+        # tie-break on the best bits, common
+        q = _integer_qubo(np.random.default_rng(seed), dim, density)
+        config = AnnealConfig(sweeps=sweeps, restarts=restarts, seed=seed)
+        assert _outcome(solve_sa(q, config)) == reference_sa(q, config)
 
     @given(
         dim=st.integers(1, 30),
