@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 infeasible instance.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -51,7 +52,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = _Parser(prog="portqubo", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -608,14 +608,88 @@ def _assignment_block(dim: int, start: int, stop: int) -> np.ndarray:
     return bits[:, 8 * n_bytes - dim :]
 
 
+def _near_minimal_blocks(
+    upper: np.ndarray, offset: float, low_bits: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """The blocks, ascending, whose least screened energy is within the
+    rounding window of the least of all; block h holds the codes whose high
+    dim - 12 bits are h, and l below is the code's low 12 bits.
+
+    With `upper` = U split at the low bits, an energy less the offset is
+    e_high[h] + e_low[l] + v_h . l, v = H U_HL. The rows [l, e_low[l]] fill
+    the bits half of `work`, and one matmul per `dim` blocks writes their
+    v_h . l + e_low[l] into its other half, reduced at once to minima."""
+    block, low = low_bits.shape
+    dim = upper.shape[0]
+    high = dim - low
+    scratch = work.reshape(-1)
+    half = scratch.size // 2
+    lows_ext = scratch[half : half + block * (low + 1)].reshape(block, low + 1)
+    lows = lows_ext[:, :low]
+    lows[...] = low_bits
+    # e_low by the same split, its first six bits a against its last six b:
+    # row a of the low table's last six columns holds the bits of a
+    halves = lows[:64, 6:]
+    u_low = upper[high:, high:]
+    top = halves @ u_low[:6]
+    top[:, :6] *= halves
+    bottom = halves @ u_low[6:, 6:]
+    bottom *= halves
+    e_low = top[:, 6:] @ halves.T
+    e_low += np.add.reduce(top[:, :6], axis=1)[:, None]
+    e_low += np.add.reduce(bottom, axis=1)
+    lows_ext[:, low] = e_low.reshape(-1)
+    # likewise block h's high bits are row h of the low table; high <= low
+    # since dim <= 24
+    heads = lows[: 1 << high, low - high :]
+    mins = np.empty(len(heads))
+    v_ext = np.ones((dim, low + 1))
+    for h0 in range(0, len(heads), dim):
+        h = heads[h0 : h0 + dim]
+        chunk = mins[h0 : h0 + len(h)]
+        hu = h @ upper[:high]
+        v_ext[: len(h), :low] = hu[:, high:]
+        cross = scratch[: len(h) * block].reshape(len(h), block)
+        np.matmul(v_ext[: len(h)], lows_ext.T, out=cross)
+        np.minimum.reduce(cross, axis=1, out=chunk)
+        e_high = hu[:, :high]
+        e_high *= h
+        chunk += np.add.reduce(e_high, axis=1)
+    # the screen and the block path each sum at most dim^2 + 1 exact
+    # products (bits are 0/1) and the offset, so each is within about
+    # dim^2 eps / 2 (sum|U| + |offset|) of the true energy. Skipping a block
+    # needs twice both bounds; this is twice that, room for its own rounding
+    eps = np.finfo(np.float64).eps
+    window = 4.0 * dim * dim * eps * (float(np.abs(upper).sum()) + abs(offset))
+    # NaN or inf sums keep every block
+    return np.flatnonzero(~(mins > mins.min() + window))
+
+
 def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
-    """Exact QUBO oracle: enumerate all 2^dim assignments, lexicographic
-    tie-break on the bit vector.
+    """Exact QUBO oracle: the least energy of all 2^dim assignments,
+    lexicographic tie-break on the bit vector.
 
     Blocks of `_BRUTEFORCE_BLOCK_ROWS` = 2^12 rows go through float64
-    buffers allocated once per call, each row through the same operations.
-    Every block has the same low min(dim, 12) bit columns, written once, and
-    one constant row of high columns, the bits of its first code."""
+    buffers allocated once per call, each row through the same operations:
+    one 4,096-row matmul, the row sums, the offset added before argmin, and
+    a strict `<` across blocks in ascending order. Every block has the same
+    low min(dim, 12) bit columns, written once, and one constant row of high
+    columns, the bits of its first code.
+
+    Above dim 12 a screen (`_near_minimal_blocks`, the meet-in-the-middle
+    split of Horowitz & Sahni) scores every assignment as the sum of a
+    high-bit part, a low-bit part and their cross term, and only the blocks
+    whose screened minimum is within the window 4 dim^2 eps (sum|U| +
+    |offset|) of the least one go through the block path, in ascending
+    order. Bits are 0/1, so every product is exact, and each path sums at
+    most dim^2 + 1 terms taken from U and the offset: each is within about
+    dim^2 eps / 2 (sum|U| + |offset|) of the true energy. Every energy that
+    the block path gives a skipped block is therefore strictly above the
+    one it gives the screen's best assignment, so a skipped block can
+    neither win nor tie, and the bits and energy are those of running the
+    block path on every block, provided no sum overflows (non-finite
+    screened sums keep every block). QUBOs with many ties near the minimum,
+    such as all-zero ones, recompute every block."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
     dim = q.dim
@@ -624,16 +698,20 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     best_energy = math.inf
     best_code = 0
     block = min(total, _BRUTEFORCE_BLOCK_ROWS)
-    high = dim - (block.bit_length() - 1)
+    low = block.bit_length() - 1
+    high = dim - low
     # each block goes into the second half of `work`. One allocation: glibc
     # then reuses its heap block on later calls instead of returning it and
     # faulting its pages in again
     work = np.empty((2 * block, dim))
     energies, bits = work[:block], work[block:]
-    bits[:, high:] = _assignment_block(dim - high, 0, block)
+    low_bits = _assignment_block(low, 0, block)
+    blocks = _near_minimal_blocks(upper, q.offset, low_bits, work).tolist() if high else [0]
+    bits[:, high:] = low_bits
     # column i holds code bit dim-1-i
     high_shifts = np.arange(dim - 1, dim - 1 - high, -1)
-    for start in range(0, total, block):
+    for b in blocks:
+        start = b << low
         bits[:, :high] = (start >> high_shifts) & 1
         np.matmul(bits, upper, out=energies)
         energies *= bits

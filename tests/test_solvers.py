@@ -67,6 +67,22 @@ def _integer_qubo(rng, dim: int, density: float) -> QuboMatrix:
     return QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.integers(-2, 3)))
 
 
+def _near_tie_qubo(rng, dim: int, scale: int, nudge: int) -> QuboMatrix:
+    """Integer coefficients in -2^scale..2^scale plus multiples of 2^-40 and
+    a nonzero offset, with coefficient (0, 0) set so that the least energies
+    with x0 = 0 and with x0 = 1 differ by about `nudge` * 2^-40."""
+    values = rng.integers(-(2**scale), 2**scale + 1, size=(dim, dim))
+    values = values + rng.integers(-8, 9, size=(dim, dim)) * 2.0**-40
+    rest = {(i - 1, j - 1): float(values[i, j]) for i in range(1, dim) for j in range(i, dim)}
+    with_x0 = {**rest, **{(i, i): rest[(i, i)] + float(values[0, i + 1]) for i in range(dim - 1)}}
+    off = reference_bruteforce(QuboMatrix(dim=dim - 1, coeffs=rest))[1]
+    on = reference_bruteforce(QuboMatrix(dim=dim - 1, coeffs=with_x0))[1]
+    coeffs = {(i + 1, j + 1): v for (i, j), v in rest.items()}
+    coeffs.update({(0, j): float(values[0, j]) for j in range(1, dim)})
+    coeffs[(0, 0)] = off - on + nudge * 2.0**-40
+    return QuboMatrix(dim=dim, coeffs=coeffs, offset=float(rng.integers(1, 9)) + 0.5)
+
+
 def _example_qubo():
     inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
     q, _ = build_qubo(inst, PenaltyParams(1, 2, 0))
@@ -224,7 +240,7 @@ class TestBruteforce:
         with pytest.raises(ValueError, match="guard"):
             solve_qubo_bruteforce(q)
 
-    @pytest.mark.parametrize("dim", [16, 20])
+    @pytest.mark.parametrize("dim", [16, 20, 24])
     def test_memory_bounded(self, rng, dim):
         # a float64 table of every assignment and its energies took 16.5 MiB
         # at dim 16 and 18 MiB at dim 20
@@ -250,6 +266,62 @@ class TestBruteforce:
         assume(integer or dim < 20 or 0 in bits[:16] and 0 in ref_bits[:16])
         assert bits == ref_bits
         assert _int64_bits(energy) == _int64_bits(ref_energy)
+
+    @given(
+        dim=st.integers(13, 20),
+        scale=st.integers(0, 14),
+        nudge=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_screen_keeps_near_tied_blocks(self, dim, scale, nudge, seed):
+        # the best assignments with x0 = 0 and x0 = 1 lie in different
+        # blocks and nearly tie, so the screen and the block path may round
+        # them into opposite orders; a screen without its window then drops
+        # the winning block
+        q = _near_tie_qubo(np.random.default_rng(seed), dim, scale, nudge)
+        ref_bits, ref_energy = reference_bruteforce(q)
+        bits, energy = solve_qubo_bruteforce(q)
+        # the reference's 16-row last block at dim 20 (see above)
+        assume(dim < 20 or 0 in bits[:16] and 0 in ref_bits[:16])
+        assert bits == ref_bits
+        assert _int64_bits(energy) == _int64_bits(ref_energy)
+
+    @pytest.mark.parametrize("seed, nudge", [(8, 0), (4, 2)])
+    def test_screen_window_keeps_the_winning_block(self, seed, nudge):
+        # near ties the screen rounds into the wrong order: with a zero
+        # window the oracle returns the other block's bits, and for seed 4
+        # an energy 2^-38 higher
+        q = _near_tie_qubo(np.random.default_rng(seed), 13, 12, nudge)
+        ref_bits, ref_energy = reference_bruteforce(q)
+        bits, energy = solve_qubo_bruteforce(q)
+        assert bits == ref_bits
+        assert _int64_bits(energy) == _int64_bits(ref_energy)
+
+    def test_all_zero_qubo_recomputes_every_block(self, monkeypatch):
+        kept = []
+        screen = solvers_mod._near_minimal_blocks
+
+        def spy(*args):
+            blocks = screen(*args)
+            kept.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(solvers_mod, "_near_minimal_blocks", spy)
+        q = QuboMatrix(dim=18, coeffs={}, offset=-0.25)
+        assert solve_qubo_bruteforce(q) == reference_bruteforce(q) == ((0,) * 18, -0.25)
+        assert kept == [64]
+
+    def test_tie_across_blocks_goes_to_the_earlier_block(self):
+        # energy x0 (2 |l| - 12) - |l| + 0.5 over the low bits l: the
+        # last row of block 0 and the first row of block 1 both reach -11.5
+        coeffs = {(0, 0): -12.0}
+        for i in range(1, 13):
+            coeffs[(i, i)] = -1.0
+            coeffs[(0, i)] = 2.0
+        q = QuboMatrix(dim=13, coeffs=coeffs, offset=0.5)
+        assert qubo_energy(q, (1,) + (0,) * 12) == -11.5
+        assert solve_qubo_bruteforce(q) == reference_bruteforce(q) == ((0,) + (1,) * 12, -11.5)
 
     def test_dim_20_last_row_energy_is_that_of_a_full_block(self):
         # all coefficients negative: the winner is the all-ones row, the last
