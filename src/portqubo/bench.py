@@ -28,7 +28,7 @@ from .data import (
     positive_number_field,
     require_fields,
 )
-from .model import PortfolioInstance
+from .model import PortfolioInstance, Solution
 from .qubo import build_qubo, decode
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
@@ -254,32 +254,15 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
                     try:
                         result = solver(q, seed)
                         sol = decode(instance, layout, result.bits, energy=result.energy)
-                        row = replace(
-                            row,
-                            energy=result.energy,
-                            risk=sol.risk,
-                            ret=sol.ret,
-                            feasible=sol.feasible,
-                            wall_time_s=result.wall_time_s,
-                        )
+                        row = _solved(row, sol, result.wall_time_s)
                     except Exception as exc:
                         row = replace(row, error=str(exc))
                 inst_rows.append(row)
         if math.comb(instance.n_assets, instance.n) <= SUBSET_ENUMERATION_GUARD:
             try:
                 oracle = solve_exhaustive_subsets(instance)
-                inst_rows.append(
-                    replace(
-                        template,
-                        solver=ORACLE_SOLVER_NAME,
-                        energy=oracle.risk,
-                        risk=oracle.risk,
-                        ret=oracle.ret,
-                        feasible=True,
-                        wall_time_s=oracle.provenance.get("wall_time_s", 0.0),
-                        optimal=True,
-                    )
-                )
+                row = replace(template, solver=ORACLE_SOLVER_NAME, optimal=True)
+                inst_rows.append(_solved(row, oracle, oracle.provenance["wall_time_s"]))
             except InfeasibleInstanceError:
                 pass
         inst_rows.extend(r for r in external_rows if r.instance == inst_id)
@@ -293,6 +276,13 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
             rows.append(replace(r, gap_percent=gap, wall_time_s=wall_time_s))
     rows.sort(key=_row_sort_key)
     return BenchReport(rows=tuple(rows), summaries=tuple(summaries))
+
+
+def _solved(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
+    """`row` with the energy, risk, return and feasibility of `sol`, all
+    recomputed from its bits by the model."""
+    metrics = dict(energy=sol.energy, risk=sol.risk, ret=sol.ret, feasible=sol.feasible)
+    return replace(row, **metrics, wall_time_s=wall_time_s)
 
 
 def _summarize(inst_id: str, inst_rows: list[BenchRow]) -> InstanceSummary:

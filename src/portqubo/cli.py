@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import data as data_mod
-from .model import ContractViolation, PortfolioInstance
+from .model import RETURN_MODES, ContractViolation, PortfolioInstance
 from .qubo import (
     PenaltyParams,
     build_qubo,
@@ -58,44 +58,42 @@ def _build_parser() -> _Parser:
     state in it."""
     parser = _Parser(prog="portqubo", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    # flag groups that several commands share
+    instance_flags = _Parser(add_help=False)
+    instance_flags.add_argument("--n", type=int, required=True)
+    instance_flags.add_argument("--r-star", type=float, default=0.0)
+    instance_flags.add_argument("--mode", choices=RETURN_MODES, default="none")
+    instance_flags.add_argument("-o", "--output", required=True)
+    penalty_flags = _Parser(add_help=False)
+    penalty_flags.add_argument("--lambda1", type=float, default=None)
+    penalty_flags.add_argument("--lambda2", type=float, default=None)
+    penalty_flags.add_argument("--estimate", action="store_true")
 
     p = sub.add_parser("ingest", parents=[], help="prices CSV -> universe JSON")
     p.add_argument("prices")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--log-returns", action="store_true")
 
-    p = sub.add_parser("make-instance", help="universe JSON -> instance JSON")
+    p = sub.add_parser(
+        "make-instance", parents=[instance_flags], help="universe JSON -> instance JSON"
+    )
     p.add_argument("universe")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-star", type=float, default=0.0)
-    p.add_argument("--mode", choices=("none", "at_least", "equality"), default="none")
     p.add_argument("--scale-mu", type=float, default=1.0)
-    p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic instance")
+    p = sub.add_parser("synth", parents=[instance_flags], help="generate a synthetic instance")
     p.add_argument("--assets", type=int, required=True)
     p.add_argument("--factors", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-star", type=float, default=0.0)
-    p.add_argument("--mode", choices=("none", "at_least", "equality"), default="none")
-    p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("build", help="instance JSON -> QUBO file")
+    p = sub.add_parser("build", parents=[penalty_flags], help="instance JSON -> QUBO file")
     p.add_argument("instance")
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--estimate", action="store_true")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance or QUBO file")
+    p = sub.add_parser("solve", parents=[penalty_flags], help="solve an instance or QUBO file")
     p.add_argument("target")
     p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=_count, default=1)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--estimate", action="store_true")
 
     p = sub.add_parser("tune", help="grid search penalty weights")
     p.add_argument("instance")
@@ -144,6 +142,16 @@ def _compile(instance, args):
     if policy == "estimate":
         print(f"estimated lambda1={params.lambda1:.17g} lambda2={params.lambda2:.17g}")
     return (params, *build_qubo(instance, params))
+
+
+def _write_instance(universe, args) -> int:
+    """Write the instance of `universe` that the shared instance flags give."""
+    instance = PortfolioInstance(
+        universe=universe, n=args.n, r_star=args.r_star, return_mode=args.mode
+    )
+    data_mod.save_instance(instance, args.output)
+    print(f"wrote {args.output}")
+    return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
@@ -203,24 +211,11 @@ def _dispatch(args) -> int:
         universe = data_mod.load_universe(args.universe)
         if args.scale_mu != 1.0:
             universe = data_mod.scale_returns(universe, args.scale_mu)
-        instance = PortfolioInstance(
-            universe=universe, n=args.n, r_star=args.r_star, return_mode=args.mode
-        )
-        data_mod.save_instance(instance, args.output)
-        print(f"wrote {args.output}")
-        return EXIT_OK
+        return _write_instance(universe, args)
 
     if args.command == "synth":
-        spec = data_mod.SyntheticSpec(
-            n_assets=args.assets, n_factors=args.factors, seed=args.seed
-        )
-        universe = data_mod.generate_synthetic(spec)
-        instance = PortfolioInstance(
-            universe=universe, n=args.n, r_star=args.r_star, return_mode=args.mode
-        )
-        data_mod.save_instance(instance, args.output)
-        print(f"wrote {args.output}")
-        return EXIT_OK
+        spec = data_mod.SyntheticSpec(n_assets=args.assets, n_factors=args.factors, seed=args.seed)
+        return _write_instance(data_mod.generate_synthetic(spec), args)
 
     if args.command == "build":
         instance = data_mod.load_instance(args.instance)

@@ -152,6 +152,12 @@ def portfolio_risk(sigma, x) -> float:
     return float(bits @ (sigma @ bits))
 
 
+def portfolio_returns(mu, rows: np.ndarray) -> np.ndarray:
+    """The return mu'x of each 0/1 float64 row x of ``rows``, each row its own
+    (1, N) by (N,) product, which sums as the 1-D ``mu @ x`` does."""
+    return np.matmul(rows[:, None, :], mu)[:, 0]
+
+
 def portfolio_return(mu, x) -> float:
     """Total expected return mu'x of the selection ``x``."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -160,7 +166,19 @@ def portfolio_return(mu, x) -> float:
         raise ContractViolation(
             f"mu length {mu.size} does not match bit vector length {bits.size}"
         )
-    return float(mu @ bits)
+    return float(portfolio_returns(mu, bits[None])[0])
+
+
+def return_margin(instance: PortfolioInstance, returns) -> np.ndarray | float:
+    """Slack of the return constraint at each of ``returns``, >= 0 exactly
+    where it holds: always under none (+inf), where ``returns >= r_star``
+    under at_least and ``|returns - r_star| <= tol`` under equality, as a
+    float difference is 0 only between equal floats."""
+    if instance.return_mode == "none":
+        return np.full(np.shape(returns), np.inf)
+    if instance.return_mode == "at_least":
+        return returns - instance.r_star
+    return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
 
 
 def check_feasible(instance: PortfolioInstance, x) -> Feasibility:
@@ -171,17 +189,10 @@ def check_feasible(instance: PortfolioInstance, x) -> Feasibility:
             f"bit vector length {bits.size} does not match N={instance.n_assets}"
         )
     cardinality = int(round(bits.sum()))
-    ret = float(instance.universe.mu @ bits)
-    card_ok = cardinality == instance.n
-    if instance.return_mode == "none":
-        ret_ok = True
-    elif instance.return_mode == "at_least":
-        ret_ok = ret >= instance.r_star
-    else:
-        ret_ok = abs(ret - instance.r_star) <= EQUALITY_RETURN_TOL
+    ret = portfolio_return(instance.universe.mu, bits)
     return Feasibility(
-        cardinality_ok=card_ok,
-        return_ok=ret_ok,
+        cardinality_ok=cardinality == instance.n,
+        return_ok=bool(return_margin(instance, ret) >= 0),
         cardinality_residual=cardinality - instance.n,
         return_residual=ret - instance.r_star,
     )

@@ -26,6 +26,7 @@ from .model import (
     ContractViolation,
     PortfolioInstance,
     Solution,
+    return_margin,
     solution_from_bits,
 )
 
@@ -155,8 +156,7 @@ class IsingModel:
     ``J`` is a read-only dim x dim float64 array, zero on and below the
     diagonal, and ``h`` a read-only vector. The constructor takes the
     couplings as a dict keyed by integer (i, j) with i < j and rejects a
-    field, coupling or offset that is not finite; ``j`` gives the nonzero
-    ones back as such a dict, in row-major order, built once on first access.
+    field, coupling or offset that is not finite.
     """
 
     dim: int
@@ -202,27 +202,18 @@ class IsingModel:
         object.__setattr__(self, "J", couplings)
         object.__setattr__(self, "offset", offset)
 
-    @cached_property
-    def j(self) -> dict[tuple[int, int], float]:
-        """The nonzero couplings keyed by (i, j), in row-major order."""
-        rows, cols = np.nonzero(self.J)
-        return dict(zip(zip(rows.tolist(), cols.tolist()), self.J[rows, cols].tolist()))
-
 
 def slack_count(mu) -> int:
     """Number of slack bits K = floor(log2(sum mu)) for the inequality encoding."""
     total = float(np.sum(np.asarray(mu, dtype=np.float64)))
     if total <= 0:
         raise ValueError("slack encoding requires positive total return")
+    if total == math.inf:
+        raise ValueError("slack encoding requires a finite total return, got inf")
     if total < 2:
         return 0
-    k = int(math.floor(math.log2(total)))
-    # guard against log2 rounding at exact powers of two
-    while 2.0 ** (k + 1) <= total:
-        k += 1
-    while 2.0**k > total:
-        k -= 1
-    return k
+    # total = m * 2^e with 0.5 <= m < 1, so floor(log2 total) = e - 1 exactly
+    return math.frexp(total)[1] - 1
 
 
 def _risk(instance: PortfolioInstance, lambda0: float, dim: int) -> np.ndarray:
@@ -265,11 +256,11 @@ def build_qubo(
     if instance.return_mode == "none" and params.lambda2 > 0:
         raise ValueError("lambda2 > 0 is meaningless when return_mode is 'none'")
     if instance.return_mode == "at_least":
-        total_mu = float(mu.sum())
-        if total_mu <= instance.r_star:
+        # the surplus of selecting every asset
+        max_surplus = return_margin(instance, float(mu.sum()))
+        if max_surplus <= 0:
             raise ValueError("return target exceeds total available return")
         weights = tuple(2**p for p in range(slack_count(mu)))
-        max_surplus = total_mu - instance.r_star
         representable = sum(weights)
         if max_surplus > representable:
             warnings.warn(

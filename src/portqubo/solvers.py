@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .data import int_field, positive_number_field
-from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, solution_from_bits
+from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, portfolio_returns
+from .model import return_margin, solution_from_bits
 from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
@@ -458,15 +459,6 @@ def _prefixes(idx, risk, ret, cross, via, last, n_assets: int, n: int) -> _Prefi
     return _Prefixes(idx, risk, ret, cross, via, last, np.cumsum(counts))
 
 
-def _return_margin(returns: np.ndarray, instance: PortfolioInstance) -> np.ndarray:
-    """Slack of the return constraint: >= 0 exactly where `returns >= r_star`
-    (at_least) or `|returns - r_star| <= tol` (equality) holds, because a
-    float difference is 0 only between equal floats."""
-    if instance.return_mode == "at_least":
-        return returns - instance.r_star
-    return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
-
-
 def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     """Ground-truth oracle: the minimum-risk n-subset that meets the return
     constraint, ties broken by the lexicographically smallest bit vector.
@@ -485,9 +477,12 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     running-sum risk is within 4 n^4 eps max|S| of the running minimum is
     rescored as `S[c][:, c].sum()`, and the lowest rescored risk wins. A
     subset whose running-sum return is within 4 n^2 eps max|mu| of the return
-    boundary is re-tested with `mu[c].sum()`. The chosen subset is therefore
-    the one that scoring every subset directly chooses, provided no sum
-    overflows.
+    boundary, and whose running-sum risk is within that window of the least
+    feasible one so far, is re-tested by the rule and sum of `check_feasible`,
+    the model's `return_margin` of its `portfolio_returns`, batched per block:
+    a call per subset takes seconds when all lie on the boundary. The chosen
+    subset is therefore the one that scoring every subset directly chooses,
+    and passes `check_feasible`, provided no sum overflows.
     """
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
@@ -560,11 +555,15 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
             return np.column_stack((block.idx[parent[sel]], a[sel]))
 
         if constrained:
-            margin = _return_margin(ret, instance)
+            margin = return_margin(instance, ret)
             feasible = margin > return_band
-            unsure = np.flatnonzero(np.abs(margin) <= return_band)
+            lowest = min(lowest, float(risk[feasible].min(initial=math.inf)))
+            # a subset whose risk is above lowest's window can neither lower it nor be near
+            unsure = np.flatnonzero((np.abs(margin) <= return_band) & (risk <= lowest + risk_window))
             if unsure.size:
-                feasible[unsure] = _return_margin(mu[combos(unsure)].sum(axis=1), instance) >= 0
+                rows_x = np.zeros((unsure.size, n_assets))
+                np.put_along_axis(rows_x, combos(unsure), 1.0, axis=1)
+                feasible[unsure] = return_margin(instance, portfolio_returns(mu, rows_x)) >= 0
             if not feasible.any():
                 continue
             lowest = min(lowest, float(risk[feasible].min()))

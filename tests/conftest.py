@@ -200,7 +200,7 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
     """Independent subset oracle: gathers every n-subset's n x n covariance
     block at once, filters by the return constraint and returns the bits of
     the minimum-risk feasible subset, lexicographically smallest on ties.
-    Memory grows with C(N, n) * n^2."""
+    Memory grows with C(N, n) * (n^2 + N)."""
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
     sigma = instance.universe.sigma
@@ -211,7 +211,11 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
         count=count * n,
     ).reshape(count, n)
     risks = sigma[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-    returns = mu[combos].sum(axis=1)
+    # each subset's return as one dot product over its bit vector, the sum
+    # that check_feasible takes
+    bits = np.zeros((count, n_assets))
+    bits[np.arange(count)[:, None], combos] = 1.0
+    returns = np.array([float(mu @ row) for row in bits])
     if instance.return_mode == "at_least":
         feasible = returns >= instance.r_star
     elif instance.return_mode == "equality":
@@ -231,6 +235,38 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
         if best is None or key < best:
             best = key
     return best
+
+
+def straddling_instance(rng: np.random.Generator, mode: str):
+    """(instance, x): the least-risk n-subset x of an instance, whose return
+    `mu[c].sum()` over its assets c and the dot product `mu @ x` put on
+    opposite sides of the target. Variances are 1 on c and 100 elsewhere;
+    r_star is the larger sum (at_least) or a sum +- the tolerance (equality)."""
+    tol = EQUALITY_RETURN_TOL
+    while True:
+        n_assets = int(rng.integers(5, 17))
+        n = int(rng.integers(1, n_assets))
+        mu = rng.uniform(0.0, 1e4, n_assets)
+        c = np.sort(rng.choice(n_assets, n, replace=False))
+        x = np.zeros(n_assets, dtype=np.int64)
+        x[c] = 1
+        sums = (float(mu[c].sum()), float(mu @ x.astype(np.float64)))
+        if mode == "at_least":
+            targets = [max(sums)]
+        else:
+            targets = rng.permutation([s + d for s in sums for d in (tol, -tol)]).tolist()
+        for r_star in targets:
+            meets = [s >= r_star if mode == "at_least" else abs(s - r_star) <= tol for s in sums]
+            if meets[0] != meets[1]:
+                sigma = np.diag(np.where(x == 1, 1.0, 100.0))
+                universe = AssetUniverse(tuple(f"A{i}" for i in range(n_assets)), mu, sigma)
+                return PortfolioInstance(universe, n, float(r_star), mode), x
+
+
+def ising_couplings(m) -> dict:
+    """The nonzero couplings of an Ising model keyed by (i, j), in row-major order."""
+    rows, cols = np.nonzero(m.J)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), m.J[rows, cols].tolist()))
 
 
 def _reference_accumulate(coeffs: dict, i: int, j: int, value: float) -> None:

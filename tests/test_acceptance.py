@@ -136,11 +136,7 @@ def test_ising_energy_bijection():
         spins = 2.0 * bits - 1.0
         dense = q.to_dense()
         e_qubo = ((bits @ dense) * bits).sum(axis=1) + q.offset
-        h = np.asarray(ising.h)
-        jmat = np.zeros((dim, dim))
-        for (i, j), v in ising.j.items():
-            jmat[i, j] = v
-        e_ising = spins @ h + ((spins @ jmat) * spins).sum(axis=1) + ising.offset
+        e_ising = spins @ ising.h + ((spins @ ising.J) * spins).sum(axis=1) + ising.offset
         scale = np.maximum(1.0, np.abs(e_qubo))
         worst = max(worst, float(np.max(np.abs(e_qubo - e_ising) / scale)))
     elapsed = time.perf_counter() - start

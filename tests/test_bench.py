@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from portqubo import (
     DataFormatError,
     PortfolioInstance,
     SyntheticSpec,
+    check_feasible,
     generate_synthetic,
     load_plan,
     make_solver,
@@ -17,11 +19,14 @@ from portqubo import (
     render_report,
     run_benchmark,
     save_instance,
+    solve_exhaustive_subsets,
 )
 from portqubo import bench as bench_mod
 from portqubo import tuning as tuning_mod
 from portqubo.bench import BenchPlan, BenchReport, BenchRow, ORACLE_SOLVER_NAME
 from portqubo.solvers import SUBSET_ENUMERATION_GUARD
+
+from conftest import straddling_instance
 
 
 def _plan(**overrides):
@@ -210,6 +215,27 @@ class TestRunBenchmark:
         oracle = [r for r in report.rows if r.solver == ORACLE_SOLVER_NAME]
         assert len(oracle) == 1 and oracle[0].optimal
         assert report.summaries[0].proven_optimal
+
+    def test_oracle_row_on_a_return_boundary_is_decided_by_the_model(self, tmp_path):
+        # one instance whose least-risk subset the model accepts, one where it rejects it
+        rng = np.random.default_rng(3)
+        instances = {}
+        while len(instances) < 2:
+            inst, x = straddling_instance(rng, "at_least")
+            instances.setdefault(check_feasible(inst, x).ok, inst)
+        paths = {}
+        for meets, inst in instances.items():
+            paths[meets] = tmp_path / f"meets-{meets}.json"
+            save_instance(inst, paths[meets])
+        plan = _plan(instances=tuple(map(str, paths.values())), solvers=("tabu", "sa"), seeds=(0, 1))
+        report = run_benchmark(plan, no_timing=True)
+        for meets, inst in instances.items():
+            rows = [r for r in report.rows if r.instance == paths[meets].stem]
+            (row,) = [r for r in rows if r.solver == ORACLE_SOLVER_NAME]
+            oracle = solve_exhaustive_subsets(inst)
+            assert row.feasible == check_feasible(inst, oracle.x).ok
+            assert (row.risk, row.ret, row.energy) == (oracle.risk, oracle.ret, oracle.risk)
+            assert all(r.risk >= row.risk for r in rows if r.feasible)
 
 
 class TestRenderReport:

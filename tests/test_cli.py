@@ -8,6 +8,7 @@ from portqubo import (
     PortfolioInstance,
     QuboMatrix,
     SyntheticSpec,
+    check_feasible,
     generate_synthetic,
     grid_search,
     load_instance,
@@ -17,6 +18,8 @@ from portqubo import (
     write_qubo,
 )
 from portqubo.cli import cli_main
+
+from conftest import straddling_instance
 
 
 @pytest.fixture
@@ -60,6 +63,28 @@ def test_solve_exact_diag_example(diag_instance, capsys):
     out = capsys.readouterr().out
     assert "x=[1, 0, 0]" in out
     assert "risk=1" in out
+
+
+@pytest.mark.parametrize("mode", ["at_least", "equality"])
+@pytest.mark.parametrize("meets", [True, False])
+def test_solve_exact_on_a_return_boundary_answers_a_feasible_subset(tmp_path, mode, meets, capsys):
+    # the least-risk subset meets the target by the model's sum and not by
+    # the sum over its assets, or the other way round
+    rng = np.random.default_rng(5)
+    inst, x = straddling_instance(rng, mode)
+    while check_feasible(inst, x).ok != meets:
+        inst, x = straddling_instance(rng, mode)
+    save_instance(inst, tmp_path / "boundary.json")
+    code = cli_main(["solve", str(tmp_path / "boundary.json"), "--solver", "exact"])
+    captured = capsys.readouterr()
+    if code == 3:
+        # no other subset meets an equality target
+        assert not meets and captured.err.startswith("infeasible:")
+    else:
+        assert code == 0
+        out = captured.out.splitlines()
+        assert out[1].endswith(" feasible=True")
+        assert (out[0] == f"x={x.tolist()}") == meets
 
 
 def test_missing_file_is_data_error(capsys):

@@ -9,6 +9,7 @@ from portqubo import (
     portfolio_return,
     portfolio_risk,
 )
+from portqubo.model import portfolio_returns
 
 from conftest import naive_risk, random_psd
 
@@ -60,6 +61,18 @@ def test_return_average_per_asset_scale():
     x = np.ones(20)
     assert portfolio_return(mu, x) == pytest.approx(3100.0)
     assert portfolio_return(mu, x) >= 3000.0
+
+
+def test_batched_returns_are_the_1d_products_bit_for_bit(rng):
+    # check_feasible and portfolio_return take their sum from portfolio_returns,
+    # so a reported return moves only if these bits differ
+    for n_assets in [*range(1, 48), *range(48, 201, 8)]:
+        mu = rng.uniform(-1e3, 1e3, n_assets) * 10.0 ** rng.integers(-3, 4, n_assets)
+        rows = rng.integers(0, 2, (64, n_assets)).astype(np.float64)
+        expected = np.array([float(mu @ row) for row in rows])
+        assert np.array_equal(portfolio_returns(mu, rows).view(np.uint64), expected.view(np.uint64))
+        singles = np.array([portfolio_return(mu, row) for row in rows])
+        assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
 
 
 def _universe(mu, sigma):

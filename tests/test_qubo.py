@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from portqubo import qubo as qubo_mod
 from portqubo.qubo import MAX_QUBO_DIM, VariableLayout
 
 from conftest import (
+    ising_couplings,
     naive_qubo_energy,
     random_instance,
     random_qubo,
@@ -80,6 +82,17 @@ class TestSlackCount:
     def test_nonpositive_total(self):
         with pytest.raises(ValueError, match="positive total return"):
             slack_count([-1.0, 0.5])
+
+    def test_powers_of_two_and_their_float_neighbours(self):
+        for k in range(1, 1024):
+            power = 2.0**k
+            assert slack_count([power]) == k
+            assert slack_count([np.nextafter(power, 0.0)]) == k - 1
+            assert slack_count([np.nextafter(power, math.inf)]) == k
+
+    def test_overflowing_total(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total return"):
+            slack_count([1e308, 1e308])
 
 
 class TestBuildEquality:
@@ -220,7 +233,7 @@ class TestIsing:
         q = QuboMatrix(dim=2, coeffs={}, offset=3.25)
         m = to_ising(q)
         assert m.h.tolist() == [0.0, 0.0]
-        assert m.j == {}
+        assert ising_couplings(m) == {}
         assert m.offset == 3.25
 
     def test_two_variable_bijection(self):
@@ -264,24 +277,10 @@ class TestIsing:
         with pytest.raises(ValueError):
             m.J[0, 1] = 1.0
 
-    def test_coupling_dict_view_is_row_major_and_computed_once(self, rng):
-        q = random_qubo(rng, 9, density=0.5)
-        m = to_ising(q)
-        quarter = np.triu(q.upper, 1) / 4.0
-        expected = {
-            (a, b): float(quarter[a, b])
-            for a in range(q.dim)
-            for b in range(a + 1, q.dim)
-            if quarter[a, b] != 0.0
-        }
-        assert m.j == expected
-        assert list(m.j) == sorted(m.j)
-        assert m.j is m.j
-
     def test_dict_constructor(self):
         m = IsingModel(dim=3, h=[1.0, 0.0, -1.0], j={(0, 2): 2.0, (1, 2): 0.0}, offset=0.5)
         assert m.J.tolist() == [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        assert m.j == {(0, 2): 2.0}
+        assert ising_couplings(m) == {(0, 2): 2.0}
         assert ising_energy(m, [1, 1, 1]) == 0.5 + 0.0 + 2.0
         for key in ((1, 0), (1, 1), (0, 3), (-1, 2)):
             with pytest.raises(ValueError, match="0 <= i < j < dim"):
@@ -570,7 +569,7 @@ class TestValidation:
     def test_dict_constructors_take_numpy_integer_indices(self):
         key = (np.int64(0), np.int32(1))
         assert QuboMatrix(dim=2, coeffs={key: 2.0}).coeffs == {(0, 1): 2.0}
-        assert IsingModel(dim=2, h=[0.0, 0.0], j={key: 2.0}).j == {(0, 1): 2.0}
+        assert ising_couplings(IsingModel(dim=2, h=[0.0, 0.0], j={key: 2.0})) == {(0, 1): 2.0}
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_qubo_rejects_non_finite_coefficient(self, value):

@@ -27,6 +27,7 @@ from portqubo import (
     QuboMatrix,
     TabuConfig,
     build_qubo,
+    check_feasible,
     make_solver,
     qubo_energy,
     run_restarts,
@@ -51,6 +52,7 @@ from conftest import (
     reference_ga,
     reference_sa,
     reference_tabu,
+    straddling_instance,
     traced_peak,
 )
 
@@ -128,6 +130,33 @@ def _oracle_outcome(oracle, inst):
         return "infeasible"
 
 
+def _check_random_instance(n_assets, distinct, mode, target, decimals, seed, max_subsets=math.inf):
+    """The oracle's answer on a random instance is the reference's and
+    passes check_feasible; n is drawn among the sizes with C(N, n) <= `max_subsets`."""
+    rng = np.random.default_rng(seed)
+    distinct = min(distinct, n_assets)
+    # repeated assets make exactly tied subsets
+    pick = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n_assets - distinct)])
+    rng.shuffle(pick)
+    sigma = random_psd(rng, distinct)[np.ix_(pick, pick)]
+    mu = rng.uniform(-1.0, 3.0, distinct)
+    if decimals is not None:
+        mu = np.round(mu, decimals)
+    mu = mu[pick]
+    sizes = [k for k in range(1, n_assets + 1) if math.comb(n_assets, k) <= max_subsets]
+    n = sizes[rng.integers(len(sizes))]
+    r_star = 0.0
+    if mode != "none":
+        # the return of some subset, summed in either order
+        subset = rng.choice(n_assets, n, replace=False)
+        r_star = float(mu[np.sort(subset) if target != "shuffled" else subset].sum())
+        r_star += {"above": 1e-9, "below": -1e-9}.get(target, 0.0)
+    inst = PortfolioInstance(_universe(mu, sigma), n, r_star, mode)
+    got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
+    assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
+    assert got == "infeasible" or check_feasible(inst, got).ok
+
+
 class TestExhaustiveSubsetsMatchesReference:
     """The prefix-extension oracle picks the subset that scoring every subset
     directly picks (the gather-based enumerator in conftest)."""
@@ -142,26 +171,35 @@ class TestExhaustiveSubsetsMatchesReference:
     )
     @settings(max_examples=150, deadline=None)
     def test_random_instances(self, n_assets, distinct, mode, target, decimals, seed):
-        rng = np.random.default_rng(seed)
-        distinct = min(distinct, n_assets)
-        # repeated assets make exactly tied subsets
-        pick = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n_assets - distinct)])
-        rng.shuffle(pick)
-        sigma = random_psd(rng, distinct)[np.ix_(pick, pick)]
-        mu = rng.uniform(-1.0, 3.0, distinct)
-        if decimals is not None:
-            mu = np.round(mu, decimals)
-        mu = mu[pick]
-        n = int(rng.integers(1, n_assets + 1))
-        r_star = 0.0
-        if mode != "none":
-            # the return of some subset, summed in either order
-            subset = rng.choice(n_assets, n, replace=False)
-            r_star = float(mu[np.sort(subset) if target != "shuffled" else subset].sum())
-            r_star += {"above": 1e-9, "below": -1e-9}.get(target, 0.0)
-        inst = PortfolioInstance(_universe(mu, sigma), n, r_star, mode)
-        got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
-        assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
+        _check_random_instance(n_assets, distinct, mode, target, decimals, seed)
+
+    @given(
+        n_assets=st.integers(16, 30),
+        distinct=st.integers(1, 30),
+        mode=st.sampled_from(["none", "at_least", "equality"]),
+        target=st.sampled_from(["sorted", "shuffled", "above", "below"]),
+        decimals=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_larger_instances(self, n_assets, distinct, mode, target, decimals, seed):
+        # there `mu[c].sum()` and `mu @ x` differ for about a quarter of subsets
+        _check_random_instance(n_assets, distinct, mode, target, decimals, seed, 10**5)
+
+    @pytest.mark.parametrize("mode", ["at_least", "equality"])
+    def test_return_sums_that_straddle_the_target(self, mode):
+        rng = np.random.default_rng({"at_least": 11, "equality": 12}[mode])
+        least_risk_meets = []
+        for _ in range(40):
+            inst, x = straddling_instance(rng, mode)
+            got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
+            assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
+            assert got == "infeasible" or check_feasible(inst, got).ok
+            least_risk_meets.append(check_feasible(inst, x).ok)
+            if least_risk_meets[-1]:
+                assert got == tuple(x.tolist())
+        # the model's sum falls on either side of the target
+        assert any(least_risk_meets) and not all(least_risk_meets)
 
     @pytest.mark.parametrize(
         "n_assets, n, mode",
@@ -174,6 +212,15 @@ class TestExhaustiveSubsetsMatchesReference:
         )
         r_star = 0.6 * float(np.sort(universe.mu)[::-1][:n].sum()) if mode != "none" else 0.0
         inst = PortfolioInstance(universe, n, r_star, mode)
+        assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
+
+    def test_near_tied_risks_on_the_return_boundary(self):
+        # every subset meets the target exactly and is re-tested unless its
+        # running-sum risk is above the window of the least so far; diagonal
+        # risks a few ulps apart put the winner above that least in its block
+        rng = np.random.default_rng(4)
+        d = 1.0 + rng.integers(0, 3, 40) * 2.0**-52 * rng.choice([1, 2, 4, 8], 40)
+        inst = PortfolioInstance(_universe(np.ones(40), np.diag(d)), 4, 4.0, "at_least")
         assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
 
     def test_ties_across_blocks(self):
