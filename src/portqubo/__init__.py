@@ -29,7 +29,6 @@ from .qubo import (
     write_qubo,
 )
 from .tuning import (
-    SweepPoint,
     estimate_lambda1,
     estimate_lambda2,
     grid_search,

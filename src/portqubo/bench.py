@@ -28,39 +28,17 @@ from .data import (
     positive_number_field,
     require_fields,
 )
-from .model import PortfolioInstance, Solution
-from .qubo import build_qubo, decode
+from .model import PortfolioInstance
+from .qubo import build_qubo
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
     InfeasibleInstanceError,
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import PENALTY_POLICIES, resolve_penalties
+from .tuning import PENALTY_POLICIES, BenchRow, resolve_penalties, run_row, solve_row, solved_row
 
 ORACLE_SOLVER_NAME = "oracle"
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    instance: str
-    n_assets: int
-    n: int
-    r_star: float
-    qubo_dim: int
-    lambda1: float
-    lambda2: float
-    solver: str = ""
-    seed: int | None = None
-    energy: float = math.nan
-    risk: float = math.nan
-    ret: float = math.nan
-    feasible: bool = False
-    wall_time_s: float = 0.0
-    gap_percent: float | None = None
-    optimal: bool = False
-    external: bool = False
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -237,24 +215,14 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
             q, layout = build_qubo(instance, params)
         except ValueError as exc:
             build_error = str(exc)
-        template = BenchRow(
-            instance=inst_id,
-            n_assets=instance.n_assets,
-            n=instance.n,
-            r_star=instance.r_star,
-            qubo_dim=0 if q is None else q.dim,
-            lambda1=math.nan if params is None else params.lambda1,
-            lambda2=math.nan if params is None else params.lambda2,
-        )
+        template = run_row(inst_id, instance, params, q)
         inst_rows: list[BenchRow] = []
         for display, solver in solvers:
             for seed in plan.seeds:
                 row = replace(template, solver=display, seed=seed, error=build_error)
                 if q is not None:
                     try:
-                        result = solver(q, seed)
-                        sol = decode(instance, layout, result.bits, energy=result.energy)
-                        row = _solved(row, sol, result.wall_time_s)
+                        row = solve_row(row, instance, solver, q, layout, seed)[0]
                     except Exception as exc:
                         row = replace(row, error=str(exc))
                 inst_rows.append(row)
@@ -262,7 +230,7 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
             try:
                 oracle = solve_exhaustive_subsets(instance)
                 row = replace(template, solver=ORACLE_SOLVER_NAME, optimal=True)
-                inst_rows.append(_solved(row, oracle, oracle.provenance["wall_time_s"]))
+                inst_rows.append(solved_row(row, oracle, oracle.provenance["wall_time_s"]))
             except InfeasibleInstanceError:
                 pass
         inst_rows.extend(r for r in external_rows if r.instance == inst_id)
@@ -271,18 +239,12 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
         for r in inst_rows:
             gap = None
             if r.feasible and not math.isnan(r.risk):
-                gap = (r.risk - best) / best * 100.0 if best != 0 else 0.0
+                # in percent of |best|; at a best of 0, 0 at a risk of 0 and infinite above it
+                gap = (r.risk - best) / abs(best) * 100.0 if best else math.inf if r.risk else 0.0
             wall_time_s = 0.0 if no_timing else r.wall_time_s
             rows.append(replace(r, gap_percent=gap, wall_time_s=wall_time_s))
     rows.sort(key=_row_sort_key)
     return BenchReport(rows=tuple(rows), summaries=tuple(summaries))
-
-
-def _solved(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
-    """`row` with the energy, risk, return and feasibility of `sol`, all
-    recomputed from its bits by the model."""
-    metrics = dict(energy=sol.energy, risk=sol.risk, ret=sol.ret, feasible=sol.feasible)
-    return replace(row, **metrics, wall_time_s=wall_time_s)
 
 
 def _summarize(inst_id: str, inst_rows: list[BenchRow]) -> InstanceSummary:
@@ -368,25 +330,29 @@ _COLUMNS = (
     _col("wall_time_s", "wall_time_s",  _fmt, float,             "0"),
 )
 CSV_COLUMNS = [column.name for column in _COLUMNS]
+# the columns of a run's penalties and outcome: the CSV of `sweep` and `tune`
+RUN_COLUMNS = ("lambda1", "lambda2", "seed", "energy", "risk", "feasible", "wall_time_s")
 
 
 def render_report(report: BenchReport, fmt: str = "csv") -> str:
     if not report.rows:
         raise ValueError("report has no rows")
     if fmt == "csv":
-        return _render_csv(report)
+        return rows_csv(report.rows)
     if fmt == "markdown":
         return _render_markdown(report)
     raise ValueError(f"unknown report format {fmt!r}; expected csv or markdown")
 
 
-def _render_csv(report: BenchReport) -> str:
+def rows_csv(rows, names=CSV_COLUMNS) -> str:
+    """CSV of `rows` in the report columns that `names` lists, in report order."""
+    columns = [column for column in _COLUMNS if column.name in names]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow([column.name for column in columns])
     # csv quotes only the lineterminator's line ends, and a bare \r read back ends a line
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for cells in ([column.write(row) for column in _COLUMNS] for row in report.rows):
+    for cells in ([column.write(row) for column in columns] for row in rows):
         (quote_all if any("\r" in cell for cell in cells) else writer).writerow(cells)
     return buf.getvalue()
 

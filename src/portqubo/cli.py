@@ -28,7 +28,7 @@ from .solvers import (
     run_restarts,
     solve_exhaustive_subsets,
 )
-from .tuning import grid_search, lambda_sweep, resolve_penalties, runs_csv
+from .tuning import grid_search, lambda_sweep, resolve_penalties
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -242,7 +242,8 @@ def _dispatch(args) -> int:
             f"feasible={feasible}"
         )
         if args.output:
-            _emit(runs_csv([run for cell in cells for run in cell.runs]), args.output)
+            runs = [run for cell in cells for run in cell.runs]
+            _emit(bench_mod.rows_csv(runs, bench_mod.RUN_COLUMNS), args.output)
         return EXIT_OK if feasible else EXIT_INFEASIBLE
 
     if args.command == "sweep":
@@ -251,7 +252,7 @@ def _dispatch(args) -> int:
         solver = make_solver(args.solver)
         base = PenaltyParams(1.0, 0.0, args.lambda2)
         points = lambda_sweep(instance, solver, values, base, seed=args.seed)
-        _emit(runs_csv(points), args.output)
+        _emit(bench_mod.rows_csv(points, bench_mod.RUN_COLUMNS), args.output)
         failed = [p for p in points if p.error is not None]
         for p in failed:
             print(f"error: lambda1={p.lambda1:.17g}: {p.error}", file=sys.stderr)

@@ -139,6 +139,13 @@ class Solution:
     provenance: dict[str, Any] = field(default_factory=dict)
 
 
+def portfolio_risks(sigma, rows: np.ndarray) -> np.ndarray:
+    """The risk x'(Sx) of each 0/1 float64 row x of ``rows``, each row its own
+    (N, N) by (N, 1) and (1, N) by (N, 1) products, which sum as the 1-D
+    ``x @ (sigma @ x)`` does."""
+    return np.matmul(rows[:, None, :], np.matmul(sigma, rows[:, :, None]))[:, 0, 0]
+
+
 def portfolio_risk(sigma, x) -> float:
     """Quadratic-form risk x'Sx of the selection ``x``."""
     # C-contiguous copy so the accumulation order is layout-independent
@@ -149,7 +156,7 @@ def portfolio_risk(sigma, x) -> float:
         raise ContractViolation(
             f"sigma shape {sigma.shape} does not match bit vector length {bits.size}"
         )
-    return float(bits @ (sigma @ bits))
+    return float(portfolio_risks(sigma, bits[None])[0])
 
 
 def portfolio_returns(mu, rows: np.ndarray) -> np.ndarray:

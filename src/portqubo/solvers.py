@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import int_field, positive_number_field
 from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, portfolio_returns
-from .model import return_margin, solution_from_bits
+from .model import portfolio_risks, return_margin, solution_from_bits
 from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
@@ -475,14 +475,16 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     reselected exactly. Any summation order of the n^2 risk terms is within
     n^4 * eps * max|S| / 2 of the true risk, so every feasible subset whose
     running-sum risk is within 4 n^4 eps max|S| of the running minimum is
-    rescored as `S[c][:, c].sum()`, and the lowest rescored risk wins. A
-    subset whose running-sum return is within 4 n^2 eps max|mu| of the return
-    boundary, and whose running-sum risk is within that window of the least
-    feasible one so far, is re-tested by the rule and sum of `check_feasible`,
-    the model's `return_margin` of its `portfolio_returns`, batched per block:
-    a call per subset takes seconds when all lie on the boundary. The chosen
-    subset is therefore the one that scoring every subset directly chooses,
-    and passes `check_feasible`, provided no sum overflows.
+    rescored by the model's `portfolio_risks` of its bit vector, the x'(Sx)
+    that every report row gives (one more order of the same n^2 terms), and
+    the lowest rescored risk wins. A subset whose running-sum return is
+    within 4 n^2 eps max|mu| of the return boundary, and whose running-sum
+    risk is within that window of the least feasible one so far, is re-tested
+    by the rule and sum of `check_feasible`, the model's `return_margin` of
+    its `portfolio_returns`, batched per block: a call per subset takes
+    seconds when all lie on the boundary. The chosen subset is therefore the
+    one that scoring every subset directly chooses, and passes
+    `check_feasible`, provided no sum overflows.
     """
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
@@ -509,7 +511,7 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
 
     lowest = math.inf
     best_risk = math.inf
-    best_combo = None
+    best_x = None
     zero = np.zeros(1)
     stack = [
         _prefixes(
@@ -551,8 +553,10 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
             stack.append(_prefixes(idx, risk, ret, cross, parent - p0, a, n_assets, n))
             continue
 
-        def combos(sel):
-            return np.column_stack((block.idx[parent[sel]], a[sel]))
+        def bit_rows(sel):
+            rows_x = np.zeros((sel.size, n_assets))
+            np.put_along_axis(rows_x, np.column_stack((block.idx[parent[sel]], a[sel])), 1.0, axis=1)
+            return rows_x
 
         if constrained:
             margin = return_margin(instance, ret)
@@ -561,9 +565,7 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
             # a subset whose risk is above lowest's window can neither lower it nor be near
             unsure = np.flatnonzero((np.abs(margin) <= return_band) & (risk <= lowest + risk_window))
             if unsure.size:
-                rows_x = np.zeros((unsure.size, n_assets))
-                np.put_along_axis(rows_x, combos(unsure), 1.0, axis=1)
-                feasible[unsure] = return_margin(instance, portfolio_returns(mu, rows_x)) >= 0
+                feasible[unsure] = return_margin(instance, portfolio_returns(mu, bit_rows(unsure))) >= 0
             if not feasible.any():
                 continue
             lowest = min(lowest, float(risk[feasible].min()))
@@ -573,21 +575,19 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
             near = np.flatnonzero(risk <= lowest + risk_window)
         if not near.size:
             continue
-        near_combos = combos(near)
-        exact = sigma[near_combos[:, :, None], near_combos[:, None, :]].sum(axis=(1, 2))
+        near_x = bit_rows(near)
+        exact = portfolio_risks(sigma, near_x)
         # extensions arrive in lexicographic order of the subset, the reverse
         # of the order of its bit vector, so the last of equal risks wins
         k = len(exact) - 1 - int(np.argmin(exact[::-1]))
         if exact[k] <= best_risk:
-            best_risk, best_combo = float(exact[k]), near_combos[k]
-    if best_combo is None:
+            best_risk, best_x = float(exact[k]), near_x[k].copy()
+    if best_x is None:
         raise InfeasibleInstanceError("instance infeasible: no subset meets the return target")
-    bits = np.zeros(n_assets, dtype=np.int64)
-    bits[best_combo] = 1
     wall = time.perf_counter() - t0
     return solution_from_bits(
         instance,
-        bits,
+        best_x,
         solver="exact-subsets",
         wall_time_s=wall,
         enumerated=int(count),

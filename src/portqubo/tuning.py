@@ -1,4 +1,4 @@
-"""Penalty coefficient estimation and refinement.
+"""Penalty coefficient estimation and refinement, and the run record.
 
 The cardinality-penalty estimate is the largest benefit any single asset can
 contribute near an optimum: max over assets of the sum of that asset's n
@@ -6,13 +6,15 @@ smallest covariance entries. The return-penalty estimate divides the average
 gap among the n smallest such row sums by the average positive return
 difference among the same n assets. Both are starting points for a grid
 search, not guarantees.
+
+Every seeded solve, a sweep point, a grid run or a benchmark run, is a
+``BenchRow`` made by ``solve_row``; ``bench`` renders these rows as CSV.
 """
 
 from __future__ import annotations
 
-import io
-import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,17 +28,57 @@ PENALTY_POLICIES = ("explicit", "estimate", "grid")
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One seeded solve at (lambda1, lambda2): a sweep point or a grid run."""
+class BenchRow:
+    """One run of a solver on an instance: a benchmark report row, a sweep
+    point or a grid run."""
 
+    instance: str
+    n_assets: int
+    n: int
+    r_star: float
+    qubo_dim: int
     lambda1: float
-    best_risk: float
-    feasible: bool
-    energy: float = float("nan")
+    lambda2: float
+    solver: str = ""
     seed: int | None = None
+    energy: float = math.nan
+    risk: float = math.nan
+    ret: float = math.nan
+    feasible: bool = False
     wall_time_s: float = 0.0
+    gap_percent: float | None = None
+    optimal: bool = False
+    external: bool = False
     error: str | None = None
-    lambda2: float = 0.0
+
+
+def run_row(inst_id: str, instance: PortfolioInstance, params: PenaltyParams | None, q) -> BenchRow:
+    """The row of a run of `instance` under `params` on `q`, before it is
+    solved: NaN lambdas without penalties, dim 0 without a QUBO."""
+    return BenchRow(
+        instance=inst_id,
+        n_assets=instance.n_assets,
+        n=instance.n,
+        r_star=instance.r_star,
+        qubo_dim=0 if q is None else q.dim,
+        lambda1=math.nan if params is None else params.lambda1,
+        lambda2=math.nan if params is None else params.lambda2,
+    )
+
+
+def solved_row(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
+    """`row` with the energy, risk, return and feasibility of `sol`, all
+    recomputed from its bits by the model."""
+    metrics = dict(energy=sol.energy, risk=sol.risk, ret=sol.ret, feasible=sol.feasible)
+    return replace(row, **metrics, wall_time_s=wall_time_s)
+
+
+def solve_row(row: BenchRow, instance, solver, q, layout, seed: int) -> tuple[BenchRow, Solution]:
+    """One seeded solve of `q`, the QUBO of `instance` that `row` names,
+    decoded: the row with its seed and metrics, and the Solution."""
+    result = solver(q, seed)
+    sol = decode(instance, layout, result.bits, energy=result.energy)
+    return solved_row(replace(row, seed=seed), sol, result.wall_time_s), sol
 
 
 @dataclass(frozen=True)
@@ -46,7 +88,7 @@ class GridCell:
     feasible: bool
     best_risk: float
     residual: float
-    runs: tuple[SweepPoint, ...]
+    runs: tuple[BenchRow, ...]
 
 
 def _row_prefix_sums(sigma: np.ndarray, n: int) -> np.ndarray:
@@ -90,41 +132,27 @@ def estimate_lambda2(instance: PortfolioInstance) -> float:
     return a1 / a2
 
 
-def _solve_at(instance, solver, params, q, layout, seed) -> tuple[SweepPoint, Solution]:
-    """One seeded solve of ``q``, the QUBO built for ``params``, decoded."""
-    result = solver(q, seed)
-    sol = decode(instance, layout, result.bits, energy=result.energy)
-    point = SweepPoint(
-        params.lambda1, sol.risk, sol.feasible, result.energy, seed, result.wall_time_s,
-        lambda2=params.lambda2,
-    )
-    return point, sol
-
-
 def lambda_sweep(
     instance: PortfolioInstance,
     solver: Callable[..., SolveResult],
     lambda1_values: list[float],
     base: PenaltyParams = PenaltyParams(),
     seed: int = 0,
-) -> list[SweepPoint]:
-    """Solve the instance once per lambda1 value and record the decoded best
-    risk and feasibility; solver failures are recorded, not raised."""
+) -> list[BenchRow]:
+    """Solve the instance once per lambda1 value and record the decoded risk
+    and feasibility; build and solver failures are recorded, not raised."""
     if not lambda1_values:
         raise ValueError("lambda1_values must be nonempty")
     points = []
     for l1 in lambda1_values:
         params = PenaltyParams(base.lambda0, float(l1), base.lambda2)
+        q = None
         try:
             q, layout = build_qubo(instance, params)
-            points.append(_solve_at(instance, solver, params, q, layout, seed)[0])
+            row = solve_row(run_row("", instance, params, q), instance, solver, q, layout, seed)[0]
         except Exception as exc:
-            points.append(
-                SweepPoint(
-                    params.lambda1, float("nan"), False,
-                    seed=seed, error=str(exc), lambda2=params.lambda2,
-                )
-            )
+            row = replace(run_row("", instance, params, q), seed=seed, error=str(exc))
+        points.append(row)
     return points
 
 
@@ -174,7 +202,8 @@ def grid_search(
         for l2 in grid2:
             params = PenaltyParams(1.0, float(l1), float(l2))
             q, layout = build_qubo(instance, params)
-            solved = [_solve_at(instance, solver, params, q, layout, s) for s in range(repeats)]
+            row = run_row("", instance, params, q)
+            solved = [solve_row(row, instance, solver, q, layout, s) for s in range(repeats)]
             risks = [sol.risk for _, sol in solved if sol.feasible]
             violations = [_violation(instance, sol.x) for _, sol in solved]
             cells.append(
@@ -215,22 +244,3 @@ def resolve_penalties(
         )
     return PenaltyParams(1.0, *(0.0 if g is None else g for g in given))
 
-
-def runs_csv(points: list[SweepPoint]) -> str:
-    """CSV export of seeded solves: a sweep's points or every grid cell's runs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda1", "lambda2", "seed", "energy", "risk", "feasible", "wall_time_s"])
-    for p in points:
-        writer.writerow(
-            [
-                f"{p.lambda1:.17g}",
-                f"{p.lambda2:.17g}",
-                p.seed if p.seed is not None else "",
-                f"{p.energy:.17g}",
-                f"{p.best_risk:.17g}",
-                str(p.feasible).lower(),
-                f"{p.wall_time_s:.17g}",
-            ]
-        )
-    return buf.getvalue()

@@ -197,10 +197,10 @@ def reference_tabu(q: QuboMatrix, config, moves: list | None = None):
 
 
 def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]:
-    """Independent subset oracle: gathers every n-subset's n x n covariance
-    block at once, filters by the return constraint and returns the bits of
-    the minimum-risk feasible subset, lexicographically smallest on ties.
-    Memory grows with C(N, n) * (n^2 + N)."""
+    """Independent subset oracle: scores every n-subset's bit vector one at a
+    time, filters by the return constraint and returns the bits of the
+    minimum-risk feasible subset, lexicographically smallest on ties.
+    Memory grows with C(N, n) * (n + N)."""
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
     sigma = instance.universe.sigma
@@ -210,11 +210,11 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
         dtype=np.int64,
         count=count * n,
     ).reshape(count, n)
-    risks = sigma[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-    # each subset's return as one dot product over its bit vector, the sum
-    # that check_feasible takes
+    # each subset's risk and return as products over its bit vector, the sums
+    # that portfolio_risk and check_feasible take
     bits = np.zeros((count, n_assets))
     bits[np.arange(count)[:, None], combos] = 1.0
+    risks = np.array([float(row @ (sigma @ row)) for row in bits])
     returns = np.array([float(mu @ row) for row in bits])
     if instance.return_mode == "at_least":
         feasible = returns >= instance.r_star

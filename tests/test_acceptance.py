@@ -216,7 +216,7 @@ def test_penalty_sweep_shape():
     infeasible_at_zero = not points[0].feasible
     high = [p for p in points if p.lambda1 >= 8.0 * l1_hat]
     all_high_feasible = bool(high) and all(p.feasible for p in high)
-    feasible_risks = [p.best_risk for p in points if p.feasible]
+    feasible_risks = [p.risk for p in points if p.feasible]
     risk_spread = max(feasible_risks) - min(feasible_risks) if feasible_risks else 0.0
     constant_risk = bool(feasible_risks) and risk_spread <= rel_tol * max(
         1.0, max(feasible_risks)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portqubo import (
+    AssetUniverse,
     DataFormatError,
     PortfolioInstance,
     SyntheticSpec,
     check_feasible,
     generate_synthetic,
+    grid_search,
     load_plan,
     make_solver,
     parse_report_csv,
@@ -405,6 +407,53 @@ class TestExternalResults:
         assert summary.external
         assert summary.best_risk == 0.0001
 
+
+    def test_gap_above_a_best_of_zero_is_infinite(self, tmp_path):
+        # two riskless assets: the oracle picks them, at a risk of 0
+        universe = AssetUniverse(("A", "B", "C"), [1.0, 1.0, 1.0], np.diag([0.0, 0.0, 1.0]))
+        path = tmp_path / "zero.json"
+        save_instance(PortfolioInstance(universe, n=2), path)
+        sidecar = tmp_path / "external.csv"
+        sidecar.write_text("instance,solver,risk\nzero,cplex,0.5\nzero,gurobi,0\n")
+        plan = _plan(instances=(str(path),), external_results=str(sidecar))
+        gaps = {r.solver: r.gap_percent for r in run_benchmark(plan, no_timing=True).rows}
+        assert (gaps["oracle"], gaps["gurobi"], gaps["cplex"]) == (0.0, 0.0, math.inf)
+
+    def test_gap_above_a_negative_best_is_positive(self, tmp_path):
+        # the PSD rule's tolerance admits this sigma, whose one pair has x'Sx about -2e-7
+        a = -1.0 - 1e-7
+        universe = AssetUniverse(("A", "B"), [1.0, 1.0], [[1.0, a], [a, 1.0]])
+        path = tmp_path / "neg.json"
+        save_instance(PortfolioInstance(universe, n=2), path)
+        sidecar = tmp_path / "external.csv"
+        sidecar.write_text("instance,solver,risk\nneg,cplex,1\n")
+        report = run_benchmark(_plan(instances=(str(path),), external_results=str(sidecar)))
+        rows = {r.solver: r for r in report.rows}
+        best = rows["oracle"].risk
+        assert best < 0 and report.summaries[0].best_risk == best
+        assert rows["cplex"].gap_percent == (1.0 - best) / -best * 100.0 > 0
+
+
+@pytest.mark.parametrize("solver", ["sa", "tabu", "ga"])
+def test_grid_runs_are_the_bench_rows_of_their_penalties(tmp_path, solver):
+    # one record and one solve step: a grid cell's runs are, seed by seed,
+    # the rows that an explicit-penalty plan gives for the same penalties
+    universe = generate_synthetic(SyntheticSpec(n_assets=7, seed=3))
+    instance = PortfolioInstance(universe, 3, float(np.sort(universe.mu)[-4:].mean() * 3), "at_least")
+    path = tmp_path / "i.json"
+    save_instance(instance, path)
+    l1, l2 = tuning_mod.estimate_lambda1(instance), tuning_mod.estimate_lambda2(instance)
+    _, (cell,), _ = grid_search(instance, make_solver(solver), [l1], [l2], repeats=3)
+    plan = _plan(
+        instances=(str(path),), solvers=(solver,), seeds=(0, 1, 2),
+        penalty_policy="explicit", explicit_lambda1=l1, explicit_lambda2=l2,
+    )
+    report = run_benchmark(plan, no_timing=True)
+    bench_runs = [r for r in report.rows if r.solver == solver]
+    grid_runs = [replace(r, wall_time_s=0.0) for r in cell.runs]
+    columns = bench_mod.RUN_COLUMNS
+    assert bench_mod.rows_csv(grid_runs, columns) == bench_mod.rows_csv(bench_runs, columns)
+    assert [r.seed for r in grid_runs] == [0, 1, 2]
 
 # names with the cells a CSV writer must quote: commas, quotes and line ends
 _NAMES = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\n\r*'), max_size=8)

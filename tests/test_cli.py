@@ -255,7 +255,7 @@ def test_tune_output_is_the_cells_runs_in_order(synth_instance, tmp_path, capsys
     rows = [line.split(",") for line in grid_path.read_text().splitlines()[1:]]
     assert [row[:6] for row in rows] == [
         [f"{r.lambda1:.17g}", f"{r.lambda2:.17g}", str(r.seed), f"{r.energy:.17g}",
-         f"{r.best_risk:.17g}", str(r.feasible).lower()]
+         f"{r.risk:.17g}", str(r.feasible).lower()]
         for cell in cells
         for r in cell.runs
     ]

@@ -9,7 +9,7 @@ from portqubo import (
     portfolio_return,
     portfolio_risk,
 )
-from portqubo.model import portfolio_returns
+from portqubo.model import portfolio_returns, portfolio_risks
 
 from conftest import naive_risk, random_psd
 
@@ -72,6 +72,19 @@ def test_batched_returns_are_the_1d_products_bit_for_bit(rng):
         expected = np.array([float(mu @ row) for row in rows])
         assert np.array_equal(portfolio_returns(mu, rows).view(np.uint64), expected.view(np.uint64))
         singles = np.array([portfolio_return(mu, row) for row in rows])
+        assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
+
+
+def test_batched_risks_are_the_1d_products_bit_for_bit(rng):
+    # portfolio_risk and the subset oracle's rescoring take their sum from
+    # portfolio_risks, so a reported risk moves only if these bits differ
+    for n_assets in [*range(1, 48), *range(48, 201, 8)]:
+        f = rng.standard_normal((n_assets, n_assets)) * 10.0 ** rng.integers(-3, 4)
+        sigma = f @ f.T
+        rows = rng.integers(0, 2, (64, n_assets)).astype(np.float64)
+        expected = np.array([float(row @ (sigma @ row)) for row in rows])
+        assert np.array_equal(portfolio_risks(sigma, rows).view(np.uint64), expected.view(np.uint64))
+        singles = np.array([portfolio_risk(sigma, row) for row in rows])
         assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
 
 

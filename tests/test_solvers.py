@@ -29,6 +29,7 @@ from portqubo import (
     build_qubo,
     check_feasible,
     make_solver,
+    portfolio_risk,
     qubo_energy,
     run_restarts,
     solve_exhaustive_subsets,
@@ -222,6 +223,26 @@ class TestExhaustiveSubsetsMatchesReference:
         d = 1.0 + rng.integers(0, 3, 40) * 2.0**-52 * rng.choice([1, 2, 4, 8], 40)
         inst = PortfolioInstance(_universe(np.ones(40), np.diag(d)), 4, 4.0, "at_least")
         assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
+
+    def test_risks_tied_by_repeated_assets_are_ranked_by_the_model(self):
+        # repeated assets tie subsets in exact arithmetic, and their computed
+        # risks differ only by rounding; the oracle's row must not lie above
+        # the portfolio_risk of another subset, the risk every report row gives
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n_assets = int(rng.integers(4, 11))
+            distinct = int(rng.integers(2, n_assets + 1))
+            pick = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n_assets - distinct)])
+            rng.shuffle(pick)
+            sigma = random_psd(rng, distinct)[np.ix_(pick, pick)] * 10.0 ** rng.uniform(-3, 3)
+            inst = PortfolioInstance(_universe(np.zeros(n_assets), sigma), int(rng.integers(1, n_assets)))
+            sol = solve_exhaustive_subsets(inst)
+            assert sol.x == reference_exhaustive_subsets(inst)
+            risks = [
+                portfolio_risk(sigma, np.isin(np.arange(n_assets), c))
+                for c in itertools.combinations(range(n_assets), inst.n)
+            ]
+            assert sol.risk == min(risks)
 
     def test_ties_across_blocks(self):
         # every subset ties and C(60, 4) spans many blocks: the smallest bit

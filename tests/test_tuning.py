@@ -13,7 +13,8 @@ from portqubo import (
     lambda_sweep,
 )
 from portqubo.solvers import make_solver
-from portqubo.tuning import _row_prefix_sums, default_grid, resolve_penalties, runs_csv
+from portqubo.bench import RUN_COLUMNS, rows_csv
+from portqubo.tuning import _row_prefix_sums, default_grid, resolve_penalties
 
 from conftest import random_instance
 
@@ -158,7 +159,7 @@ class TestLambdaSweep:
         inst = _sweep_instance()
         solver = make_solver("exact")
         points = lambda_sweep(inst, solver, [0.0])
-        assert points[0].best_risk == 0.0
+        assert points[0].risk == 0.0
         assert not points[0].feasible
 
     def test_threshold_shape(self):
@@ -172,7 +173,7 @@ class TestLambdaSweep:
         # once feasible, stays feasible; feasible risk is constant
         first = feasibility.index(True)
         assert all(feasibility[first:])
-        risks = {round(p.best_risk, 9) for p in points if p.feasible}
+        risks = {round(p.risk, 9) for p in points if p.feasible}
         assert len(risks) == 1
 
     def test_large_penalty_matches_subset_oracle(self):
@@ -184,7 +185,7 @@ class TestLambdaSweep:
         points = lambda_sweep(inst, solver, [100 * l1_hat])
         oracle = solve_exhaustive_subsets(inst)
         assert points[0].feasible
-        assert points[0].best_risk == pytest.approx(oracle.risk, rel=1e-9)
+        assert points[0].risk == pytest.approx(oracle.risk, rel=1e-9)
 
     def test_solver_failure_is_recorded(self):
         inst = _sweep_instance()
@@ -206,7 +207,7 @@ class TestLambdaSweep:
     def test_csv_export(self):
         inst = _sweep_instance()
         solver = make_solver("exact")
-        text = runs_csv(lambda_sweep(inst, solver, [0.0, 1.0]))
+        text = rows_csv(lambda_sweep(inst, solver, [0.0, 1.0]), RUN_COLUMNS)
         lines = text.splitlines()
         assert lines[0] == "lambda1,lambda2,seed,energy,risk,feasible,wall_time_s"
         assert len(lines) == 3
@@ -249,7 +250,7 @@ class TestGridSearch:
         def stable(cells):
             return [
                 (c.lambda1, c.lambda2, c.feasible, c.best_risk, c.residual)
-                + tuple((r.seed, r.energy, r.best_risk, r.feasible) for r in c.runs)
+                + tuple((r.seed, r.energy, r.risk, r.feasible) for r in c.runs)
                 for c in cells
             ]
 
@@ -268,7 +269,7 @@ class TestGridSearch:
             best, cells, feasible = search
             return best, feasible, [
                 (c.lambda1, c.lambda2, c.feasible, c.residual)
-                + tuple((r.seed, r.energy, r.best_risk, r.feasible) for r in c.runs)
+                + tuple((r.seed, r.energy, r.risk, r.feasible) for r in c.runs)
                 for c in cells
             ]
 
@@ -288,7 +289,7 @@ class TestGridSearch:
                 (cell.lambda1, cell.lambda2, 0),
                 (cell.lambda1, cell.lambda2, 1),
             ]
-            feasible = [r.best_risk for r in cell.runs if r.feasible]
+            feasible = [r.risk for r in cell.runs if r.feasible]
             assert cell.feasible == bool(feasible)
             if feasible:
                 assert cell.best_risk == min(feasible)
