@@ -71,12 +71,16 @@ class BenchPlan:
     def __post_init__(self):
         if not self.instances or not self.solvers or not self.seeds:
             raise ValueError("plan needs nonempty instances, solvers and seeds")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:  # two runs of one seed would give two identical rows
+            raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
         if self.penalty_policy not in PENALTY_POLICIES:
             raise ValueError(f"unknown penalty policy {self.penalty_policy!r}")
 
 
 def load_plan(path) -> BenchPlan:
-    doc = require_fields(_load_json(path), ("instances", "solvers", "seeds"), path)
+    optional = ("penalty_policy", "time_limit_s", "external_results", "grid_repeats")
+    doc = require_fields(_load_json(path), ("instances", "solvers", "seeds"), path, optional)
     for key in ("instances", "solvers", "seeds"):
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: field {key!r} must be a list, got {doc[key]!r}")
@@ -91,7 +95,7 @@ def load_plan(path) -> BenchPlan:
     seeds = tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"])
     if min(seeds, default=0) < 0:
         raise DataFormatError(f"{path}: field 'seeds' must hold non-negative integers, got {min(seeds)}")
-    return BenchPlan(
+    plan_fields = dict(
         instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
         seeds=seeds,
@@ -100,6 +104,10 @@ def load_plan(path) -> BenchPlan:
         external_results=None if external is None else str(base / external),
         grid_repeats=grid_repeats,
     )
+    try:
+        return BenchPlan(**plan_fields)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _penalty_fields(policy, path) -> dict:
@@ -107,9 +115,7 @@ def _penalty_fields(policy, path) -> dict:
     an object of ``policy`` (default explicit) and the lambdas it gives."""
     where = f"{path}: penalty_policy"
     policy = policy if isinstance(policy, dict) else {"policy": policy}
-    unknown = sorted(set(policy) - {"policy", "lambda1", "lambda2"})
-    if unknown:
-        raise DataFormatError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    require_fields(policy, (), where, ("policy", "lambda1", "lambda2"))
     name = policy.get("policy", "explicit")
     if name not in PENALTY_POLICIES:
         raise DataFormatError(f"{where}: {name!r} is not one of {', '.join(PENALTY_POLICIES)}")
@@ -122,9 +128,11 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     source = f"instance entry {entry!r}"
     if isinstance(entry, str):
         return _entry_id(Path(entry).stem, source), load_instance(entry)
-    synth = require_fields(entry, ("synthetic", "n"), source)["synthetic"]
+    require_fields(entry, ("synthetic", "n"), source, ("r_star", "return_mode", "id"))
     block = f"{source}, 'synthetic' block"
-    require_fields(synth, ("n_assets",), block)
+    synth = require_fields(
+        entry["synthetic"], ("n_assets",), block, ("n_factors", "idiosyncratic_floor", "return_range", "seed")
+    )
     return_range = {"return_range": (0.0, 200.0), **synth}
     spec_fields = dict(
         n_assets=int_field(synth, "n_assets", block),
@@ -155,7 +163,7 @@ def _solver_entry(entry) -> tuple[str, str, dict]:
     if isinstance(entry, str):
         ident, name, options = entry, entry, {}
     else:
-        name = require_fields(entry, ("name",), source)["name"]
+        name = require_fields(entry, ("name",), source, ("options", "id"))["name"]
         options = require_fields(entry.get("options", {}), (), f"{source}, 'options'")
         ident = str(entry.get("id", name))
     ident = _entry_id(ident, source)

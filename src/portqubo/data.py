@@ -221,14 +221,18 @@ def _load_json(path) -> dict:
     return require_fields(doc, (), path)
 
 
-def require_fields(doc, keys, source) -> dict:
+def require_fields(doc, keys, source, optional=None) -> dict:
     """``doc`` after checking that it is a JSON object holding every key in
-    ``keys``; a DataFormatError naming ``source`` otherwise."""
+    ``keys`` and, when ``optional`` is given, no key outside ``keys`` and
+    ``optional``; a DataFormatError naming ``source`` otherwise."""
     if not isinstance(doc, dict):
         raise DataFormatError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     for key in keys:
         if key not in doc:
             raise DataFormatError(f"{source}: missing field {key!r}")
+    unknown = [] if optional is None else [k for k in doc if k not in (*keys, *optional)]
+    if unknown:
+        raise DataFormatError(f"{source}: unknown key(s) {', '.join(map(repr, unknown))}")
     return doc
 
 

@@ -188,15 +188,21 @@ def return_margin(instance: PortfolioInstance, returns) -> np.ndarray | float:
     return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
 
 
-def check_feasible(instance: PortfolioInstance, x) -> Feasibility:
-    """Evaluate both constraints of ``instance`` on the bit vector ``x``."""
+def _selection(instance: PortfolioInstance, x) -> tuple[np.ndarray, float, int]:
+    """The 0/1 float64 bits of ``x``, checked to be a selection over
+    ``instance``'s assets, with their return mu'x and their cardinality."""
     bits = _as_bits(x)
     if bits.size != instance.n_assets:
         raise ContractViolation(
             f"bit vector length {bits.size} does not match N={instance.n_assets}"
         )
-    cardinality = int(round(bits.sum()))
-    ret = portfolio_return(instance.universe.mu, bits)
+    ret = float(portfolio_returns(instance.universe.mu, bits[None])[0])
+    return bits, ret, int(round(bits.sum()))
+
+
+def check_feasible(instance: PortfolioInstance, x) -> Feasibility:
+    """Evaluate both constraints of ``instance`` on the bit vector ``x``."""
+    _, ret, cardinality = _selection(instance, x)
     return Feasibility(
         cardinality_ok=cardinality == instance.n,
         return_ok=bool(return_margin(instance, ret) >= 0),
@@ -211,21 +217,16 @@ def solution_from_bits(
     energy: float | None = None,
     **provenance: Any,
 ) -> Solution:
-    """Build a Solution with risk/return/feasibility recomputed from ``x``."""
-    bits = _as_bits(x)
-    if bits.size != instance.n_assets:
-        raise ContractViolation(
-            f"bit vector length {bits.size} does not match N={instance.n_assets}"
-        )
-    risk = portfolio_risk(instance.universe.sigma, bits)
-    ret = portfolio_return(instance.universe.mu, bits)
-    feas = check_feasible(instance, bits)
+    """Build a Solution with risk/return/feasibility recomputed from ``x``,
+    its bits checked and its return summed once."""
+    bits, ret, cardinality = _selection(instance, x)
+    risk = float(portfolio_risks(instance.universe.sigma, bits[None])[0])
     return Solution(
         x=tuple(int(b) for b in bits),
         risk=risk,
         ret=ret,
-        cardinality=int(round(bits.sum())),
-        feasible=feas.ok,
+        cardinality=cardinality,
+        feasible=cardinality == instance.n and bool(return_margin(instance, ret) >= 0),
         energy=risk if energy is None else float(energy),
         provenance=dict(provenance),
     )

@@ -298,7 +298,7 @@ def solve_tabu(
     t0 = time.perf_counter()
     dim = q.dim
     tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
-    if tenure >= dim:
+    if config.tenure is not None and tenure >= dim:  # only a tenure the caller can change
         warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=2)
     max_iterations = (
         config.max_iterations if config.max_iterations is not None else 50 * dim

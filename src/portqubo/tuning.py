@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PortfolioInstance, Solution, check_feasible
+from .model import PortfolioInstance, Solution, return_margin
 from .qubo import PenaltyParams, build_qubo, decode
 from .solvers import SolveResult
 
@@ -156,14 +156,9 @@ def lambda_sweep(
     return points
 
 
-def _violation(instance: PortfolioInstance, bits) -> float:
-    feas = check_feasible(instance, bits)
-    total = abs(feas.cardinality_residual)
-    if instance.return_mode == "at_least":
-        total += max(0.0, -feas.return_residual)
-    elif instance.return_mode == "equality":
-        total += abs(feas.return_residual)
-    return float(total)
+def _violation(instance: PortfolioInstance, sol: Solution) -> float:
+    """|cardinality - n| of `sol` plus the negative part of its return margin."""
+    return float(abs(sol.cardinality - instance.n) + max(0.0, -return_margin(instance, sol.ret)))
 
 
 def default_grid(estimate: float) -> list[float]:
@@ -187,7 +182,9 @@ def grid_search(
     Returns (best params, all cells, feasible flag). Best cell is the lowest
     recomputed risk among feasible decoded solutions; ties go to the smaller
     lambda1 + lambda2 and then lexicographically. With no feasible cell, the
-    smallest total constraint violation wins and the flag is False.
+    least violation of any run wins and the flag is False: |cardinality - n|
+    plus the return's shortfall past its constraint, beyond the tolerance
+    under equality (``GridCell.residual``).
     """
     if grid1 is None:
         grid1 = default_grid(estimate_lambda1(instance))
@@ -205,7 +202,7 @@ def grid_search(
             row = run_row("", instance, params, q)
             solved = [solve_row(row, instance, solver, q, layout, s) for s in range(repeats)]
             risks = [sol.risk for _, sol in solved if sol.feasible]
-            violations = [_violation(instance, sol.x) for _, sol in solved]
+            violations = [_violation(instance, sol) for _, sol in solved]
             cells.append(
                 GridCell(
                     lambda1=params.lambda1,

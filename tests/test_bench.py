@@ -152,7 +152,8 @@ class TestRunBenchmark:
             ),
             seeds=(0, 1),
         )
-        report = run_benchmark(plan)
+        with pytest.warns(UserWarning, match="slack bits"):  # b-buildable's slack is short
+            report = run_benchmark(plan)
         failed = [r for r in report.rows if r.instance == "a-unbuildable" and r.error]
         assert sorted((r.solver, r.seed) for r in failed) == [
             ("sa", 0), ("sa", 1), ("tabu", 0), ("tabu", 1)
@@ -538,6 +539,8 @@ class TestPlanFieldTypes:
             ({"penalty_policy": {"policy": 5}}, r"plan\.json: penalty_policy: 5 is not one of"),
             ({"penalty_policy": {"policy": "explicit", "lamda1": 50}},
              r"plan\.json: penalty_policy: unknown key\(s\) 'lamda1'$"),
+            ({"penalty_polcy": "explicit"}, r"plan\.json: unknown key\(s\) 'penalty_polcy'$"),
+            ({"seeds": [0, 1, 0]}, r"plan\.json: seeds must be distinct, got 0 more than once$"),
         ],
     )
     def test_plan_field(self, tmp_path, overrides, message):
@@ -563,6 +566,26 @@ class TestPlanFieldTypes:
         plan = load_plan(_write_plan(tmp_path, instances=[entry]))
         with pytest.raises(DataFormatError, match=rf"instance entry .*\b{field}\b"):
             run_benchmark(plan)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"instances": [{"synthetic": _SYNTH, "n": 2, "retrun_mode": "at_least"}]},
+             r"instance entry .*\}: unknown key\(s\) 'retrun_mode'$"),
+            ({"instances": [{"synthetic": {"n_assets": 6, "sed": 5}, "n": 2}]},
+             r"instance entry .*, 'synthetic' block: unknown key\(s\) 'sed'$"),
+            ({"solvers": [{"name": "sa", "option": {"sweeps": 5}}]},
+             r"solver entry .*: unknown key\(s\) 'option'$"),
+        ],
+    )
+    def test_unknown_entry_key(self, tmp_path, overrides, message):
+        plan = load_plan(_write_plan(tmp_path, **overrides))
+        with pytest.raises(DataFormatError, match=message):
+            run_benchmark(plan)
+
+    def test_seeds_of_a_plan_built_in_code_are_distinct(self):
+        with pytest.raises(ValueError, match=r"^seeds must be distinct, got 3 more than once$"):
+            _plan(seeds=(3, 1, 3))
 
     def test_whole_number_counts_accepted(self, tmp_path):
         entry = {"synthetic": {"n_assets": 6.0, "seed": 1.0}, "n": 2.0, "id": "p"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portqubo import (
     AssetUniverse,
@@ -8,10 +10,11 @@ from portqubo import (
     check_feasible,
     portfolio_return,
     portfolio_risk,
+    solution_from_bits,
 )
-from portqubo.model import portfolio_returns, portfolio_risks
+from portqubo.model import RETURN_MODES, portfolio_returns, portfolio_risks
 
-from conftest import naive_risk, random_psd
+from conftest import naive_risk, random_instance, random_psd, straddling_instance
 
 
 def test_risk_empty_portfolio():
@@ -86,6 +89,30 @@ def test_batched_risks_are_the_1d_products_bit_for_bit(rng):
         assert np.array_equal(portfolio_risks(sigma, rows).view(np.uint64), expected.view(np.uint64))
         singles = np.array([portfolio_risk(sigma, row) for row in rows])
         assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
+
+
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(RETURN_MODES), straddling=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_solution_from_bits_agrees_with_the_single_metrics(seed, mode, straddling):
+    """One pass gives bit for bit the risk, return and feasibility of the
+    one-metric functions, on random bits, random n-subsets and, on a
+    straddling instance, the x whose return sits on the target."""
+    rng = np.random.default_rng(seed)
+    xs = []
+    if straddling and mode != "none":
+        instance, x = straddling_instance(rng, mode)
+        xs.append(x)
+    else:
+        instance = random_instance(rng, int(rng.integers(1, 40)), mode)
+    subset = np.zeros(instance.n_assets, dtype=np.int64)
+    subset[rng.choice(instance.n_assets, instance.n, replace=False)] = 1
+    xs += [subset, rng.integers(0, 2, instance.n_assets)]
+    for x in xs:
+        sol = solution_from_bits(instance, x)
+        assert sol.risk.hex() == portfolio_risk(instance.universe.sigma, x).hex()
+        assert sol.ret.hex() == portfolio_return(instance.universe.mu, x).hex()
+        assert sol.cardinality == int(x.sum())
+        assert sol.feasible == check_feasible(instance, x).ok
 
 
 def _universe(mu, sigma):

@@ -661,6 +661,13 @@ class TestTabu:
         with pytest.warns(UserWarning, match="tenure"):
             solve_tabu(q, TabuConfig(tenure=5, max_iterations=10, restarts=1))
 
+    def test_default_tenure_does_not_warn(self, rng):
+        # the default tenure, 7, is at least dim 5, but no caller chose it
+        q = random_qubo(rng, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_solver("tabu")(q, 0)
+
     def test_trace_monotone(self, rng):
         q = random_qubo(rng, 12)
         result = solve_tabu(q, TabuConfig(seed=2))

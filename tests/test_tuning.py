@@ -12,6 +12,8 @@ from portqubo import (
     grid_search,
     lambda_sweep,
 )
+from portqubo.model import EQUALITY_RETURN_TOL
+from portqubo.qubo import build_qubo, decode
 from portqubo.solvers import make_solver
 from portqubo.bench import RUN_COLUMNS, rows_csv
 from portqubo.tuning import _row_prefix_sums, default_grid, resolve_penalties
@@ -238,6 +240,32 @@ class TestGridSearch:
         assert not feasible
         assert best.lambda1 == 0.0
 
+    @pytest.mark.parametrize(
+        "mode, shortfall",
+        [
+            ("equality", lambda ret, r_star: max(0.0, abs(ret - r_star) - EQUALITY_RETURN_TOL)),
+            ("at_least", lambda ret, r_star: max(0.0, r_star - ret)),
+        ],
+        ids=["equality", "at_least"],
+    )
+    def test_residual_is_the_violation_of_the_decoded_runs(self, mode, shortfall):
+        """Without a feasible cell, a cell's residual is the least over its
+        runs of |cardinality - n| plus the return's shortfall past its
+        constraint: beyond the tolerance under equality, below r_star under
+        at_least. The target, all but 1 of the total return, is out of reach
+        of 3 assets, and within the slack of at_least."""
+        universe = _sweep_instance().universe
+        inst = PortfolioInstance(universe, n=3, r_star=float(universe.mu.sum()) - 1.0, return_mode=mode)
+        solver = make_solver("exact")
+        l1 = estimate_lambda1(inst)
+        _, cells, feasible = grid_search(inst, solver, [0.0, l1, 4 * l1], [0.0, 1.0], repeats=1)
+        assert not feasible
+        for cell in cells:
+            q, layout = build_qubo(inst, PenaltyParams(1.0, cell.lambda1, cell.lambda2))
+            sol = decode(inst, layout, solver(q, 0).bits)
+            assert cell.residual == abs(sum(sol.x) - inst.n) + shortfall(sol.ret, inst.r_star)
+        assert len({cell.residual for cell in cells}) > 1
+
     def test_deterministic(self):
         inst = _sweep_instance()
         solver = make_solver("sa", {"sweeps": 20, "restarts": 2})
@@ -327,12 +355,13 @@ class TestResolvePenalties:
     def test_grid_searches_the_missing_axis(self):
         inst = self._instance()
         solver = make_solver("exact")
-        assert resolve_penalties(inst, "grid", None, 0.5, solver, 2) == (
-            grid_search(inst, solver, None, [0.5], repeats=2)[0]
-        )
-        assert resolve_penalties(inst, "grid", 3.0, None, solver, 1) == (
-            grid_search(inst, solver, [3.0], None, repeats=1)[0]
-        )
+        with pytest.warns(UserWarning, match="slack bits"):  # the at_least slack is short
+            assert resolve_penalties(inst, "grid", None, 0.5, solver, 2) == (
+                grid_search(inst, solver, None, [0.5], repeats=2)[0]
+            )
+            assert resolve_penalties(inst, "grid", 3.0, None, solver, 1) == (
+                grid_search(inst, solver, [3.0], None, repeats=1)[0]
+            )
 
     def test_grid_with_both_given_solves_nothing(self):
         def no_solver(q, seed):
