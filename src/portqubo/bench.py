@@ -26,9 +26,10 @@ from .data import (
     load_instance,
     number_field,
     positive_number_field,
+    read_counts,
     require_fields,
 )
-from .model import PortfolioInstance
+from .model import PortfolioInstance, is_real
 from .qubo import build_qubo
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
@@ -45,7 +46,6 @@ ORACLE_SOLVER_NAME = "oracle"
 class InstanceSummary:
     instance: str
     best_risk: float | None
-    best_solver: str | None
     proven_optimal: bool
     external: bool
 
@@ -71,11 +71,18 @@ class BenchPlan:
     def __post_init__(self):
         if not self.instances or not self.solvers or not self.seeds:
             raise ValueError("plan needs nonempty instances, solvers and seeds")
+        bad = [s for s in self.seeds if not is_real(s) or s % 1 or s < 0]
+        if bad:
+            raise ValueError(f"field 'seeds' must hold non-negative integers, got {bad[0]!r}")
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:  # two runs of one seed would give two identical rows
             raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
         if self.penalty_policy not in PENALTY_POLICIES:
             raise ValueError(f"unknown penalty policy {self.penalty_policy!r}")
+        read_counts(self, "grid_repeats")
+        if self.grid_repeats < 1:
+            raise ValueError("field 'grid_repeats' must be at least 1")
 
 
 def load_plan(path) -> BenchPlan:
@@ -89,20 +96,14 @@ def load_plan(path) -> BenchPlan:
     limit = doc.get("time_limit_s")
     if external is not None and not isinstance(external, str):
         raise DataFormatError(f"{path}: field 'external_results' must be a path, got {external!r}")
-    grid_repeats = int_field(doc, "grid_repeats", path, 5)
-    if grid_repeats < 1:
-        raise DataFormatError(f"{path}: field 'grid_repeats' must be at least 1")
-    seeds = tuple(int_field({"seeds": s}, "seeds", path) for s in doc["seeds"])
-    if min(seeds, default=0) < 0:
-        raise DataFormatError(f"{path}: field 'seeds' must hold non-negative integers, got {min(seeds)}")
     plan_fields = dict(
         instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
         solvers=tuple(doc["solvers"]),
-        seeds=seeds,
+        seeds=tuple(doc["seeds"]),
         **_penalty_fields(doc.get("penalty_policy", "estimate"), path),
         time_limit_s=None if limit is None else positive_number_field(doc, "time_limit_s", path),
         external_results=None if external is None else str(base / external),
-        grid_repeats=grid_repeats,
+        grid_repeats=int_field(doc, "grid_repeats", path, 5),
     )
     try:
         return BenchPlan(**plan_fields)
@@ -131,13 +132,12 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     require_fields(entry, ("synthetic", "n"), source, ("r_star", "return_mode", "id"))
     block = f"{source}, 'synthetic' block"
     synth = require_fields(
-        entry["synthetic"], ("n_assets",), block, ("n_factors", "idiosyncratic_floor", "return_range", "seed")
+        entry["synthetic"], ("n_assets",), block, ("n_factors", "return_range", "seed")
     )
     return_range = {"return_range": (0.0, 200.0), **synth}
     spec_fields = dict(
         n_assets=int_field(synth, "n_assets", block),
         n_factors=int_field(synth, "n_factors", block, 3),
-        idiosyncratic_floor=number_field(synth, "idiosyncratic_floor", block, 1.0),
         return_range=tuple(_float_field(return_range, "return_range", (2,), block).tolist()),
         seed=int_field(synth, "seed", block, 0),
     )
@@ -256,14 +256,14 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
 
 
 def _summarize(inst_id: str, inst_rows: list[BenchRow]) -> InstanceSummary:
-    """Best-known feasible risk of one instance, the first row in order that
-    reaches it, and whether an optimal (oracle) row proves it."""
+    """Best-known feasible risk of one instance, whether the first row in
+    order that reaches it is external, and whether an optimal (oracle) row
+    proves it."""
     feasible = [r for r in inst_rows if r.feasible and not math.isnan(r.risk)]
     best = min(feasible, key=lambda r: r.risk, default=None)
     return InstanceSummary(
         instance=inst_id,
         best_risk=None if best is None else best.risk,
-        best_solver=None if best is None else best.solver,
         proven_optimal=best is not None and any(r.optimal for r in inst_rows),
         external=best is not None and best.external,
     )

@@ -45,10 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _count(text: str) -> int:
-    """The value of a count flag: a whole number of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+def _count(text: str, least: int = 1) -> int:
+    """The value of a count or seed flag: a whole number of at least `least`."""
+    if not text.isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least {least}, got {text!r}")
     return int(text)
 
 
@@ -57,6 +57,7 @@ def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
     state in it."""
     parser = _Parser(prog="portqubo", description=__doc__)
+    seed = functools.partial(_count, least=0)  # the type of a seed flag
     sub = parser.add_subparsers(dest="command")
     # flag groups that several commands share
     instance_flags = _Parser(add_help=False)
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", parents=[instance_flags], help="generate a synthetic instance")
     p.add_argument("--assets", type=int, required=True)
     p.add_argument("--factors", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
 
     p = sub.add_parser("build", parents=[penalty_flags], help="instance JSON -> QUBO file")
     p.add_argument("instance")
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[penalty_flags], help="solve an instance or QUBO file")
     p.add_argument("target")
     p.add_argument("--solver", choices=SOLVER_NAMES, default="sa")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--restarts", type=_count, default=1)
 
     p = sub.add_parser("tune", help="grid search penalty weights")
@@ -110,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda1-to", type=float, required=True)
     p.add_argument("--points", type=_count, default=20)
     p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("bench", help="run a benchmark plan")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RETURN_MODES, AssetUniverse, PortfolioInstance
+from .model import RETURN_MODES, AssetUniverse, PortfolioInstance, is_real
 
 
 class DataFormatError(ValueError):
@@ -50,17 +50,16 @@ class PricePanel:
 class SyntheticSpec:
     n_assets: int
     n_factors: int = 3
-    idiosyncratic_floor: float = 1.0
     return_range: tuple[float, float] = (0.0, 200.0)
     seed: int = 0
 
     def __post_init__(self):
+        read_counts(self, "n_assets", "n_factors")
+        read_seed(self)
         if self.n_assets < 1:
             raise ValueError("n_assets must be positive")
         if not 1 <= self.n_factors <= self.n_assets:
             raise ValueError("n_factors must be in [1, n_assets]")
-        if self.idiosyncratic_floor <= 0:
-            raise ValueError("idiosyncratic_floor must be positive")
         low, high = self.return_range
         if not low < high:
             raise ValueError("return_range must satisfy low < high")
@@ -187,11 +186,11 @@ def compute_stats(panel: PricePanel, log_returns: bool = False) -> AssetUniverse
 
 
 def generate_synthetic(spec: SyntheticSpec) -> AssetUniverse:
-    """Factor-model covariance F F' + D with D >= idiosyncratic_floor, so the
-    result is strictly positive definite; fully determined by the seed."""
+    """Factor-model covariance F F' + D with D >= 1, so the result is
+    strictly positive definite; fully determined by the seed."""
     rng = np.random.default_rng(spec.seed)
     factors = rng.standard_normal((spec.n_assets, spec.n_factors))
-    idio = spec.idiosyncratic_floor * (1.0 + rng.random(spec.n_assets))
+    idio = 1.0 + rng.random(spec.n_assets)
     sigma = factors @ factors.T + np.diag(idio)
     sigma = (sigma + sigma.T) / 2.0
     low, high = spec.return_range
@@ -241,9 +240,27 @@ def int_field(doc: dict, key: str, source, default=None) -> int:
     number with no fractional part. Anything else, 1.7 and true included,
     raises a DataFormatError naming ``source`` and the field."""
     value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+    if not is_real(value) or value % 1:
         raise DataFormatError(f"{source}: field {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def read_counts(record, *names: str) -> None:
+    """Set each named count field of the frozen dataclass ``record`` that is
+    not None to the int `int_field` reads from it, which raises a ValueError
+    naming the record's type and the field."""
+    for name in names:
+        if getattr(record, name) is not None:
+            object.__setattr__(record, name, int_field(vars(record), name, type(record).__name__))
+
+
+def read_seed(record) -> None:
+    """Set the ``seed`` of the frozen dataclass ``record`` to the int it holds:
+    a whole number of at least 0, as numpy's generators take, or a ValueError."""
+    seed = record.seed
+    if not is_real(seed) or seed % 1 or seed < 0:
+        raise ValueError(f"{type(record).__name__}: field 'seed' must be a non-negative integer, got {seed!r}")
+    object.__setattr__(record, "seed", int(seed))
 
 
 def number_field(doc: dict, key: str, source, default=None) -> float:

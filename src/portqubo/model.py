@@ -23,6 +23,11 @@ class ContractViolation(ValueError):
     """An operation was called with arguments that break its contract."""
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _as_bits(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
@@ -92,13 +97,14 @@ class PortfolioInstance:
             raise ValueError(
                 f"return_mode must be one of {RETURN_MODES}, got {self.return_mode!r}"
             )
-        n = self.n
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real) or n % 1:
-            raise ValueError(f"n must be a whole number, got {n!r}")
+        if not is_real(self.n) or self.n % 1:
+            raise ValueError(f"n must be a whole number, got {self.n!r}")
         if not 1 <= self.n <= self.universe.n_assets:
             raise ValueError(
                 f"n must be in [1, {self.universe.n_assets}], got {self.n}"
             )
+        if not is_real(self.r_star):
+            raise ValueError(f"r_star must be a real number, got {self.r_star!r}")
         r_star = float(self.r_star)
         if not math.isfinite(r_star):
             raise ValueError(f"r_star must be finite, got {r_star}")

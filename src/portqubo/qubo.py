@@ -139,10 +139,6 @@ class QuboMatrix:
         keys = zip(rows.tolist(), cols.tolist())
         return dict(zip(keys, self.upper[rows, cols].tolist()))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense upper-triangular matrix (diagonal included), offset excluded."""
-        return self.upper.copy()
-
     def to_symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal vector, symmetric zero-diagonal coupling matrix)."""
         strict = np.triu(self.upper, 1)
@@ -270,10 +266,11 @@ def build_qubo(
                 stacklevel=2,
             )
     layout = VariableLayout(instance.n_assets, weights)
-    upper = _risk(instance, params.lambda0, layout.dim)
-    offset = _add_squared_linear(upper, np.ones(instance.n_assets), -instance.n, params.lambda1)
-    a = np.append(mu, [-float(w) for w in weights])
-    offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
+    with np.errstate(over="ignore"):  # the QuboMatrix names a non-finite value
+        upper = _risk(instance, params.lambda0, layout.dim)
+        offset = _add_squared_linear(upper, np.ones(instance.n_assets), -instance.n, params.lambda1)
+        a = np.append(mu, [-float(w) for w in weights])
+        offset += _add_squared_linear(upper, a, -instance.r_star, params.lambda2)
     return QuboMatrix._from_upper(upper, offset), layout
 
 
@@ -281,9 +278,7 @@ def qubo_energy(q: QuboMatrix, x) -> float:
     """offset + sum of Q_ij x_i x_j (diagonal terms use x_i since x_i^2 = x_i)."""
     bits = np.asarray(x)
     if bits.shape != (q.dim,):
-        raise ContractViolation(
-            f"bit vector length {bits.size} does not match QUBO dim {q.dim}"
-        )
+        raise ContractViolation(f"bit vector shape {bits.shape} does not match QUBO dim {q.dim}")
     if not ((bits == 0) | (bits == 1)).all():
         raise ContractViolation("bit vector entries must be 0 or 1")
     chosen = np.flatnonzero(bits)
@@ -294,8 +289,9 @@ def to_ising(q: QuboMatrix) -> IsingModel:
     """Exact energy-preserving conversion under the spin map s = 2x - 1."""
     diag = q.upper.diagonal()
     quarter = np.triu(q.upper, 1) / 4.0
-    h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
-    offset = q.offset + diag.sum() / 2.0 + quarter.sum()
+    with np.errstate(over="ignore"):  # the IsingModel names a non-finite value
+        h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
+        offset = q.offset + diag.sum() / 2.0 + quarter.sum()
     return IsingModel._from_arrays(h, quarter, offset)
 
 
@@ -303,9 +299,7 @@ def ising_energy(m: IsingModel, s) -> float:
     """offset + h's + s'Js over spin assignments."""
     spins = np.asarray(s, dtype=np.float64)
     if spins.shape != (m.dim,):
-        raise ContractViolation(
-            f"spin vector length {spins.size} does not match Ising dim {m.dim}"
-        )
+        raise ContractViolation(f"spin vector shape {spins.shape} does not match Ising dim {m.dim}")
     if not ((spins == -1) | (spins == 1)).all():
         raise ContractViolation("spin entries must be -1 or +1")
     return float(m.offset + m.h @ spins + spins @ (m.J @ spins))
@@ -327,9 +321,7 @@ def decode(
     """Split QUBO bits into asset and slack parts and rebuild all metrics."""
     arr = np.asarray(bits)
     if arr.shape != (layout.dim,):
-        raise ContractViolation(
-            f"bit vector length {arr.size} does not match layout dim {layout.dim}"
-        )
+        raise ContractViolation(f"bit vector shape {arr.shape} does not match layout dim {layout.dim}")
     x, y = arr[: layout.n_assets], arr[layout.n_assets :]
     if not layout.n_slack:
         return solution_from_bits(instance, x, energy=energy)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 import weakref
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -21,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import int_field, positive_number_field
+from .data import positive_number_field, read_counts, read_seed
 from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, portfolio_returns
 from .model import portfolio_risks, return_margin, solution_from_bits
 from .qubo import QuboMatrix
@@ -53,15 +52,6 @@ class SolveResult:
     energy_trace: list[tuple[int, float]] | None = None
 
 
-def _read_counts(config, *names: str) -> None:
-    """Set each named count field of the frozen `config` that is not None to
-    the int `data.int_field` reads from it: an int, or a float with no
-    fractional part. A bool or anything else raises a ValueError naming it."""
-    for name in names:
-        if getattr(config, name) is not None:
-            object.__setattr__(config, name, int_field(vars(config), name, type(config).__name__))
-
-
 @dataclass(frozen=True)
 class AnnealConfig:
     sweeps: int = 1000
@@ -69,22 +59,21 @@ class AnnealConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        _read_counts(self, "sweeps", "restarts")
+        read_counts(self, "sweeps", "restarts")
+        read_seed(self)
         if self.sweeps < 1 or self.restarts < 1:
             raise ValueError("sweeps and restarts must be positive")
 
 
 @dataclass(frozen=True)
 class TabuConfig:
-    tenure: int | None = None
     max_iterations: int | None = None
     seed: int = 0
     restarts: int = 5
 
     def __post_init__(self):
-        _read_counts(self, "tenure", "max_iterations", "restarts")
-        if self.tenure is not None and self.tenure < 1:
-            raise ValueError("tenure must be positive")
+        read_counts(self, "max_iterations", "restarts")
+        read_seed(self)
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.restarts < 1:
@@ -102,7 +91,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _read_counts(self, "population", "generations")
+        read_counts(self, "population", "generations")
+        read_seed(self)
         if self.population < 4 or self.population % 2:
             raise ValueError("population must be an even integer of at least 4")
         if self.generations < 1:
@@ -260,8 +250,8 @@ def solve_sa(
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
-# per live QUBO: ((tenure, max_iterations), outcome, seconds) of the first
-# restart of `solve_tabu`; an entry dies with its QUBO
+# per live QUBO: (max_iterations, outcome, seconds) of the first restart of
+# `solve_tabu`; an entry dies with its QUBO
 _FIRST_RESTARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -269,8 +259,9 @@ def solve_tabu(
     q: QuboMatrix, config: TabuConfig = TabuConfig(), deadline: float | None = None
 ) -> SolveResult:
     """Tabu search: move to the best admissible 1-flip neighbor each step,
-    forbidding recently flipped bits for `tenure` steps, with aspiration on
-    new best-ever energies. First restart starts from all zeros.
+    forbidding recently flipped bits for a tenure of max(7, dim // 10) steps,
+    with aspiration on new best-ever energies. First restart starts from all
+    zeros.
 
     A move is admissible when its bit is not tabu or when it aspires, that is
     when gain + energy < best_energy. The step takes the first admissible
@@ -280,39 +271,37 @@ def solve_tabu(
     - if i is not tabu, or it aspires, i is that move;
     - otherwise no move aspires, because rounding is monotone:
       fl(g[j] + energy) >= fl(g[i] + energy) >= best_energy for every j. So
-      i is the move when every bit is tabu, and otherwise the first least of
-      g + blocked, where `blocked` is +inf on tabu bits and 0.0 on the rest.
+      the move is the first least of g + blocked, where `blocked` is +inf on
+      tabu bits and 0.0 on the rest, unless that least is +inf: then every
+      bit is tabu, and i is the move.
 
     This equals masking the gains of inadmissible moves with +inf provided
     every gain is finite, which finite QUBO coefficients (QuboMatrix rejects
-    any other) give unless a sum overflows. `blocked` is maintained: a bit is
-    set when it is flipped and cleared when its last flip leaves the window
-    of the last `tenure` moves.
+    any other) give unless a sum overflows; with finite gains the least of
+    g + blocked is +inf exactly when every bit is tabu. `blocked` is
+    maintained: a bit is set each time it is flipped and cleared when its
+    last flip leaves the window of the last tenure moves.
 
     The first restart draws nothing from the RNG, so its outcome depends only
-    on the QUBO, the tenure and `max_iterations`. Without a deadline it is run
-    once per live QUBO and that pair, kept until the QUBO is freed, and every
+    on the QUBO and `max_iterations`. Without a deadline it is run once per
+    live QUBO and `max_iterations`, kept until the QUBO is freed, and every
     later seed's restarts continue from it; `wall_time_s` still counts it.
     With a deadline nothing is kept or reused.
     """
     t0 = time.perf_counter()
     dim = q.dim
-    tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
-    if config.tenure is not None and tenure >= dim:  # only a tenure the caller can change
-        warnings.warn(f"tabu tenure {tenure} >= dim {dim}; search may stall", stacklevel=2)
     max_iterations = (
         config.max_iterations if config.max_iterations is not None else 50 * dim
     )
-    limits = (tenure, max_iterations)
     state = FlipEvaluator(q)
     kept = None if deadline is not None else _FIRST_RESTARTS.get(q)
-    if kept is not None and kept[0] == limits:
+    if kept is not None and kept[0] == max_iterations:
         first, first_s = kept[1:]
         t0 -= first_s
     else:
-        first = _tabu_restart(state, (math.inf, None, [], 0), *limits, deadline)
+        first = _tabu_restart(state, (math.inf, None, [], 0), max_iterations, deadline)
         if deadline is None:
-            _FIRST_RESTARTS[q] = (limits, first, time.perf_counter() - t0)
+            _FIRST_RESTARTS[q] = (max_iterations, first, time.perf_counter() - t0)
     best_energy, best_x, trace, evaluations = first
     best = best_energy, best_x, list(trace), evaluations  # `first` may be kept
     rng = np.random.default_rng(config.seed)
@@ -320,13 +309,13 @@ def solve_tabu(
         if deadline is not None and time.perf_counter() > deadline:
             break
         state.reset(rng.integers(0, 2, size=dim))
-        best = _tabu_restart(state, best, *limits, deadline)
+        best = _tabu_restart(state, best, max_iterations, deadline)
     best_energy, best_x, trace, evaluations = best
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
 
 def _tabu_restart(
-    state: FlipEvaluator, best: tuple, tenure: int, max_iterations: int, deadline: float | None
+    state: FlipEvaluator, best: tuple, max_iterations: int, deadline: float | None
 ) -> tuple:
     """One restart of `solve_tabu` from the bits `state` holds. `best` is the
     outcome of the restarts before it, (best energy, best bits as a list,
@@ -334,33 +323,27 @@ def _tabu_restart(
     extended in place."""
     best_energy, best_x, trace, evaluations = best
     dim = state.dim
+    tenure = max(7, dim // 10)
     if state.energy < best_energy:
         best_energy, best_x = state.energy, state.x.tolist()
         trace.append((evaluations, best_energy))
     # bit j is tabu at `step` while tabu_until[j] >= step
     tabu_until = [0] * dim
     blocked = np.zeros(dim)
-    n_tabu = 0
     recent: deque[int] = deque()
     for step in range(1, max_iterations + 1):
         if len(recent) > tenure:
             e = recent.popleft()
             if tabu_until[e] < step:
                 blocked[e] = 0.0
-                n_tabu -= 1
         gains = state.all_gains()
         evaluations += dim
         i = int(gains.argmin())
-        if (
-            tabu_until[i] >= step
-            and not gains.item(i) + state.energy < best_energy
-            and n_tabu < dim
-        ):
-            i = int(np.add(gains, blocked, gains).argmin())
+        if tabu_until[i] >= step and not gains.item(i) + state.energy < best_energy:
+            j = int(np.add(gains, blocked, gains).argmin())
+            i = j if gains.item(j) < math.inf else i
         energy = state.flip(i)
-        if tabu_until[i] < step:
-            blocked[i] = math.inf
-            n_tabu += 1
+        blocked[i] = math.inf
         tabu_until[i] = step + tenure
         recent.append(i)
         if energy < best_energy:
@@ -392,7 +375,7 @@ def solve_ga(
     dim = q.dim
     pop_size = config.population
     rng = np.random.default_rng(config.seed)
-    upper = q.to_dense()
+    upper = q.upper
     pop = rng.integers(0, 2, size=(pop_size, dim)) == 1
     values = pop.astype(np.float64)
     energies = _population_energies(values, upper, q.offset)
@@ -693,7 +676,7 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
     dim = q.dim
     total = 1 << dim
-    upper = q.to_dense()
+    upper = q.upper
     best_energy = math.inf
     best_code = 0
     block = min(total, _BRUTEFORCE_BLOCK_ROWS)

@@ -160,7 +160,7 @@ def reference_tabu(q: QuboMatrix, config, moves: list | None = None):
     same random numbers as `solve_tabu`. Returns (bits, energy, evaluations,
     energy_trace) and appends each flipped bit to `moves` when given."""
     dim = q.dim
-    tenure = config.tenure if config.tenure is not None else max(7, dim // 10)
+    tenure = max(7, dim // 10)
     max_iterations = config.max_iterations if config.max_iterations is not None else 50 * dim
     rng = np.random.default_rng(config.seed)
     diag, coupling = q.to_symmetric_parts()
@@ -322,7 +322,7 @@ def reference_ga(q: QuboMatrix, config):
     dim = q.dim
     pop_size = config.population
     rng = np.random.default_rng(config.seed)
-    upper = q.to_dense()
+    upper = q.upper
 
     def population_energies(pop):
         return ((pop @ upper) * pop).sum(axis=1) + q.offset
@@ -373,7 +373,7 @@ def reference_bruteforce(q: QuboMatrix):
     """The exact QUBO enumerator as it was before it unpacked big-endian
     codes: bits shifted out of each code, blocks of (1 << 20) // dim rows."""
     dim = q.dim
-    upper = q.to_dense()
+    upper = q.upper
     total = 1 << dim
     shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)
     best_energy = math.inf

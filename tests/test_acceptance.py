@@ -90,7 +90,7 @@ def test_encoding_identity_against_enumeration():
             warnings.simplefilter("ignore")
             q, layout = build_qubo(inst, params)
         bits = _assignments(q.dim)
-        upper = q.to_dense()
+        upper = q.upper
         energies = ((bits @ upper) * bits).sum(axis=1) + q.offset
 
         asset_bits = bits[:, : layout.n_assets]
@@ -134,7 +134,7 @@ def test_ising_energy_bijection():
         ising = to_ising(q)
         bits = _assignments(dim)
         spins = 2.0 * bits - 1.0
-        dense = q.to_dense()
+        dense = q.upper
         e_qubo = ((bits @ dense) * bits).sum(axis=1) + q.offset
         e_ising = spins @ ising.h + ((spins @ ising.J) * spins).sum(axis=1) + ising.offset
         scale = np.maximum(1.0, np.abs(e_qubo))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -384,10 +385,12 @@ class TestPlanEntryFaults:
             ("ga", "mutation_rate", 0.1),
             ("ga", "tournament_size", 2),
             ("ga", "elitism_count", 1),
+            ("tabu", "tenure", 3),
         ],
     )
     def test_fixed_operator_setting_is_not_an_option(self, name, option, value):
-        # the SA schedule and the GA operators are constants, not options
+        # the SA schedule, the GA operators and the tabu tenure are fixed
+        # rules, not options
         message = f"solver '{name}' has no option '{option}'"
         with pytest.raises(ValueError, match=message):
             make_solver(name, {option: value})
@@ -559,7 +562,6 @@ class TestPlanFieldTypes:
             ({"synthetic": {"n_assets": 6.5}, "n": 2}, "n_assets"),
             ({"synthetic": {**_SYNTH, "n_factors": 2.5}, "n": 2}, "n_factors"),
             ({"synthetic": {**_SYNTH, "seed": 1.5}, "n": 2}, "seed"),
-            ({"synthetic": {**_SYNTH, "idiosyncratic_floor": "1"}, "n": 2}, "idiosyncratic_floor"),
         ],
     )
     def test_instance_entry_field(self, tmp_path, entry, field):
@@ -574,6 +576,9 @@ class TestPlanFieldTypes:
              r"instance entry .*\}: unknown key\(s\) 'retrun_mode'$"),
             ({"instances": [{"synthetic": {"n_assets": 6, "sed": 5}, "n": 2}]},
              r"instance entry .*, 'synthetic' block: unknown key\(s\) 'sed'$"),
+            # the idiosyncratic variance floor is 1, not a key
+            ({"instances": [{"synthetic": {**_SYNTH, "idiosyncratic_floor": 1.0}, "n": 2}]},
+             r"instance entry .*, 'synthetic' block: unknown key\(s\) 'idiosyncratic_floor'$"),
             ({"solvers": [{"name": "sa", "option": {"sweeps": 5}}]},
              r"solver entry .*: unknown key\(s\) 'option'$"),
         ],
@@ -582,6 +587,17 @@ class TestPlanFieldTypes:
         plan = load_plan(_write_plan(tmp_path, **overrides))
         with pytest.raises(DataFormatError, match=message):
             run_benchmark(plan)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seeds_of_a_plan_built_in_code_are_non_negative_integers(self, seed):
+        message = rf"^field 'seeds' must hold non-negative integers, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            _plan(seeds=(0, seed))
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_grid_repeats_of_a_plan_built_in_code_are_at_least_one(self, repeats):
+        with pytest.raises(ValueError, match=r"^field 'grid_repeats' must be at least 1$"):
+            _plan(penalty_policy="grid", grid_repeats=repeats)
 
     def test_seeds_of_a_plan_built_in_code_are_distinct(self):
         with pytest.raises(ValueError, match=r"^seeds must be distinct, got 3 more than once$"):

@@ -565,6 +565,31 @@ def test_count_flag_below_one_is_usage_error(tmp_path, capsys, argv, value):
     assert f"got {value!r}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.json", "--solver", "ga", "--lambda1", "5"],
+        ["solve", "x.json", "--solver", "exact"],
+        ["synth", "--assets", "8", "--n", "3", "-o", "x.json"],
+        ["sweep", "x.json", "--lambda1-from", "0", "--lambda1-to", "1"],
+    ],
+)
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_seed_flag_below_zero_is_usage_error(tmp_path, capsys, argv, value):
+    # a usage error is raised before any file is read or written
+    argv = [str(tmp_path / a) if a == "x.json" else a for a in argv]
+    assert cli_main([*argv, "--seed", value]) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument --seed: must be a whole number of at least 0, got {value!r}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_build_overflow_is_named_without_a_warning(synth_instance, tmp_path, capsys):
+    # the penalty terms overflow; the QUBO names the fault and numpy warns of nothing
+    assert cli_main(["build", str(synth_instance), "--lambda1", "1e308", "-o", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err == "error: QUBO offset must be finite, got inf\n"
+
+
 @pytest.fixture
 def at_least_instance(synth_instance, tmp_path):
     """The synth instance with a return target, so both penalties have an estimate."""

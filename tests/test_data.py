@@ -158,11 +158,31 @@ class TestSynthetic:
         assert np.array_equal(a.sigma, b.sigma)
 
     def test_positive_definite_with_floor(self, rng):
+        # the idiosyncratic variances are at least 1
         for seed in range(5):
-            spec = SyntheticSpec(n_assets=12, n_factors=2, idiosyncratic_floor=1.0, seed=seed)
+            spec = SyntheticSpec(n_assets=12, n_factors=2, seed=seed)
             universe = generate_synthetic(spec)
             eigmin = np.linalg.eigvalsh(universe.sigma)[0]
-            assert eigmin >= spec.idiosyncratic_floor - 1e-9
+            assert eigmin >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("seed", {"seed": -1}),
+            ("seed", {"seed": 1.5}),
+            ("seed", {"seed": None}),
+            ("n_factors", {"n_factors": 2.5}),
+            ("n_assets", {"n_assets": True}),
+        ],
+    )
+    def test_spec_reads_counts_and_seed(self, field, fields):
+        with pytest.raises(ValueError, match=rf"^SyntheticSpec: field '{field}' must be"):
+            SyntheticSpec(**{"n_assets": 5, **fields})
+
+    def test_spec_whole_number_counts_read_as_ints(self):
+        spec = SyntheticSpec(n_assets=5.0, n_factors=np.int64(2), seed=3.0)
+        assert (spec.n_assets, spec.n_factors, spec.seed) == (5, 2, 3)
+        assert {type(v) for v in (spec.n_assets, spec.n_factors, spec.seed)} == {int}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

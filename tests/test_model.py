@@ -243,6 +243,12 @@ def test_instance_accepts_whole_n(n):
     assert inst.n == 2 and type(inst.n) is int
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, np.bool_(True), None, [1.0]])
+def test_instance_rejects_r_star_that_is_not_a_real_number(bad):
+    with pytest.raises(ValueError, match="r_star must be a real number"):
+        PortfolioInstance(_universe([1.0, 2.0], np.eye(2)), n=1, r_star=bad, return_mode="at_least")
+
+
 @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), "2", np.nan, np.inf, None])
 def test_instance_rejects_n_that_is_not_whole(bad):
     with pytest.raises(ValueError, match="n must be a whole number"):

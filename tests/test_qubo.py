@@ -206,10 +206,11 @@ class TestQuboEnergy:
         q = QuboMatrix(dim=2, coeffs={(0, 0): 1, (0, 1): 2, (1, 1): 3})
         assert qubo_energy(q, [1, 1]) == 6.0
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("bits, shape", [([1, 0, 0], r"\(3,\)"), ([[0, 1]], r"\(1, 2\)")])
+    def test_dimension_mismatch(self, bits, shape):
         q = QuboMatrix(dim=2, coeffs={(0, 0): 1})
-        with pytest.raises(ContractViolation):
-            qubo_energy(q, [1, 0, 0])
+        with pytest.raises(ContractViolation, match=rf"^bit vector shape {shape} does not match QUBO dim 2$"):
+            qubo_energy(q, bits)
 
     def test_matches_naive_on_random(self, rng):
         for _ in range(20):
@@ -254,6 +255,17 @@ class TestIsing:
                 qe = qubo_energy(q, bits)
                 ie = ising_energy(m, [2 * b - 1 for b in bits])
                 assert abs(ie - qe) <= 1e-9 * (1 + abs(qe))
+
+    def test_shape_mismatch_names_the_shape(self):
+        m = to_ising(QuboMatrix(dim=2, coeffs={(0, 1): 1.0}))
+        with pytest.raises(ContractViolation, match=r"^spin vector shape \(1, 2\) does not match Ising dim 2$"):
+            ising_energy(m, [[1, -1]])
+
+    def test_overflow_is_named_without_a_warning(self):
+        # the offset's sum overflows; the Ising model names it, numpy warns of nothing
+        q = QuboMatrix(dim=2, coeffs={(0, 0): 1.7e308, (1, 1): 1.7e308})
+        with pytest.raises(ValueError, match=r"^Ising offset must be finite, got inf$"):
+            to_ising(q)
 
     def test_energy_rejects_non_spins(self):
         m = IsingModel(dim=1, h=[1.0], j={})
@@ -349,11 +361,12 @@ class TestDecode:
             sol = decode(inst, layout, bits)
             assert list(sol.x) == bits[: layout.n_assets]
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("bits, shape", [([1, 0, 1], r"\(3,\)"), ([[1, 0]], r"\(1, 2\)")])
+    def test_length_mismatch(self, bits, shape):
         inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
         layout = VariableLayout(n_assets=2)
-        with pytest.raises(ContractViolation):
-            decode(inst, layout, [1, 0, 1])
+        with pytest.raises(ContractViolation, match=rf"^bit vector shape {shape} does not match layout dim 2$"):
+            decode(inst, layout, bits)
 
 
 class TestQuboFile:
@@ -636,7 +649,7 @@ class TestBuildMatchesReference:
             ref, weights = reference_build_qubo(inst, params)
         assert layout.slack_weights == weights
         assert q.dim == ref.dim
-        assert np.array_equal(q.to_dense().view(np.int64), ref.to_dense().view(np.int64))
+        assert np.array_equal(q.upper.view(np.int64), ref.upper.view(np.int64))
         assert q.offset == ref.offset
         d = tmp_path_factory.mktemp("qubo")
         write_qubo(q, d / "built.qubo")

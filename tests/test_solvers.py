@@ -404,7 +404,7 @@ class TestBruteforce:
         bits, energy = solve_qubo_bruteforce(q)
         assert bits == (1,) * dim
         block = solvers_mod._assignment_block(dim, (1 << dim) - 4096, 1 << dim).astype(np.float64)
-        full_block = np.add.reduce((block @ q.to_dense()) * block, axis=1) + q.offset
+        full_block = np.add.reduce((block @ q.upper) * block, axis=1) + q.offset
         assert _int64_bits(energy) == _int64_bits(full_block[-1])
         assert energy == float.fromhex("-0x1.0544137c173ccp+10")
 
@@ -551,11 +551,26 @@ _SA_CONFIGS = (
 )
 _TABU_CONFIGS = (
     TabuConfig(seed=5, restarts=3),
-    TabuConfig(seed=6, restarts=2, tenure=3, max_iterations=40),
+    TabuConfig(seed=6, restarts=2, max_iterations=40),
 )
 
 
-@pytest.mark.filterwarnings("ignore:tabu tenure")
+def _tabu_moves(q, config) -> tuple:
+    """(outcome, flipped bits) of `solve_tabu`, and the same pair of
+    `reference_tabu`."""
+    moves, expected_moves = [], []
+    flip = FlipEvaluator.flip
+
+    def recording_flip(state, i):
+        moves.append(i)
+        return flip(state, i)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlipEvaluator, "flip", recording_flip)
+        outcome = _outcome(solve_tabu(q, config))
+    return (outcome, moves), (reference_tabu(q, config, expected_moves), expected_moves)
+
+
 class TestMatchesReference:
     """SA and tabu reproduce the plain loops in conftest bit for bit."""
 
@@ -605,30 +620,27 @@ class TestMatchesReference:
         dim=st.integers(1, 30),
         density=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_tabu_tie_heavy_integer_problems(self, dim, density, seed, data):
+    def test_tabu_tie_heavy_integer_problems(self, dim, density, seed):
         # integer coefficients in -2..2 make equal gains, and equal energies,
-        # common; tenures up to dim + 2 reach the every-bit-tabu step
-        tenure = data.draw(st.integers(1, dim + 2), label="tenure")
-        q = _integer_qubo(np.random.default_rng(seed), dim, density)
-        config = TabuConfig(tenure=tenure, seed=seed, restarts=2, max_iterations=2 * dim + 10)
-        # the best-ever outcome rarely depends on a single step, so the
+        # common; below dim 8 the tenure, 7, reaches the every-bit-tabu step.
+        # The best-ever outcome rarely depends on a single step, so the
         # sequence of flipped bits is compared too
-        moves, expected_moves = [], []
-        flip = FlipEvaluator.flip
+        q = _integer_qubo(np.random.default_rng(seed), dim, density)
+        config = TabuConfig(seed=seed, restarts=2, max_iterations=2 * dim + 10)
+        got, want = _tabu_moves(q, config)
+        assert got == want
 
-        def recording_flip(state, i):
-            moves.append(i)
-            return flip(state, i)
-
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
-            warnings.simplefilter("ignore")  # tenure >= dim
-            patch.setattr(FlipEvaluator, "flip", recording_flip)
-            outcome = _outcome(solve_tabu(q, config))
-            assert outcome == reference_tabu(q, config, expected_moves)
-        assert moves == expected_moves
+    def test_tabu_every_bit_tabu_step(self):
+        # at dim 3 the tenure, 7, keeps every bit tabu from step 4 on. At
+        # steps 4 to 8 no move aspires, so each takes the first least gain,
+        # bit 1 and then bit 2, not bit 0, where the blocked gains, all +inf,
+        # are least
+        q = QuboMatrix(3, {(0, 0): -2.0, (1, 1): 1.0, (2, 2): -1.0, (0, 1): 1.0, (0, 2): 2.0})
+        got, want = _tabu_moves(q, TabuConfig(restarts=1, max_iterations=10))
+        assert got == want
+        assert got[1] == [0, 2, 1, 1, 2, 2, 2, 2, 0, 0]
 
 
 class TestTabu:
@@ -656,13 +668,8 @@ class TestTabu:
                 hits += 1
         assert hits >= 18
 
-    def test_tenure_warning(self, rng):
-        q = random_qubo(rng, 5)
-        with pytest.warns(UserWarning, match="tenure"):
-            solve_tabu(q, TabuConfig(tenure=5, max_iterations=10, restarts=1))
-
     def test_default_tenure_does_not_warn(self, rng):
-        # the default tenure, 7, is at least dim 5, but no caller chose it
+        # the tenure, 7, is at least dim 5
         q = random_qubo(rng, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -678,26 +685,25 @@ class TestTabu:
 _SHARED_RESTART_OPTIONS = (
     {"max_iterations": 40, "restarts": 3},
     {"max_iterations": 40, "restarts": 1},
-    {"max_iterations": 30, "restarts": 2, "tenure": 12},  # tenure >= dim
+    {"max_iterations": 30, "restarts": 2},
 )
 
 
-@pytest.mark.filterwarnings("ignore:tabu tenure")
 class TestTabuSharedFirstRestart:
     """solve_tabu runs the seed-independent first restart once per live QUBO
-    and (tenure, max_iterations), and every seed's result equals a fresh run."""
+    and max_iterations, and every seed's result equals a fresh run."""
 
     @staticmethod
     def _count_first_restarts(monkeypatch) -> list:
         """Patches the restart loop; each first restart (nothing before it)
-        appends its (tenure, max_iterations)."""
+        appends its max_iterations."""
         calls = []
         restart = solvers_mod._tabu_restart
 
-        def counting_restart(state, best, tenure, max_iterations, deadline):
+        def counting_restart(state, best, max_iterations, deadline):
             if best[0] == float("inf"):
-                calls.append((tenure, max_iterations))
-            return restart(state, best, tenure, max_iterations, deadline)
+                calls.append(max_iterations)
+            return restart(state, best, max_iterations, deadline)
 
         monkeypatch.setattr(solvers_mod, "_tabu_restart", counting_restart)
         return calls
@@ -718,18 +724,17 @@ class TestTabuSharedFirstRestart:
             for q, config in want
         ]
 
-    def test_another_tenure_or_max_iterations_recomputes(self, rng, monkeypatch):
+    def test_another_max_iterations_recomputes(self, rng, monkeypatch):
         q = random_qubo(rng, 12)
         calls = self._count_first_restarts(monkeypatch)
         configs = [
             TabuConfig(max_iterations=40, restarts=2),
-            TabuConfig(max_iterations=40, restarts=2, tenure=3),
-            TabuConfig(max_iterations=30, restarts=2, tenure=3),
-            TabuConfig(max_iterations=30, restarts=2, tenure=3, seed=1),
+            TabuConfig(max_iterations=30, restarts=2),
+            TabuConfig(max_iterations=30, restarts=2, seed=1),
         ]
         got = [_outcome(solve_tabu(q, config)) for config in configs]
         monkeypatch.undo()
-        assert calls == [(7, 40), (3, 40), (3, 30)]
+        assert calls == [40, 30]
         assert got == [reference_tabu(q, config) for config in configs]
 
     def test_deadline_never_reads_or_stores(self, rng, monkeypatch):
@@ -877,7 +882,6 @@ class TestMakeSolver:
         [
             ("sa", "sweeps"),
             ("sa", "restarts"),
-            ("tabu", "tenure"),
             ("tabu", "max_iterations"),
             ("tabu", "restarts"),
             ("ga", "population"),
@@ -905,15 +909,23 @@ class TestMakeSolver:
     @pytest.mark.parametrize(
         "config, counts",
         [
-            (AnnealConfig, {"sweeps": 30.0, "restarts": 2.0}),
-            (TabuConfig, {"tenure": 3.0, "max_iterations": 40.0, "restarts": 2.0}),
-            (GaConfig, {"population": 10.0, "generations": 5.0}),
+            (AnnealConfig, {"sweeps": 30.0, "restarts": 2.0, "seed": 3.0}),
+            (TabuConfig, {"max_iterations": 40.0, "restarts": 2.0, "seed": 3.0}),
+            (GaConfig, {"population": 10.0, "generations": 5.0, "seed": 3.0}),
         ],
     )
     def test_integral_float_counts_read_as_ints(self, config, counts):
         made = config(**counts)
         assert made == config(**{k: int(v) for k, v in counts.items()})
         assert all(type(getattr(made, k)) is int for k in counts)
+
+    @pytest.mark.parametrize("config", [AnnealConfig, TabuConfig, GaConfig])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+    def test_seed_not_a_non_negative_integer_rejected(self, config, seed):
+        # numpy's generators take an integer of at least 0
+        message = rf"^{config.__name__}: field 'seed' must be a non-negative integer, got "
+        with pytest.raises(ValueError, match=message):
+            config(seed=seed)
 
     @pytest.mark.parametrize(
         "name, options, solve, config",
