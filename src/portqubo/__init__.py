@@ -5,12 +5,8 @@ exact oracles, and a benchmark harness."""
 from .model import (
     AssetUniverse,
     ContractViolation,
-    Feasibility,
     PortfolioInstance,
     Solution,
-    check_feasible,
-    portfolio_return,
-    portfolio_risk,
     solution_from_bits,
 )
 from .qubo import (

@@ -28,15 +28,6 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
-def _as_bits(x) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ContractViolation(f"bit vector must be 1-D, got shape {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ContractViolation("bit vector entries must be 0 or 1")
-    return arr.astype(np.float64)
-
-
 @dataclass(frozen=True)
 class AssetUniverse:
     """A set of assets with expected returns (percent over the horizon) and a
@@ -49,7 +40,7 @@ class AssetUniverse:
     def __post_init__(self):
         symbols = tuple(str(s) for s in self.symbols)
         mu = np.array(self.mu, dtype=np.float64)
-        sigma = np.array(self.sigma, dtype=np.float64)
+        sigma = np.array(self.sigma, dtype=np.float64, order="C")
         n = len(symbols)
         if n < 1:
             raise ValueError("universe needs at least one asset")
@@ -117,18 +108,6 @@ class PortfolioInstance:
 
 
 @dataclass(frozen=True)
-class Feasibility:
-    cardinality_ok: bool
-    return_ok: bool
-    cardinality_residual: int
-    return_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.cardinality_ok and self.return_ok
-
-
-@dataclass(frozen=True)
 class Solution:
     """A decoded bit assignment with all metrics recomputed from the instance.
 
@@ -148,38 +127,16 @@ class Solution:
 def portfolio_risks(sigma, rows: np.ndarray) -> np.ndarray:
     """The risk x'(Sx) of each 0/1 float64 row x of ``rows``, each row its own
     (N, N) by (N, 1) and (1, N) by (N, 1) products, which sum as the 1-D
-    ``x @ (sigma @ x)`` does."""
+    ``x @ (sigma @ x)`` does. The order of those sums follows the layout of
+    ``sigma``, so the last bits of a risk hold for a C-ordered ``sigma``, the
+    layout `AssetUniverse` stores."""
     return np.matmul(rows[:, None, :], np.matmul(sigma, rows[:, :, None]))[:, 0, 0]
-
-
-def portfolio_risk(sigma, x) -> float:
-    """Quadratic-form risk x'Sx of the selection ``x``."""
-    # C-contiguous copy so the accumulation order is layout-independent
-    # (a transposed view of a symmetric matrix must give the same value)
-    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-    bits = _as_bits(x)
-    if sigma.shape != (bits.size, bits.size):
-        raise ContractViolation(
-            f"sigma shape {sigma.shape} does not match bit vector length {bits.size}"
-        )
-    return float(portfolio_risks(sigma, bits[None])[0])
 
 
 def portfolio_returns(mu, rows: np.ndarray) -> np.ndarray:
     """The return mu'x of each 0/1 float64 row x of ``rows``, each row its own
     (1, N) by (N,) product, which sums as the 1-D ``mu @ x`` does."""
     return np.matmul(rows[:, None, :], mu)[:, 0]
-
-
-def portfolio_return(mu, x) -> float:
-    """Total expected return mu'x of the selection ``x``."""
-    mu = np.asarray(mu, dtype=np.float64)
-    bits = _as_bits(x)
-    if mu.shape != (bits.size,):
-        raise ContractViolation(
-            f"mu length {mu.size} does not match bit vector length {bits.size}"
-        )
-    return float(portfolio_returns(mu, bits[None])[0])
 
 
 def return_margin(instance: PortfolioInstance, returns) -> np.ndarray | float:
@@ -194,29 +151,6 @@ def return_margin(instance: PortfolioInstance, returns) -> np.ndarray | float:
     return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
 
 
-def _selection(instance: PortfolioInstance, x) -> tuple[np.ndarray, float, int]:
-    """The 0/1 float64 bits of ``x``, checked to be a selection over
-    ``instance``'s assets, with their return mu'x and their cardinality."""
-    bits = _as_bits(x)
-    if bits.size != instance.n_assets:
-        raise ContractViolation(
-            f"bit vector length {bits.size} does not match N={instance.n_assets}"
-        )
-    ret = float(portfolio_returns(instance.universe.mu, bits[None])[0])
-    return bits, ret, int(round(bits.sum()))
-
-
-def check_feasible(instance: PortfolioInstance, x) -> Feasibility:
-    """Evaluate both constraints of ``instance`` on the bit vector ``x``."""
-    _, ret, cardinality = _selection(instance, x)
-    return Feasibility(
-        cardinality_ok=cardinality == instance.n,
-        return_ok=bool(return_margin(instance, ret) >= 0),
-        cardinality_residual=cardinality - instance.n,
-        return_residual=ret - instance.r_star,
-    )
-
-
 def solution_from_bits(
     instance: PortfolioInstance,
     x,
@@ -225,8 +159,19 @@ def solution_from_bits(
 ) -> Solution:
     """Build a Solution with risk/return/feasibility recomputed from ``x``,
     its bits checked and its return summed once."""
-    bits, ret, cardinality = _selection(instance, x)
+    bits = np.asarray(x)
+    if bits.ndim != 1:
+        raise ContractViolation(f"bit vector must be 1-D, got shape {bits.shape}")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ContractViolation("bit vector entries must be 0 or 1")
+    if bits.size != instance.n_assets:
+        raise ContractViolation(
+            f"bit vector length {bits.size} does not match N={instance.n_assets}"
+        )
+    bits = bits.astype(np.float64)
+    ret = float(portfolio_returns(instance.universe.mu, bits[None])[0])
     risk = float(portfolio_risks(instance.universe.sigma, bits[None])[0])
+    cardinality = int(round(bits.sum()))
     return Solution(
         x=tuple(int(b) for b in bits),
         risk=risk,

@@ -463,11 +463,11 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     the lowest rescored risk wins. A subset whose running-sum return is
     within 4 n^2 eps max|mu| of the return boundary, and whose running-sum
     risk is within that window of the least feasible one so far, is re-tested
-    by the rule and sum of `check_feasible`, the model's `return_margin` of
-    its `portfolio_returns`, batched per block: a call per subset takes
+    by the rule and sum of `solution_from_bits`, the model's `return_margin`
+    of its `portfolio_returns`, batched per block: a call per subset takes
     seconds when all lie on the boundary. The chosen subset is therefore the
-    one that scoring every subset directly chooses, and passes
-    `check_feasible`, provided no sum overflows.
+    one that scoring every subset directly chooses, and its Solution is
+    feasible, provided no sum overflows.
     """
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
@@ -732,7 +732,8 @@ def make_solver(
     """Resolve a solver name to a `(qubo, seed) -> SolveResult` callable.
     Its options, `time_limit_s` and the fields of its config but `seed`, are
     checked here, once: any other key, or a bad value, raises a ValueError
-    naming it. `exact` takes no config and ignores a valid `time_limit_s`."""
+    naming it. `exact` takes no config, checks its seed by the configs' rule
+    and ignores a valid `time_limit_s`."""
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVER_NAMES)}")
     options = dict(options or {})
@@ -751,7 +752,9 @@ def make_solver(
         if config is None:
             t0 = time.perf_counter()
             bits, energy = solve_qubo_bruteforce(q)
-            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
+            result = SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
+            read_seed(result)
+            return result
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

@@ -56,6 +56,26 @@ def naive_risk(sigma, x) -> float:
     return total
 
 
+def naive_return(mu, x) -> float:
+    """Direct loop over the selected assets' returns."""
+    total = 0.0
+    for m, b in zip(mu, x):
+        total += m * b
+    return total
+
+
+def reference_meets_return(instance: PortfolioInstance, returns) -> np.ndarray:
+    """The return rule written out, per entry of ``returns``: always under
+    none, ``returns >= r_star`` under at_least and ``|returns - r_star| <=
+    EQUALITY_RETURN_TOL`` under equality."""
+    returns = np.asarray(returns)
+    if instance.return_mode == "at_least":
+        return returns >= instance.r_star
+    if instance.return_mode == "equality":
+        return np.abs(returns - instance.r_star) <= EQUALITY_RETURN_TOL
+    return np.ones(returns.shape, dtype=bool)
+
+
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     f = rng.standard_normal((n, max(1, n // 2)))
     sigma = f @ f.T + np.diag(rng.uniform(0.5, 2.0, n))
@@ -211,17 +231,12 @@ def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]
         count=count * n,
     ).reshape(count, n)
     # each subset's risk and return as products over its bit vector, the sums
-    # that portfolio_risk and check_feasible take
+    # that solution_from_bits takes
     bits = np.zeros((count, n_assets))
     bits[np.arange(count)[:, None], combos] = 1.0
     risks = np.array([float(row @ (sigma @ row)) for row in bits])
     returns = np.array([float(mu @ row) for row in bits])
-    if instance.return_mode == "at_least":
-        feasible = returns >= instance.r_star
-    elif instance.return_mode == "equality":
-        feasible = np.abs(returns - instance.r_star) <= EQUALITY_RETURN_TOL
-    else:
-        feasible = np.ones(count, dtype=bool)
+    feasible = reference_meets_return(instance, returns)
     if not feasible.any():
         raise InfeasibleInstanceError("instance infeasible: no subset meets the return target")
     feas_idx = np.flatnonzero(feasible)

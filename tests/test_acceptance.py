@@ -10,7 +10,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from portqubo import (
     AssetUniverse,
@@ -20,13 +19,11 @@ from portqubo import (
     PortfolioInstance,
     build_qubo,
     chain_strength_bound,
-    check_feasible,
     decode,
     estimate_lambda1,
     estimate_lambda2,
     lambda_sweep,
     make_solver,
-    portfolio_risk,
     qubo_energy,
     render_report,
     run_benchmark,

@@ -13,7 +13,6 @@ from portqubo import (
     DataFormatError,
     PortfolioInstance,
     SyntheticSpec,
-    check_feasible,
     generate_synthetic,
     grid_search,
     load_plan,
@@ -22,6 +21,7 @@ from portqubo import (
     render_report,
     run_benchmark,
     save_instance,
+    solution_from_bits,
     solve_exhaustive_subsets,
 )
 from portqubo import bench as bench_mod
@@ -226,7 +226,7 @@ class TestRunBenchmark:
         instances = {}
         while len(instances) < 2:
             inst, x = straddling_instance(rng, "at_least")
-            instances.setdefault(check_feasible(inst, x).ok, inst)
+            instances.setdefault(solution_from_bits(inst, x).feasible, inst)
         paths = {}
         for meets, inst in instances.items():
             paths[meets] = tmp_path / f"meets-{meets}.json"
@@ -237,7 +237,7 @@ class TestRunBenchmark:
             rows = [r for r in report.rows if r.instance == paths[meets].stem]
             (row,) = [r for r in rows if r.solver == ORACLE_SOLVER_NAME]
             oracle = solve_exhaustive_subsets(inst)
-            assert row.feasible == check_feasible(inst, oracle.x).ok
+            assert row.feasible == solution_from_bits(inst, oracle.x).feasible
             assert (row.risk, row.ret, row.energy) == (oracle.risk, oracle.ret, oracle.risk)
             assert all(r.risk >= row.risk for r in rows if r.feasible)
 

@@ -8,13 +8,13 @@ from portqubo import (
     PortfolioInstance,
     QuboMatrix,
     SyntheticSpec,
-    check_feasible,
     generate_synthetic,
     grid_search,
     load_instance,
     make_solver,
     read_qubo,
     save_instance,
+    solution_from_bits,
     write_qubo,
 )
 from portqubo.cli import cli_main
@@ -72,7 +72,7 @@ def test_solve_exact_on_a_return_boundary_answers_a_feasible_subset(tmp_path, mo
     # the sum over its assets, or the other way round
     rng = np.random.default_rng(5)
     inst, x = straddling_instance(rng, mode)
-    while check_feasible(inst, x).ok != meets:
+    while solution_from_bits(inst, x).feasible != meets:
         inst, x = straddling_instance(rng, mode)
     save_instance(inst, tmp_path / "boundary.json")
     code = cli_main(["solve", str(tmp_path / "boundary.json"), "--solver", "exact"])

@@ -7,96 +7,106 @@ from portqubo import (
     AssetUniverse,
     ContractViolation,
     PortfolioInstance,
-    check_feasible,
-    portfolio_return,
-    portfolio_risk,
     solution_from_bits,
+    solve_exhaustive_subsets,
 )
 from portqubo.model import RETURN_MODES, portfolio_returns, portfolio_risks
 
-from conftest import naive_risk, random_instance, random_psd, straddling_instance
+from conftest import (
+    naive_return,
+    naive_risk,
+    random_instance,
+    random_psd,
+    reference_meets_return,
+    straddling_instance,
+)
+
+
+def _universe(mu, sigma):
+    return AssetUniverse(tuple(f"A{i}" for i in range(len(mu))), mu, sigma)
+
+
+def _solution(sigma, x, mu=None):
+    """solution_from_bits of ``x`` over a universe with covariance ``sigma``
+    and returns ``mu`` (zeros by default), n = 1, no return target."""
+    mu = np.zeros(len(sigma)) if mu is None else mu
+    return solution_from_bits(PortfolioInstance(_universe(mu, sigma), n=1), x)
 
 
 def test_risk_empty_portfolio():
-    assert portfolio_risk([[1, 0], [0, 2]], [0, 0]) == 0.0
+    assert _solution([[1, 0], [0, 2]], [0, 0]).risk == 0.0
 
 
 def test_risk_diagonal():
-    assert portfolio_risk([[1, 0], [0, 2]], [1, 1]) == 3.0
+    assert _solution([[1, 0], [0, 2]], [1, 1]).risk == 3.0
 
 
 def test_risk_with_covariance():
-    assert portfolio_risk([[4, 1], [1, 9]], [1, 1]) == 15.0
+    assert _solution([[4, 1], [1, 9]], [1, 1]).risk == 15.0
 
 
 def test_risk_dimension_mismatch():
     with pytest.raises(ContractViolation):
-        portfolio_risk([[1, 0], [0, 2]], [1, 0, 1])
+        _solution([[1, 0], [0, 2]], [1, 0, 1])
 
 
 def test_risk_rejects_non_bits():
     with pytest.raises(ContractViolation):
-        portfolio_risk([[1.0]], [2])
+        _solution([[1.0]], [2])
 
 
 @pytest.mark.parametrize("bad", [0.5, 2, -1, float("nan"), float("inf")])
 def test_bit_checks_reject_non_bits(bad):
-    for check in (
-        lambda x: portfolio_risk(np.eye(2), x),
-        lambda x: portfolio_return([1.0, 2.0], x),
-    ):
-        with pytest.raises(ContractViolation, match="0 or 1"):
-            check([1, bad])
-    assert portfolio_risk(np.eye(2), [True, False]) == 1.0
+    with pytest.raises(ContractViolation, match="0 or 1"):
+        _solution(np.eye(2), [1, bad], mu=[1.0, 2.0])
+    assert _solution(np.eye(2), [True, False]).risk == 1.0
 
 
 def test_return_examples():
-    assert portfolio_return([5, 7], [0, 0]) == 0.0
-    assert portfolio_return([5, 7], [1, 1]) == 12.0
+    assert _solution(np.eye(2), [0, 0], mu=[5, 7]).ret == 0.0
+    assert _solution(np.eye(2), [1, 1], mu=[5, 7]).ret == 12.0
     with pytest.raises(ContractViolation):
-        portfolio_return([5, 7], [1])
+        _solution(np.eye(2), [1], mu=[5, 7])
 
 
 def test_return_average_per_asset_scale():
     # 20 selected assets totalling 3100 percent clears a 3000 target,
     # i.e. an average per-asset return of 155 percent
-    mu = np.full(20, 155.0)
-    x = np.ones(20)
-    assert portfolio_return(mu, x) == pytest.approx(3100.0)
-    assert portfolio_return(mu, x) >= 3000.0
+    inst = PortfolioInstance(_universe(np.full(20, 155.0), np.eye(20)), 20, 3000.0, "at_least")
+    sol = solution_from_bits(inst, np.ones(20))
+    assert sol.ret == pytest.approx(3100.0)
+    assert sol.feasible
 
 
 def test_batched_returns_are_the_1d_products_bit_for_bit(rng):
-    # check_feasible and portfolio_return take their sum from portfolio_returns,
-    # so a reported return moves only if these bits differ
+    # solution_from_bits takes its return from portfolio_returns, so a
+    # reported return moves only if these bits differ
     for n_assets in [*range(1, 48), *range(48, 201, 8)]:
         mu = rng.uniform(-1e3, 1e3, n_assets) * 10.0 ** rng.integers(-3, 4, n_assets)
         rows = rng.integers(0, 2, (64, n_assets)).astype(np.float64)
         expected = np.array([float(mu @ row) for row in rows])
         assert np.array_equal(portfolio_returns(mu, rows).view(np.uint64), expected.view(np.uint64))
-        singles = np.array([portfolio_return(mu, row) for row in rows])
-        assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
 
 
 def test_batched_risks_are_the_1d_products_bit_for_bit(rng):
-    # portfolio_risk and the subset oracle's rescoring take their sum from
-    # portfolio_risks, so a reported risk moves only if these bits differ
+    # solution_from_bits and the subset oracle's rescoring take their risk
+    # from portfolio_risks, so a reported risk moves only if these bits differ
     for n_assets in [*range(1, 48), *range(48, 201, 8)]:
         f = rng.standard_normal((n_assets, n_assets)) * 10.0 ** rng.integers(-3, 4)
         sigma = f @ f.T
         rows = rng.integers(0, 2, (64, n_assets)).astype(np.float64)
         expected = np.array([float(row @ (sigma @ row)) for row in rows])
         assert np.array_equal(portfolio_risks(sigma, rows).view(np.uint64), expected.view(np.uint64))
-        singles = np.array([portfolio_risk(sigma, row) for row in rows])
-        assert np.array_equal(singles.view(np.uint64), expected.view(np.uint64))
 
 
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(RETURN_MODES), straddling=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_solution_from_bits_agrees_with_the_single_metrics(seed, mode, straddling):
-    """One pass gives bit for bit the risk, return and feasibility of the
-    one-metric functions, on random bits, random n-subsets and, on a
-    straddling instance, the x whose return sits on the target."""
+def test_solution_from_bits_agrees_with_independent_sums(seed, mode, straddling):
+    """One pass gives bit for bit the batched risk and return sums the subset
+    oracle rescores with, within 1e-9 the plain-loop sums, and the written-out
+    cardinality and return rule applied to its return, on random bits, random
+    n-subsets and, on a straddling instance, the x whose return sits on the
+    target."""
     rng = np.random.default_rng(seed)
     xs = []
     if straddling and mode != "none":
@@ -107,59 +117,60 @@ def test_solution_from_bits_agrees_with_the_single_metrics(seed, mode, straddlin
     subset = np.zeros(instance.n_assets, dtype=np.int64)
     subset[rng.choice(instance.n_assets, instance.n, replace=False)] = 1
     xs += [subset, rng.integers(0, 2, instance.n_assets)]
+    sigma, mu = instance.universe.sigma, instance.universe.mu
     for x in xs:
         sol = solution_from_bits(instance, x)
-        assert sol.risk.hex() == portfolio_risk(instance.universe.sigma, x).hex()
-        assert sol.ret.hex() == portfolio_return(instance.universe.mu, x).hex()
+        row = x.astype(np.float64)[None]
+        assert sol.risk.hex() == float(portfolio_risks(sigma, row)[0]).hex()
+        assert sol.ret.hex() == float(portfolio_returns(mu, row)[0]).hex()
+        assert sol.risk == pytest.approx(naive_risk(sigma.tolist(), x.tolist()), rel=1e-9, abs=1e-9)
+        assert sol.ret == pytest.approx(naive_return(mu.tolist(), x.tolist()), rel=1e-9, abs=1e-9)
         assert sol.cardinality == int(x.sum())
-        assert sol.feasible == check_feasible(instance, x).ok
+        meets = sol.cardinality == instance.n and bool(reference_meets_return(instance, sol.ret))
+        assert sol.feasible == meets
 
 
-def _universe(mu, sigma):
-    return AssetUniverse(tuple(f"A{i}" for i in range(len(mu))), mu, sigma)
-
-
-def test_check_feasible_mode_none():
+def test_solution_mode_none():
     inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-    feas = check_feasible(inst, [1, 0])
-    assert feas.cardinality_ok and feas.return_ok
-    assert feas.cardinality_residual == 0
+    sol = solution_from_bits(inst, [1, 0])
+    assert sol.feasible
+    assert sol.cardinality - inst.n == 0
 
 
-def test_check_feasible_at_least():
+def test_solution_at_least():
     inst = PortfolioInstance(
         _universe([5, 7], np.eye(2)), n=2, r_star=10, return_mode="at_least"
     )
-    feas = check_feasible(inst, [1, 1])
-    assert feas.cardinality_ok and feas.return_ok
-    assert feas.cardinality_residual == 0
-    assert feas.return_residual == 2.0
+    sol = solution_from_bits(inst, [1, 1])
+    assert sol.feasible
+    assert sol.cardinality - inst.n == 0
+    assert sol.ret - inst.r_star == 2.0
 
 
-def test_check_feasible_at_least_violated():
+def test_solution_at_least_violated():
     inst = PortfolioInstance(
         _universe([5, 7], np.eye(2)), n=2, r_star=13, return_mode="at_least"
     )
-    feas = check_feasible(inst, [1, 1])
-    assert feas.cardinality_ok and not feas.return_ok
-    assert feas.return_residual == -1.0
+    sol = solution_from_bits(inst, [1, 1])
+    assert sol.cardinality == inst.n and not sol.feasible
+    assert sol.ret - inst.r_star == -1.0
 
 
-def test_check_feasible_equality_tolerance():
+def test_solution_equality_tolerance():
     inst = PortfolioInstance(
         _universe([5, 7], np.eye(2)), n=2, r_star=12, return_mode="equality"
     )
-    assert check_feasible(inst, [1, 1]).return_ok
+    assert solution_from_bits(inst, [1, 1]).feasible
     inst2 = PortfolioInstance(
         _universe([5, 7], np.eye(2)), n=2, r_star=12.001, return_mode="equality"
     )
-    assert not check_feasible(inst2, [1, 1]).return_ok
+    assert not solution_from_bits(inst2, [1, 1]).feasible
 
 
-def test_check_feasible_is_pure():
+def test_solution_is_pure():
     inst = PortfolioInstance(_universe([5, 7], np.eye(2)), n=1)
-    first = check_feasible(inst, [1, 0])
-    second = check_feasible(inst, [1, 0])
+    first = solution_from_bits(inst, [1, 0])
+    second = solution_from_bits(inst, [1, 0])
     assert first == second
 
 
@@ -217,18 +228,24 @@ def test_risk_matches_naive_double_loop(rng):
         n = int(rng.integers(1, 17))
         sigma = random_psd(rng, n)
         x = rng.integers(0, 2, n)
-        fast = portfolio_risk(sigma, x)
+        fast = _solution(sigma, x).risk
         slow = naive_risk(sigma.tolist(), x.tolist())
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
         assert fast >= -1e-9
 
 
-def test_risk_transpose_symmetry(rng):
-    for _ in range(50):
-        n = int(rng.integers(1, 10))
-        sigma = random_psd(rng, n)
-        x = rng.integers(0, 2, n)
-        assert portfolio_risk(sigma, x) == portfolio_risk(sigma.T, x)
+def test_risk_does_not_depend_on_the_layout_sigma_is_given_in(rng):
+    # a universe built from sigma.T, a Fortran-ordered view of the same
+    # symmetric matrix, stores it C-ordered, so its risks and its oracle
+    # answer are bit for bit those of the universe built from sigma
+    for n_assets in range(5, 61):
+        sigma = random_psd(rng, n_assets) * 10.0 ** rng.integers(-3, 4)
+        mu = rng.uniform(-1.0, 3.0, n_assets)
+        n = int(rng.integers(1, 3))
+        by_row, by_column = (PortfolioInstance(_universe(mu, s), n) for s in (sigma, sigma.T))
+        for x in rng.integers(0, 2, (100, n_assets)):
+            assert solution_from_bits(by_row, x).risk.hex() == solution_from_bits(by_column, x).risk.hex()
+        assert solve_exhaustive_subsets(by_row).x == solve_exhaustive_subsets(by_column).x
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -16,12 +16,12 @@ from portqubo import (
     QuboMatrix,
     build_qubo,
     chain_strength_bound,
-    check_feasible,
     decode,
     ising_energy,
     qubo_energy,
     read_qubo,
     slack_count,
+    solution_from_bits,
     to_ising,
     write_qubo,
 )
@@ -46,14 +46,14 @@ def penalty_energy(instance, params, layout, bits):
     """Reference energy: objective plus squared constraint residuals."""
     x = bits[: layout.n_assets]
     y = bits[layout.n_assets :]
-    feas = check_feasible(instance, x)
+    sol = solution_from_bits(instance, x)
     risk = float(np.array(x) @ instance.universe.sigma @ np.array(x))
-    energy = params.lambda0 * risk + params.lambda1 * feas.cardinality_residual**2
+    energy = params.lambda0 * risk + params.lambda1 * (sol.cardinality - instance.n) ** 2
     if instance.return_mode == "equality":
-        energy += params.lambda2 * feas.return_residual**2
+        energy += params.lambda2 * (sol.ret - instance.r_star) ** 2
     elif instance.return_mode == "at_least":
         surplus = sum(w * b for w, b in zip(layout.slack_weights, y))
-        energy += params.lambda2 * (feas.return_residual - surplus) ** 2
+        energy += params.lambda2 * (sol.ret - instance.r_star - surplus) ** 2
     return energy
 
 

@@ -27,11 +27,10 @@ from portqubo import (
     QuboMatrix,
     TabuConfig,
     build_qubo,
-    check_feasible,
     make_solver,
-    portfolio_risk,
     qubo_energy,
     run_restarts,
+    solution_from_bits,
     solve_exhaustive_subsets,
     solve_ga,
     solve_qubo_bruteforce,
@@ -133,7 +132,7 @@ def _oracle_outcome(oracle, inst):
 
 def _check_random_instance(n_assets, distinct, mode, target, decimals, seed, max_subsets=math.inf):
     """The oracle's answer on a random instance is the reference's and
-    passes check_feasible; n is drawn among the sizes with C(N, n) <= `max_subsets`."""
+    is feasible by solution_from_bits; n is drawn among the sizes with C(N, n) <= `max_subsets`."""
     rng = np.random.default_rng(seed)
     distinct = min(distinct, n_assets)
     # repeated assets make exactly tied subsets
@@ -155,7 +154,7 @@ def _check_random_instance(n_assets, distinct, mode, target, decimals, seed, max
     inst = PortfolioInstance(_universe(mu, sigma), n, r_star, mode)
     got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
     assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
-    assert got == "infeasible" or check_feasible(inst, got).ok
+    assert got == "infeasible" or solution_from_bits(inst, got).feasible
 
 
 class TestExhaustiveSubsetsMatchesReference:
@@ -195,8 +194,8 @@ class TestExhaustiveSubsetsMatchesReference:
             inst, x = straddling_instance(rng, mode)
             got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
             assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
-            assert got == "infeasible" or check_feasible(inst, got).ok
-            least_risk_meets.append(check_feasible(inst, x).ok)
+            assert got == "infeasible" or solution_from_bits(inst, got).feasible
+            least_risk_meets.append(solution_from_bits(inst, x).feasible)
             if least_risk_meets[-1]:
                 assert got == tuple(x.tolist())
         # the model's sum falls on either side of the target
@@ -227,7 +226,7 @@ class TestExhaustiveSubsetsMatchesReference:
     def test_risks_tied_by_repeated_assets_are_ranked_by_the_model(self):
         # repeated assets tie subsets in exact arithmetic, and their computed
         # risks differ only by rounding; the oracle's row must not lie above
-        # the portfolio_risk of another subset, the risk every report row gives
+        # the risk solution_from_bits gives another subset, as every report row does
         rng = np.random.default_rng(0)
         for _ in range(100):
             n_assets = int(rng.integers(4, 11))
@@ -239,7 +238,7 @@ class TestExhaustiveSubsetsMatchesReference:
             sol = solve_exhaustive_subsets(inst)
             assert sol.x == reference_exhaustive_subsets(inst)
             risks = [
-                portfolio_risk(sigma, np.isin(np.arange(n_assets), c))
+                solution_from_bits(inst, np.isin(np.arange(n_assets), c)).risk
                 for c in itertools.combinations(range(n_assets), inst.n)
             ]
             assert sol.risk == min(risks)
@@ -926,6 +925,13 @@ class TestMakeSolver:
         message = rf"^{config.__name__}: field 'seed' must be a non-negative integer, got "
         with pytest.raises(ValueError, match=message):
             config(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+    def test_exact_seed_not_a_non_negative_integer_rejected(self, rng, seed):
+        message = r"^SolveResult: field 'seed' must be a non-negative integer, got "
+        with pytest.raises(ValueError, match=message):
+            make_solver("exact")(random_qubo(rng, 4), seed)
+        assert type(make_solver("exact")(random_qubo(rng, 4), np.int64(3)).seed) is int
 
     @pytest.mark.parametrize(
         "name, options, solve, config",

@@ -199,6 +199,12 @@ class TestLambdaSweep:
         assert len(points) == 2
         assert all(p.error == "boom" for p in points)
 
+    @pytest.mark.parametrize("name, options", [("exact", None), ("sa", {"sweeps": 5})])
+    def test_negative_seed_gives_error_rows(self, name, options):
+        points = lambda_sweep(_sweep_instance(), make_solver(name, options), [0.0, 1.0], seed=-1)
+        assert [p.seed for p in points] == [-1, -1]
+        assert all(p.error.endswith("field 'seed' must be a non-negative integer, got -1") for p in points)
+
     def test_output_order_matches_input(self):
         inst = _sweep_instance()
         solver = make_solver("exact")
