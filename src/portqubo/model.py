@@ -28,6 +28,32 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+# the largest N at which a Cholesky factor proves the eigenvalue rule holds
+_CHOLESKY_MAX_N = 4096
+
+
+def _has_cholesky(sigma: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of ``sigma`` runs to completion, a
+    cheaper test that accepts only matrices the eigenvalue rule accepts.
+
+    Both this and ``eigvalsh`` read the lower triangle. A Cholesky that runs
+    to completion gives R'R = S + dS with |dS| <= g |R'||R| and
+    g = (N + 1) u / (1 - (N + 1) u), u = eps / 2, so S + dS is positive
+    semidefinite and lambda_min(S) >= -||dS||_2, where ||dS||_2 is at most
+    about N (N + 1) u ||S||_2 and ||S||_2 = lambda_max(S) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 10.1). ``eigvalsh``
+    is backward stable: its eigenvalues are within a modest multiple of
+    N eps ||S||_2 of the true ones. At N <= 4096, N (N + 1) eps is below
+    4e-9, so the computed lambda_min is far above -1e-6 lambda_max, and the
+    rule would have accepted S. A failed factorization proves nothing; the
+    caller then applies the rule."""
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class AssetUniverse:
     """A set of assets with expected returns (percent over the horizon) and a
@@ -57,11 +83,12 @@ class AssetUniverse:
             raise ValueError("sigma has non-finite entries")
         if np.abs(sigma - sigma.T).max() > 1e-9:
             raise ValueError("sigma is not symmetric within 1e-9")
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals[0] < -1e-6 * max(eigvals[-1], 0.0):
-            raise ValueError(
-                f"sigma is not positive semidefinite: min eigenvalue {eigvals[0]:g}"
-            )
+        if n > _CHOLESKY_MAX_N or not _has_cholesky(sigma):
+            eigvals = np.linalg.eigvalsh(sigma)
+            if eigvals[0] < -1e-6 * max(eigvals[-1], 0.0):
+                raise ValueError(
+                    f"sigma is not positive semidefinite: min eigenvalue {eigvals[0]:g}"
+                )
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)

@@ -32,8 +32,9 @@ BRUTEFORCE_DIM_GUARD = 24
 # through one dgemm kernel (its kernel for products of up to about 10^6
 # multiply-adds sums in another order); 512 KiB of float64 at dim 16
 _BRUTEFORCE_BLOCK_ROWS = 1 << 12
-# extensions per block times n * N; bounds the subset oracle's working memory
-_SUBSET_BLOCK_ELEMENTS = 1 << 21
+# the subset oracle extends about this // (n * N) prefixes a step and peaks
+# at 0.5-0.75 KB per extension of a step; 1 << 18 steps so often it is slower
+_SUBSET_BLOCK_ELEMENTS = 1 << 19
 
 
 class InfeasibleInstanceError(RuntimeError):
@@ -424,22 +425,21 @@ class _Prefixes:
     """A block of sorted k-prefixes of n-subsets, in lexicographic order, with
     the running sums that extending them by one asset needs. The cross vector
     of a prefix is c = sum_{j in prefix} (S + S')[j, :]; a block keeps those
-    of the prefixes without their last asset, one row per parent prefix."""
+    of the prefixes without their last asset, one row per parent prefix.
+    A prefix's parent is prefix via + base of block `prev`, and its assets are
+    the `last` of it and its ancestors. A block takes 32 bytes per prefix, 40
+    under a return constraint, and 8 N bytes per parent."""
 
-    idx: np.ndarray  # (rows, k) asset indices
+    k: int  # assets per prefix
     risk: np.ndarray  # x'Sx of each prefix
     ret: np.ndarray | None  # mu'x of each prefix; None when unconstrained
     cross: np.ndarray  # (parents, N) cross vectors of the parent prefixes
     via: np.ndarray  # row of `cross` for each prefix
     last: np.ndarray  # last asset of each prefix; -1 for the empty prefix
     ends: np.ndarray  # cumulative count of each prefix's extensions
+    prev: _Prefixes | None  # the block of the parent prefixes
+    base: int  # the prefix of `prev` whose cross vector is row 0 of `cross`
     done: int = 0  # prefixes already extended
-
-
-def _prefixes(idx, risk, ret, cross, via, last, n_assets: int, n: int) -> _Prefixes:
-    # the next asset must leave room for the n - k - 1 after it
-    counts = (n_assets - n + idx.shape[1]) - last
-    return _Prefixes(idx, risk, ret, cross, via, last, np.cumsum(counts))
 
 
 def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
@@ -452,7 +452,8 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     so extending it costs O(1): risk r + c[a] + S[a, a], return ret + mu[a].
     Cross vectors are stored only for prefixes of up to n - 2 assets, and each
     level makes about `_SUBSET_BLOCK_ELEMENTS // (n * N)` extensions at a
-    time, so memory does not grow with C(N, n).
+    time, so memory does not grow with C(N, n). The few bit vectors needed
+    below are rebuilt from the blocks' parent links and last assets.
 
     These running sums round differently from direct sums, so the answer is
     reselected exactly. Any summation order of the n^2 risk terms is within
@@ -491,23 +492,14 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     tol = EQUALITY_RETURN_TOL if instance.return_mode == "equality" else 0.0
     return_band = 4.0 * n * n * eps * float(np.abs(mu).max()) + 2.0 * eps * tol
     rows = max(1, _SUBSET_BLOCK_ELEMENTS // (n * n_assets))
+    span = np.arange(rows + n_assets)
 
     lowest = math.inf
     best_risk = math.inf
     best_x = None
     zero = np.zeros(1)
-    stack = [
-        _prefixes(
-            np.empty((1, 0), dtype=np.int64),
-            zero,
-            zero if constrained else None,
-            np.zeros((1, n_assets)),
-            np.zeros(1, dtype=np.int64),
-            np.full(1, -1),
-            n_assets,
-            n,
-        )
-    ]
+    root = (0, zero, zero if constrained else None, np.zeros((1, n_assets)), np.zeros(1, np.int64))
+    stack = [_Prefixes(*root, np.full(1, -1), np.full(1, n_assets - n + 1), None, 0)]
     while stack:
         block = stack[-1]
         # extend whole prefixes, about `rows` extensions at a time
@@ -518,27 +510,35 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
         if p1 == len(block.ends):
             stack.pop()
         ends = block.ends[p0:p1]
-        counts = np.diff(ends, prepend=base)
-        parent = np.repeat(np.arange(p0, p1), counts)
-        # each prefix's extensions are its last asset + 1, + 2, ...
-        step = block.last[p0:p1] + 1 - (ends - counts - base)
-        a = np.arange(len(parent)) + np.repeat(step, counts)
+        last = block.last[p0:p1]
+        # the next asset must leave room for the n - k - 1 after it, so a
+        # prefix's extensions are its last asset + 1, ..., top, ending at
+        # offset ends - base; asset a of row r of a table is flat entry a + r N
+        top = n_assets - n + block.k
+        counts = top - last
+        a = span[: ends[-1] - base] + np.repeat((top + 1 + base) - ends, counts)
         risk = (
-            block.risk[parent]
-            + block.cross[block.via[parent], a]
-            + pair[block.last[parent], a]
-            + diag[a]
+            np.repeat(block.risk[p0:p1], counts)
+            + block.cross.take(a + np.repeat(block.via[p0:p1] * n_assets, counts))
+            + pair.take(a + np.repeat(last * n_assets, counts))
+            + diag.take(a)
         )
-        ret = block.ret[parent] + mu[a] if constrained else None
-        if block.idx.shape[1] + 1 < n:
-            cross = block.cross[block.via[p0:p1]] + pair[block.last[p0:p1]]
-            idx = np.column_stack((block.idx[parent], a))
-            stack.append(_prefixes(idx, risk, ret, cross, parent - p0, a, n_assets, n))
+        ret = np.repeat(block.ret[p0:p1], counts) + mu.take(a) if constrained else None
+        if block.k + 1 < n:
+            # the new block's cross vectors, via and last; no name keeps them past it
+            new = block.cross[block.via[p0:p1]] + pair[last], np.repeat(span[: p1 - p0], counts), a
+            stack.append(_Prefixes(block.k + 1, risk, ret, *new, np.cumsum(top + 1 - a), block, p0))
+            del new
             continue
 
         def bit_rows(sel):
             rows_x = np.zeros((sel.size, n_assets))
-            np.put_along_axis(rows_x, np.column_stack((block.idx[parent[sel]], a[sel])), 1.0, axis=1)
+            at = span[: sel.size]
+            rows_x[at, a[sel]] = 1.0
+            p, b = p0 + np.searchsorted(ends, base + sel, side="right"), block
+            for _ in range(n - 1):
+                rows_x[at, b.last[p]] = 1.0
+                p, b = b.via[p] + b.base, b.prev
             return rows_x
 
         if constrained:

@@ -76,6 +76,16 @@ def reference_meets_return(instance: PortfolioInstance, returns) -> np.ndarray:
     return np.ones(returns.shape, dtype=bool)
 
 
+def reference_psd_error(sigma: np.ndarray) -> str | None:
+    """The universe's PSD rule by eigenvalues alone: the message
+    `AssetUniverse` raises for a symmetric finite ``sigma``, or None when the
+    smallest eigenvalue is at least -1e-6 times the largest (or 0)."""
+    eigvals = np.linalg.eigvalsh(sigma)
+    if eigvals[0] < -1e-6 * max(eigvals[-1], 0.0):
+        return f"sigma is not positive semidefinite: min eigenvalue {eigvals[0]:g}"
+    return None
+
+
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     f = rng.standard_normal((n, max(1, n // 2)))
     sigma = f @ f.T + np.diag(rng.uniform(0.5, 2.0, n))

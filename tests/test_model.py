@@ -18,6 +18,7 @@ from conftest import (
     random_instance,
     random_psd,
     reference_meets_return,
+    reference_psd_error,
     straddling_instance,
 )
 
@@ -189,6 +190,30 @@ def test_universe_accepts_near_singular():
     sigma = np.outer([1.0, 2.0], [1.0, 2.0])
     u = _universe([1, 2], sigma)
     assert u.n_assets == 2
+
+
+@given(
+    n=st.integers(2, 40),
+    ratio=st.sampled_from([-2e-6, -1e-6 * (1 + 1e-3), -1e-6 * (1 - 1e-3), -1e-9, 0.0, 1e-12, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_psd_check_accepts_what_the_eigenvalue_rule_accepts(n, ratio, seed):
+    # Q diag(lambda) Q' with lambda_min / lambda_max = ratio; the Cholesky
+    # shortcut must not change which matrices load, nor the message
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(max(ratio, 0.0), 1.0, n)
+    lam[:2] = ratio, 1.0
+    sigma = (q * lam) @ q.T
+    sigma = (sigma + sigma.T) / 2.0
+    expected = reference_psd_error(sigma)
+    if expected is None:
+        assert _universe(np.zeros(n), sigma).n_assets == n
+    else:
+        with pytest.raises(ValueError) as err:
+            _universe(np.zeros(n), sigma)
+        assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -248,19 +248,47 @@ class TestExhaustiveSubsetsMatchesReference:
         # vector is the lexicographically last subset
         inst = PortfolioInstance(_universe(np.ones(60), 2.0 * np.eye(60)), n=4)
         assert solve_exhaustive_subsets(inst).x == (0,) * 56 + (1,) * 4
-        # 15 assets, each twice
-        rng = np.random.default_rng(30)
-        pick = np.repeat(np.arange(15), 2)
-        sigma = random_psd(rng, 15)[np.ix_(pick, pick)]
-        mu = np.round(rng.uniform(0.0, 3.0, 15), 1)[pick]
-        inst = PortfolioInstance(_universe(mu, sigma), 4, float(mu[[0, 2, 4, 6]].sum()), "at_least")
+        inst = _tied_pairs_instance()
         assert solve_exhaustive_subsets(inst).x == reference_exhaustive_subsets(inst)
 
+    @pytest.mark.parametrize("block", [16, 128, 1024])
+    def test_block_size_does_not_change_the_answer(self, monkeypatch, block):
+        # blocks of one or a few prefixes at a time: bit vectors are rebuilt
+        # through parent blocks already popped from the stack
+        monkeypatch.setattr(solvers_mod, "_SUBSET_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(block)
+        instances = [_tied_pairs_instance()]
+        for n_assets in (1, 5, 12):
+            for n in sorted({1, max(1, n_assets // 2), n_assets}):
+                for mode in ("none", "at_least"):
+                    mu = rng.uniform(-1.0, 3.0, n_assets)
+                    r_star = float(mu[rng.choice(n_assets, n, replace=False)].sum())
+                    universe = _universe(mu, random_psd(rng, n_assets))
+                    instances.append(PortfolioInstance(universe, n, r_star, mode))
+        for mode in ("at_least", "equality"):
+            instances += [straddling_instance(rng, mode)[0] for _ in range(4)]
+        for inst in instances:
+            got = _oracle_outcome(lambda i: solve_exhaustive_subsets(i).x, inst)
+            assert got == _oracle_outcome(reference_exhaustive_subsets, inst)
+        inst = PortfolioInstance(_universe(np.ones(60), 2.0 * np.eye(60)), n=4)
+        assert solve_exhaustive_subsets(inst).x == (0,) * 56 + (1,) * 4
+
     def test_memory_bounded(self):
-        # the all-subsets gather of C(24, 9) = 1.3M subsets peaks at about 908 MB
+        # the all-subsets gather of C(24, 9) = 1.3M subsets took about 908 MB;
+        # blocks of 1 << 21 elements with each prefix's asset list took a
+        # traced 7.4 MB, and blocks of 1 << 19 linked to their parents 1.8 MB
         universe = generate_synthetic(SyntheticSpec(n_assets=24, seed=9))
         inst = PortfolioInstance(universe, 9)
-        assert traced_peak(lambda: solve_exhaustive_subsets(inst)) <= 32 * 2**20
+        assert traced_peak(lambda: solve_exhaustive_subsets(inst)) <= 4 * 2**20
+
+
+def _tied_pairs_instance():
+    """An at_least instance on 15 assets, each twice, so subsets tie."""
+    rng = np.random.default_rng(30)
+    pick = np.repeat(np.arange(15), 2)
+    sigma = random_psd(rng, 15)[np.ix_(pick, pick)]
+    mu = np.round(rng.uniform(0.0, 3.0, 15), 1)[pick]
+    return PortfolioInstance(_universe(mu, sigma), 4, float(mu[[0, 2, 4, 6]].sum()), "at_least")
 
 
 class TestBruteforce:
