@@ -19,17 +19,12 @@ from typing import Callable, NamedTuple
 from .data import (
     DataFormatError,
     SyntheticSpec,
-    _float_field,
     _load_json,
     generate_synthetic,
-    int_field,
     load_instance,
-    number_field,
-    positive_number_field,
-    read_counts,
     require_fields,
 )
-from .model import PortfolioInstance, is_real
+from .model import PortfolioInstance, read_counts, read_numbers, whole_number
 from .qubo import build_qubo
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
@@ -71,18 +66,16 @@ class BenchPlan:
     def __post_init__(self):
         if not self.instances or not self.solvers or not self.seeds:
             raise ValueError("plan needs nonempty instances, solvers and seeds")
-        bad = [s for s in self.seeds if not is_real(s) or s % 1 or s < 0]
-        if bad:
-            raise ValueError(f"field 'seeds' must hold non-negative integers, got {bad[0]!r}")
-        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
+        seeds = tuple(whole_number(s, 0, "BenchPlan: a seed in field 'seeds'") for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:  # two runs of one seed would give two identical rows
             raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
         if self.penalty_policy not in PENALTY_POLICIES:
             raise ValueError(f"unknown penalty policy {self.penalty_policy!r}")
-        read_counts(self, "grid_repeats")
-        if self.grid_repeats < 1:
-            raise ValueError("field 'grid_repeats' must be at least 1")
+        read_counts(self, grid_repeats=1)
+        read_numbers(self, explicit_lambda1="non-negative", explicit_lambda2="non-negative")
+        read_numbers(self, time_limit_s="positive")
 
 
 def load_plan(path) -> BenchPlan:
@@ -92,21 +85,22 @@ def load_plan(path) -> BenchPlan:
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: field {key!r} must be a list, got {doc[key]!r}")
     base = Path(path).parent  # joined to an absolute path, gives that path
+    given = {key: doc[key] for key in ("time_limit_s", "grid_repeats") if key in doc}
+    if "penalty_policy" in doc:
+        given.update(_penalty_fields(doc["penalty_policy"], path))
     external = doc.get("external_results")
-    limit = doc.get("time_limit_s")
-    if external is not None and not isinstance(external, str):
-        raise DataFormatError(f"{path}: field 'external_results' must be a path, got {external!r}")
-    plan_fields = dict(
-        instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
-        solvers=tuple(doc["solvers"]),
-        seeds=tuple(doc["seeds"]),
-        **_penalty_fields(doc.get("penalty_policy", "estimate"), path),
-        time_limit_s=None if limit is None else positive_number_field(doc, "time_limit_s", path),
-        external_results=None if external is None else str(base / external),
-        grid_repeats=int_field(doc, "grid_repeats", path, 5),
-    )
+    if external is not None:
+        if not isinstance(external, str):
+            message = f"field 'external_results' must be a path, got {external!r}"
+            raise DataFormatError(f"{path}: {message}")
+        given["external_results"] = str(base / external)
     try:
-        return BenchPlan(**plan_fields)
+        return BenchPlan(
+            instances=tuple(str(base / e) if isinstance(e, str) else e for e in doc["instances"]),
+            solvers=tuple(doc["solvers"]),
+            seeds=tuple(doc["seeds"]),
+            **given,
+        )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -117,11 +111,10 @@ def _penalty_fields(policy, path) -> dict:
     where = f"{path}: penalty_policy"
     policy = policy if isinstance(policy, dict) else {"policy": policy}
     require_fields(policy, (), where, ("policy", "lambda1", "lambda2"))
-    name = policy.get("policy", "explicit")
-    if name not in PENALTY_POLICIES:
-        raise DataFormatError(f"{where}: {name!r} is not one of {', '.join(PENALTY_POLICIES)}")
-    given = {f"explicit_{k}": number_field(policy, k, where) for k in policy if k != "policy"}
-    return {"penalty_policy": name, **given}
+    given = {f"explicit_{k}": policy[k] for k in ("lambda1", "lambda2") if k in policy}
+    if None in given.values():  # a BenchPlan reads a lambda of None as one not given
+        raise DataFormatError(f"{where}: a lambda must be a number, got None")
+    return {"penalty_policy": policy.get("policy", "explicit"), **given}
 
 
 def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
@@ -134,22 +127,14 @@ def _instance_from_entry(entry) -> tuple[str, PortfolioInstance]:
     synth = require_fields(
         entry["synthetic"], ("n_assets",), block, ("n_factors", "return_range", "seed")
     )
-    return_range = {"return_range": (0.0, 200.0), **synth}
-    spec_fields = dict(
-        n_assets=int_field(synth, "n_assets", block),
-        n_factors=int_field(synth, "n_factors", block, 3),
-        return_range=tuple(_float_field(return_range, "return_range", (2,), block).tolist()),
-        seed=int_field(synth, "seed", block, 0),
-    )
-    instance_fields = dict(
-        n=int_field(entry, "n", source),
-        r_star=number_field(entry, "r_star", source, 0.0),
-        return_mode=entry.get("return_mode", "none"),
-    )
+    pair = synth.get("return_range")
+    if "return_range" in synth and not (isinstance(pair, list) and len(pair) == 2):
+        raise DataFormatError(f"{block}: field 'return_range' must be a list of 2, got {pair!r}")
+    given = {key: entry[key] for key in ("n", "r_star", "return_mode") if key in entry}
     try:
-        spec = SyntheticSpec(**spec_fields)
-        instance = PortfolioInstance(universe=generate_synthetic(spec), **instance_fields)
-    except (TypeError, ValueError) as exc:
+        spec = SyntheticSpec(**synth)
+        instance = PortfolioInstance(universe=generate_synthetic(spec), **given)
+    except ValueError as exc:
         raise DataFormatError(f"{source}: {exc}") from exc
     default_id = f"syn{spec.n_assets}n{instance.n}s{spec.seed}"
     return _entry_id(str(entry.get("id", default_id)), source), instance

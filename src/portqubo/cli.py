@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import data as data_mod
-from .model import RETURN_MODES, ContractViolation, PortfolioInstance
+from .model import RETURN_MODES, ContractViolation, PortfolioInstance, whole_number
 from .qubo import (
     PenaltyParams,
     build_qubo,
@@ -46,10 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str, least: int = 1) -> int:
-    """The value of a count or seed flag: a whole number of at least `least`."""
-    if not text.isdecimal() or int(text) < least:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least {least}, got {text!r}")
-    return int(text)
+    """The value of a count or seed flag: decimal digits that make a whole
+    number of at least `least`."""
+    try:  # no name: argparse names the flag
+        return whole_number(int(text) if text.isdecimal() else text, least, "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
 
 @functools.cache

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RETURN_MODES, AssetUniverse, PortfolioInstance, is_real
+from .model import AssetUniverse, PortfolioInstance, finite_number, read_counts
 
 
 class DataFormatError(ValueError):
@@ -54,15 +54,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        read_counts(self, "n_assets", "n_factors")
-        read_seed(self)
-        if self.n_assets < 1:
-            raise ValueError("n_assets must be positive")
-        if not 1 <= self.n_factors <= self.n_assets:
+        read_counts(self, n_assets=1, n_factors=1, seed=0)
+        if self.n_factors > self.n_assets:
             raise ValueError("n_factors must be in [1, n_assets]")
-        low, high = self.return_range
-        if not low < high:
-            raise ValueError("return_range must satisfy low < high")
+        bound = "SyntheticSpec: a bound of field 'return_range'"
+        low, high = (finite_number(v, "", bound) for v in self.return_range)
+        # numpy's uniform draws only where high - low is a finite float
+        if not 0 < high - low < math.inf:
+            raise ValueError(
+                "SyntheticSpec: field 'return_range' must have low < high and a finite "
+                f"high - low, got {(low, high)}"
+            )
+        object.__setattr__(self, "return_range", (low, high))
 
 
 def parse_or_none(parse, *args):
@@ -235,52 +238,6 @@ def require_fields(doc, keys, source, optional=None) -> dict:
     return doc
 
 
-def int_field(doc: dict, key: str, source, default=None) -> int:
-    """Field ``key`` (``default`` when absent) as an int: a JSON integer, or a
-    number with no fractional part. Anything else, 1.7 and true included,
-    raises a DataFormatError naming ``source`` and the field."""
-    value = doc.get(key, default)
-    if not is_real(value) or value % 1:
-        raise DataFormatError(f"{source}: field {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def read_counts(record, *names: str) -> None:
-    """Set each named count field of the frozen dataclass ``record`` that is
-    not None to the int `int_field` reads from it, which raises a ValueError
-    naming the record's type and the field."""
-    for name in names:
-        if getattr(record, name) is not None:
-            object.__setattr__(record, name, int_field(vars(record), name, type(record).__name__))
-
-
-def read_seed(record) -> None:
-    """Set the ``seed`` of the frozen dataclass ``record`` to the int it holds:
-    a whole number of at least 0, as numpy's generators take, or a ValueError."""
-    seed = record.seed
-    if not is_real(seed) or seed % 1 or seed < 0:
-        raise ValueError(f"{type(record).__name__}: field 'seed' must be a non-negative integer, got {seed!r}")
-    object.__setattr__(record, "seed", int(seed))
-
-
-def number_field(doc: dict, key: str, source, default=None) -> float:
-    """Field ``key`` (``default`` when absent) as a float: a JSON number; a
-    DataFormatError naming ``source`` and the field otherwise."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"{source}: field {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def positive_number_field(doc: dict, key: str, source) -> float:
-    """Field ``key`` as a float above 0 and below infinity; a DataFormatError
-    naming ``source`` and the field otherwise (NaN and -1 included)."""
-    value = number_field(doc, key, source)
-    if not 0 < value < math.inf:
-        raise DataFormatError(f"{source}: field {key!r} must be a positive finite number")
-    return value
-
-
 def _float_field(doc: dict, key: str, shape: tuple, source) -> np.ndarray:
     """Field ``key`` as a float64 array of ``shape``, given nested or, for a
     matrix, as a flat list in row-major order."""
@@ -396,33 +353,21 @@ def save_instance(instance: PortfolioInstance, path) -> None:
 
 def load_instance(path) -> PortfolioInstance:
     doc = require_fields(_load_json(path), ("n", "return_mode"), path)
-    if doc["return_mode"] not in RETURN_MODES:
-        raise DataFormatError(
-            f"{path}: return_mode must be one of {RETURN_MODES}, got {doc['return_mode']!r}"
-        )
-    if doc["return_mode"] != "none" and "r_star" not in doc:
-        raise DataFormatError(f"{path}: missing field 'r_star'")
     universe = _universe_from_dict(doc, path)
-    n = int_field(doc, "n", path)
-    r_star = number_field(doc, "r_star", path, 0.0)
+    given = {key: doc[key] for key in ("n", "r_star", "return_mode") if key in doc}
     try:
-        return PortfolioInstance(
-            universe=universe,
-            n=n,
-            r_star=r_star,
-            return_mode=doc["return_mode"],
-        )
-    except (TypeError, ValueError) as exc:
+        instance = PortfolioInstance(universe=universe, **given)
+    except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    if instance.return_mode != "none" and "r_star" not in doc:
+        raise DataFormatError(f"{path}: missing field 'r_star'")
+    return instance
 
 
 def scale_returns(universe: AssetUniverse, factor: float) -> AssetUniverse:
     """Rescale mu by a positive factor (covariance untouched); used to shrink
     the slack-bit count of the inequality encoding."""
-    if not 0 < factor < math.inf:
-        raise ValueError(f"scale factor must be a positive finite number, got {factor}")
-    return AssetUniverse(
-        symbols=universe.symbols,
-        mu=universe.mu * factor,
-        sigma=universe.sigma,
-    )
+    factor = finite_number(factor, "positive", "scale factor")
+    with np.errstate(over="ignore"):  # the AssetUniverse names a non-finite mu
+        mu = universe.mu * factor
+    return AssetUniverse(symbols=universe.symbols, mu=mu, sigma=universe.sigma)

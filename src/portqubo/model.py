@@ -7,9 +7,9 @@ product mu'x. Everything here is encoding- and solver-agnostic.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -26,6 +26,52 @@ class ContractViolation(ValueError):
 def is_real(value) -> bool:
     """Whether ``value`` is a real number and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def whole_number(value, least: int, name: str) -> int:
+    """``value`` as an int: a real number, not a bool, with no fractional
+    part and of at least ``least``, so ``2.0`` is 2; a ValueError "<name>
+    must be a whole number of at least <least>, got <value>" otherwise."""
+    whole = is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    if not whole or value < least:
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
+
+
+def finite_number(value, sign: str, name: str) -> float:
+    """``value`` as a float: a finite real number, not a bool, that is above
+    0 for ``sign`` "positive" and at least 0 for "non-negative" (any sign
+    for ""); a ValueError "<name> must be a [<sign>] finite number, got
+    <value>" otherwise. An int too large for a float is not finite."""
+    finite = is_real(value) and abs(value) <= sys.float_info.max
+    if not finite or (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
+        rule = f"a {sign} finite number" if sign else "a finite number"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _read_fields(record, rule, bounds: dict) -> None:
+    """Set each field of the dataclass ``record`` named in ``bounds`` to
+    ``rule(value, bound, "<Type>: field '<name>'")``; a field whose default
+    is None may be None."""
+    defaults = {f.name: f.default for f in fields(record)}
+    for name, bound in bounds.items():
+        value = getattr(record, name)
+        if value is not None or defaults[name] is not None:
+            checked = rule(value, bound, f"{type(record).__name__}: field {name!r}")
+            object.__setattr__(record, name, checked)
+
+
+def read_counts(record, **least: int) -> None:
+    """Read each named field of ``record`` as a ``whole_number`` of at least
+    the given bound, as in ``read_counts(config, sweeps=1, seed=0)``."""
+    _read_fields(record, whole_number, least)
+
+
+def read_numbers(record, **sign: str) -> None:
+    """Read each named field of ``record`` as a ``finite_number`` of the
+    given sign, as in ``read_numbers(params, lambda0="positive")``."""
+    _read_fields(record, finite_number, sign)
 
 
 # the largest N at which a Cholesky factor proves the eigenvalue rule holds
@@ -115,19 +161,10 @@ class PortfolioInstance:
             raise ValueError(
                 f"return_mode must be one of {RETURN_MODES}, got {self.return_mode!r}"
             )
-        if not is_real(self.n) or self.n % 1:
-            raise ValueError(f"n must be a whole number, got {self.n!r}")
-        if not 1 <= self.n <= self.universe.n_assets:
-            raise ValueError(
-                f"n must be in [1, {self.universe.n_assets}], got {self.n}"
-            )
-        if not is_real(self.r_star):
-            raise ValueError(f"r_star must be a real number, got {self.r_star!r}")
-        r_star = float(self.r_star)
-        if not math.isfinite(r_star):
-            raise ValueError(f"r_star must be finite, got {r_star}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r_star", r_star)
+        read_counts(self, n=1)
+        if self.n > self.universe.n_assets:
+            raise ValueError(f"n must be in [1, {self.universe.n_assets}], got {self.n}")
+        read_numbers(self, r_star="")
 
     @property
     def n_assets(self) -> int:

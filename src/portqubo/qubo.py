@@ -26,6 +26,7 @@ from .model import (
     ContractViolation,
     PortfolioInstance,
     Solution,
+    read_numbers,
     return_margin,
     solution_from_bits,
 )
@@ -40,16 +41,10 @@ class PenaltyParams:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda0", "lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        read_numbers(self, lambda0="positive", lambda1="non-negative", lambda2="non-negative")
+        for name in ("lambda1", "lambda2"):
             # -0.0 -> +0.0: a zero penalty is no penalty
-            object.__setattr__(self, name, value + 0.0)
-        if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be nonnegative")
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -260,13 +255,13 @@ def build_qubo(
         representable = sum(weights)
         if max_surplus > representable:
             warnings.warn(
-                f"slack bits represent surpluses up to {representable}; the maximum "
+                f"slack bits represent surpluses up to {representable:g}; the maximum "
                 f"feasible surplus {max_surplus:g} exceeds that, so the return "
                 "residual is only bounded, not exactly cancelable",
                 stacklevel=2,
             )
     layout = VariableLayout(instance.n_assets, weights)
-    with np.errstate(over="ignore"):  # the QuboMatrix names a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):  # the QuboMatrix names a non-finite value
         upper = _risk(instance, params.lambda0, layout.dim)
         offset = _add_squared_linear(upper, np.ones(instance.n_assets), -instance.n, params.lambda1)
         a = np.append(mu, [-float(w) for w in weights])

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import positive_number_field, read_counts, read_seed
-from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, portfolio_returns
-from .model import portfolio_risks, return_margin, solution_from_bits
+from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, finite_number
+from .model import portfolio_returns, portfolio_risks, read_counts, return_margin
+from .model import solution_from_bits, whole_number
 from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
@@ -60,10 +60,7 @@ class AnnealConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        read_counts(self, "sweeps", "restarts")
-        read_seed(self)
-        if self.sweeps < 1 or self.restarts < 1:
-            raise ValueError("sweeps and restarts must be positive")
+        read_counts(self, sweeps=1, seed=0, restarts=1)
 
 
 @dataclass(frozen=True)
@@ -73,12 +70,7 @@ class TabuConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        read_counts(self, "max_iterations", "restarts")
-        read_seed(self)
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        read_counts(self, max_iterations=1, seed=0, restarts=1)
 
 
 # GA operators: tournament size, crossover probability per pair, elites kept
@@ -92,12 +84,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        read_counts(self, "population", "generations")
-        read_seed(self)
-        if self.population < 4 or self.population % 2:
-            raise ValueError("population must be an even integer of at least 4")
-        if self.generations < 1:
-            raise ValueError("generations must be positive")
+        read_counts(self, population=4, generations=1, seed=0)
+        if self.population % 2:
+            raise ValueError(f"GaConfig: field 'population' must be even, got {self.population}")
 
 
 class FlipEvaluator:
@@ -737,9 +726,9 @@ def make_solver(
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVER_NAMES)}")
     options = dict(options or {})
-    if options.get("time_limit_s") is not None:
-        positive_number_field(options, "time_limit_s", f"solver {name!r}")
     deadline_s = options.pop("time_limit_s", None)
+    if deadline_s is not None:
+        deadline_s = finite_number(deadline_s, "positive", f"solver {name!r}: field 'time_limit_s'")
     config_type = {"sa": AnnealConfig, "tabu": TabuConfig, "ga": GaConfig}.get(name)
     known = {f.name for f in fields(config_type)} - {"seed"} if config_type else set()
     for key in options:
@@ -750,11 +739,10 @@ def make_solver(
     def run(q, seed):
         # looked up per call, so a wrapper bound to these names later is called
         if config is None:
+            seed = whole_number(seed, 0, f"solver {name!r}: seed")
             t0 = time.perf_counter()
             bits, energy = solve_qubo_bruteforce(q)
-            result = SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
-            read_seed(result)
-            return result
+            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

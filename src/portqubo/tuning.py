@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PortfolioInstance, Solution, return_margin
+from .model import PortfolioInstance, Solution, return_margin, whole_number
 from .qubo import PenaltyParams, build_qubo, decode
 from .solvers import SolveResult
 
@@ -192,8 +192,7 @@ def grid_search(
         grid2 = default_grid(estimate_lambda2(instance))
     if not grid1 or not grid2:
         raise ValueError("grids must be nonempty")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    repeats = whole_number(repeats, 1, "repeats")
     cells = []
     for l1 in grid1:
         for l2 in grid2:

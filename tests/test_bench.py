@@ -512,6 +512,9 @@ def _write_plan(tmp_path, **overrides):
 
 
 _SYNTH = {"n_assets": 6, "seed": 1}
+_SEED = r"plan\.json: BenchPlan: a seed in field 'seeds' must be a whole number of at least 0, got "
+_REPEATS = r"plan\.json: BenchPlan: field 'grid_repeats' must be a whole number of at least 1, got "
+_LIMIT = r"plan\.json: BenchPlan: field 'time_limit_s' must be a positive finite number, got "
 
 
 class TestPlanFieldTypes:
@@ -524,22 +527,25 @@ class TestPlanFieldTypes:
             ({"instances": 5}, r"plan\.json: field 'instances'"),
             ({"solvers": "sa"}, r"plan\.json: field 'solvers'"),
             ({"seeds": 5}, r"plan\.json: field 'seeds'"),
-            ({"seeds": ["a"]}, r"plan\.json: field 'seeds'"),
-            ({"seeds": [1.5]}, r"plan\.json: field 'seeds'"),
-            ({"seeds": [-1, 0]}, r"plan\.json: field 'seeds' must hold non-negative integers, got -1$"),
-            ({"grid_repeats": "5"}, r"plan\.json: field 'grid_repeats'"),
-            ({"grid_repeats": 0}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
-            ({"grid_repeats": -1}, r"plan\.json: field 'grid_repeats' must be at least 1$"),
-            ({"time_limit_s": "x"}, r"plan\.json: field 'time_limit_s'"),
-            ({"time_limit_s": math.nan}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
-            ({"time_limit_s": -1}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
-            ({"time_limit_s": 0}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
-            ({"time_limit_s": math.inf}, r"plan\.json: field 'time_limit_s' must be a positive finite number$"),
+            ({"seeds": ["a"]}, _SEED + "'a'$"),
+            ({"seeds": [1.5]}, _SEED + "1.5$"),
+            ({"seeds": [-1, 0]}, _SEED + "-1$"),
+            ({"grid_repeats": "5"}, _REPEATS + "'5'$"),
+            ({"grid_repeats": 0}, _REPEATS + "0$"),
+            ({"grid_repeats": -1}, _REPEATS + "-1$"),
+            ({"time_limit_s": "x"}, _LIMIT + "'x'$"),
+            ({"time_limit_s": math.nan}, _LIMIT + "nan$"),
+            ({"time_limit_s": -1}, _LIMIT + "-1$"),
+            ({"time_limit_s": 0}, _LIMIT + "0$"),
+            ({"time_limit_s": math.inf}, _LIMIT + "inf$"),
             ({"external_results": 5}, r"plan\.json: field 'external_results'"),
-            ({"penalty_policy": {"lambda1": [1]}}, r"plan\.json: penalty_policy: field 'lambda1'"),
-            ({"penalty_policy": "foo"}, r"plan\.json: penalty_policy: 'foo' is not one of"),
-            ({"penalty_policy": 5}, r"plan\.json: penalty_policy: 5 is not one of"),
-            ({"penalty_policy": {"policy": 5}}, r"plan\.json: penalty_policy: 5 is not one of"),
+            ({"penalty_policy": {"lambda1": [1]}},
+             r"plan\.json: BenchPlan: field 'explicit_lambda1' must be a non-negative finite number, got \[1\]$"),
+            ({"penalty_policy": {"lambda2": -1}},
+             r"plan\.json: BenchPlan: field 'explicit_lambda2' must be a non-negative finite number, got -1$"),
+            ({"penalty_policy": "foo"}, r"plan\.json: unknown penalty policy 'foo'$"),
+            ({"penalty_policy": 5}, r"plan\.json: unknown penalty policy 5$"),
+            ({"penalty_policy": {"policy": 5}}, r"plan\.json: unknown penalty policy 5$"),
             ({"penalty_policy": {"policy": "explicit", "lamda1": 50}},
              r"plan\.json: penalty_policy: unknown key\(s\) 'lamda1'$"),
             ({"penalty_polcy": "explicit"}, r"plan\.json: unknown key\(s\) 'penalty_polcy'$"),
@@ -588,16 +594,24 @@ class TestPlanFieldTypes:
         with pytest.raises(DataFormatError, match=message):
             run_benchmark(plan)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
-    def test_seeds_of_a_plan_built_in_code_are_non_negative_integers(self, seed):
-        message = rf"^field 'seeds' must hold non-negative integers, got {re.escape(repr(seed))}$"
-        with pytest.raises(ValueError, match=message):
-            _plan(seeds=(0, seed))
-
-    @pytest.mark.parametrize("repeats", [0, -1])
-    def test_grid_repeats_of_a_plan_built_in_code_are_at_least_one(self, repeats):
-        with pytest.raises(ValueError, match=r"^field 'grid_repeats' must be at least 1$"):
-            _plan(penalty_policy="grid", grid_repeats=repeats)
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            *[("seeds", s, "a seed in field 'seeds' must be a whole number of at least 0")
+              for s in (-1, 1.5, True, "0")],
+            *[("grid_repeats", r, "field 'grid_repeats' must be a whole number of at least 1")
+              for r in (0, -1)],
+            # checked when the plan is built, not first when it runs
+            *[("time_limit_s", t, "field 'time_limit_s' must be a positive finite number")
+              for t in (-1, 0, math.nan, math.inf, "1", True)],
+            *[(k, v, f"field '{k}' must be a non-negative finite number")
+              for k in ("explicit_lambda1", "explicit_lambda2") for v in ("5", -1, math.inf, True)],
+        ],
+    )
+    def test_field_of_a_plan_built_in_code(self, name, value, rule):
+        fields = {name: (0, value) if name == "seeds" else value}
+        with pytest.raises(ValueError, match=rf"^BenchPlan: {rule}, got {re.escape(repr(value))}$"):
+            _plan(**fields)
 
     def test_seeds_of_a_plan_built_in_code_are_distinct(self):
         with pytest.raises(ValueError, match=r"^seeds must be distinct, got 3 more than once$"):

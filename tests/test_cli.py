@@ -141,7 +141,8 @@ def test_malformed_qubo_file_is_data_error(tmp_path, capsys, body, message):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_penalty_is_data_error(synth_instance, capsys, flag, value):
     assert cli_main(["solve", str(synth_instance), "--solver", "sa", flag, value]) == 2
-    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"PenaltyParams: field '{flag[2:]}' must be a non-negative finite number, got {value}" in err
 
 
 def test_ingest_make_instance_flow(tmp_path, capsys):
@@ -390,7 +391,16 @@ def test_plan_field_of_wrong_type_is_data_error(tmp_path, capsys, overrides, mes
     [
         ({"synthetic": _SYNTH, "n": 9}, "n must be in [1, 6], got 9"),
         ({"synthetic": _SYNTH, "n": 2, "return_mode": "most"}, "return_mode must be one of"),
-        ({"synthetic": {**_SYNTH, "n_assets": 0}, "n": 2}, "n_assets must be positive"),
+        ({"synthetic": {**_SYNTH, "n_assets": 0}, "n": 2},
+         "SyntheticSpec: field 'n_assets' must be a whole number of at least 1, got 0"),
+        ({"synthetic": {**_SYNTH, "return_range": [0, 1e309]}, "n": 2},
+         "SyntheticSpec: a bound of field 'return_range' must be a finite number, got inf\n"),
+        ({"synthetic": {**_SYNTH, "return_range": ["0", "10"]}, "n": 2},
+         "SyntheticSpec: a bound of field 'return_range' must be a finite number, got '0'\n"),
+        # finite bounds, but numpy's uniform cannot draw over high - low = inf
+        ({"synthetic": {**_SYNTH, "return_range": [-1e308, 1e308]}, "n": 2},
+         "SyntheticSpec: field 'return_range' must have low < high and a finite high - low, "
+         "got (-1e+308, 1e+308)\n"),
     ],
 )
 def test_plan_entry_the_model_rejects_is_named(tmp_path, capsys, entry, message):
@@ -481,7 +491,8 @@ def test_fractional_n_in_instance_file_is_data_error(diag_instance, capsys):
     doc["n"] = 1.7
     diag_instance.write_text(json.dumps(doc))
     assert cli_main(["solve", str(diag_instance), "--solver", "exact"]) == 2
-    assert f"{diag_instance}: field 'n'" in capsys.readouterr().err
+    message = "PortfolioInstance: field 'n' must be a whole number of at least 1, got 1.7"
+    assert f"{diag_instance}: {message}" in capsys.readouterr().err
 
 
 def test_sidecar_next_to_its_plan(tmp_path, capsys):
@@ -555,14 +566,13 @@ def test_markdown_report_of_external_only_instance(tmp_path, capsys):
         ["sweep", "--lambda1-from", "0", "--lambda1-to", "1", "--points"],
     ],
 )
-@pytest.mark.parametrize("value", ["0", "-2", "x"])
-def test_count_flag_below_one_is_usage_error(tmp_path, capsys, argv, value):
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("-2", "'-2'"), ("x", "'x'")])
+def test_count_flag_below_one_is_usage_error(tmp_path, capsys, argv, value, shown):
     command, *options = argv
     missing = tmp_path / "missing.json"  # a usage error is raised before any file is read
     assert cli_main([command, str(missing), *options, value]) == 1
     err = capsys.readouterr().err
-    assert f"error: argument {options[-1]}: must be a whole number of at least 1" in err
-    assert f"got {value!r}" in err
+    assert f"error: argument {options[-1]}: must be a whole number of at least 1, got {shown}\n" in err
 
 
 @pytest.mark.parametrize(
@@ -588,6 +598,31 @@ def test_build_overflow_is_named_without_a_warning(synth_instance, tmp_path, cap
     # the penalty terms overflow; the QUBO names the fault and numpy warns of nothing
     assert cli_main(["build", str(synth_instance), "--lambda1", "1e308", "-o", str(tmp_path / "q")]) == 2
     assert capsys.readouterr().err == "error: QUBO offset must be finite, got inf\n"
+
+
+@pytest.fixture
+def huge_mu_instance(tmp_path):
+    """An at_least instance whose returns sum to inf - inf in the return penalty."""
+    from portqubo import AssetUniverse
+
+    universe = AssetUniverse(tuple("ABCDEF"), [1e308, -1e308, 1e308, 0.0, 0.0, 0.0], np.eye(6))
+    path = tmp_path / "huge.json"
+    save_instance(PortfolioInstance(universe, n=2, r_star=1.0, return_mode="at_least"), path)
+    return path
+
+
+def test_return_penalty_nan_is_named_without_a_numpy_warning(huge_mu_instance, tmp_path, capsys):
+    argv = ["build", str(huge_mu_instance), "--lambda1", "1", "--lambda2", "1", "-o", str(tmp_path / "q")]
+    # 1023 slack bits represent 2^1023 - 1, written short
+    with pytest.warns(UserWarning, match=r"surpluses up to 8\.98847e\+307; "):
+        assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: QUBO coefficient (0, 0) must be finite, got nan\n"
+
+
+def test_scaled_mu_overflow_is_named_without_a_numpy_warning(huge_mu_instance, tmp_path, capsys):
+    argv = ["make-instance", str(huge_mu_instance), "--n", "1", "--scale-mu", "1e307"]
+    assert cli_main([*argv, "-o", str(tmp_path / "scaled.json")]) == 2
+    assert capsys.readouterr().err == "error: mu has non-finite entries\n"
 
 
 @pytest.fixture

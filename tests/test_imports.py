@@ -37,3 +37,24 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport numpy as np\nfrom math import inf, pi\nprint(np.pi, inf)\n"
     assert _unused_imports(source) == ["line 1: os", "line 3: pi"]
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that the module at `path` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        # the number rules every record applies sit at the bottom of the graph
+        ("model", set()),
+        ("solvers", {"model", "qubo"}),
+    ],
+)
+def test_module_imports_only_the_layers_below_it(module, allowed):
+    assert _package_imports(_ROOT / "src" / "portqubo" / f"{module}.py") <= allowed

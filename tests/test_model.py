@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from portqubo import (
     solution_from_bits,
     solve_exhaustive_subsets,
 )
-from portqubo.model import RETURN_MODES, portfolio_returns, portfolio_risks
+from portqubo.model import RETURN_MODES, finite_number, portfolio_returns, portfolio_risks
+from portqubo.model import whole_number
 
 from conftest import (
     naive_return,
@@ -287,11 +290,51 @@ def test_instance_accepts_whole_n(n):
 
 @pytest.mark.parametrize("bad", ["1.5", True, np.bool_(True), None, [1.0]])
 def test_instance_rejects_r_star_that_is_not_a_real_number(bad):
-    with pytest.raises(ValueError, match="r_star must be a real number"):
+    with pytest.raises(ValueError, match="^PortfolioInstance: field 'r_star' must be a finite number, got "):
         PortfolioInstance(_universe([1.0, 2.0], np.eye(2)), n=1, r_star=bad, return_mode="at_least")
 
 
-@pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), "2", np.nan, np.inf, None])
+@pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), "2", np.nan, np.inf, None, 0, -1])
 def test_instance_rejects_n_that_is_not_whole(bad):
-    with pytest.raises(ValueError, match="n must be a whole number"):
+    message = "^PortfolioInstance: field 'n' must be a whole number of at least 1, got "
+    with pytest.raises(ValueError, match=message):
         PortfolioInstance(_universe([1.0, 2.0, 3.0], np.eye(3)), n=bad)
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize(
+        "value, expected", [(3, 3), (3.0, 3), (np.int64(3), 3), (np.float64(3.0), 3), (2**70, 2**70)]
+    )
+    def test_whole_number_reads_an_int(self, value, expected):
+        got = whole_number(value, 0, "k")
+        assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [1.5, True, False, np.bool_(True), "3", None, [3], np.inf, np.float64(np.inf), np.nan, -1]
+    )
+    def test_whole_number_rejects_everything_else(self, value):
+        message = rf"^k must be a whole number of at least 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            whole_number(value, 0, "k")
+
+    @pytest.mark.parametrize(
+        "value, sign, expected",
+        [(2, "", 2.0), (-1.5, "", -1.5), (0, "non-negative", 0.0), (np.float64(0.5), "positive", 0.5)],
+    )
+    def test_finite_number_reads_a_float(self, value, sign, expected):
+        got = finite_number(value, sign, "k")
+        assert got == expected and type(got) is float
+
+    @pytest.mark.parametrize(
+        "value, sign",
+        [
+            *[(v, "") for v in (True, "1.5", None, [1.0], {}, np.nan, np.inf, -np.inf, 10**400)],
+            (-1e-300, "non-negative"),
+            (0, "positive"),
+            (-0.0, "positive"),
+        ],
+    )
+    def test_finite_number_rejects_everything_else(self, value, sign):
+        rule = f"a {sign} finite number" if sign else "a finite number"
+        with pytest.raises(ValueError, match=rf"^k must be {rule}, got {re.escape(repr(value))}$"):
+            finite_number(value, sign, "k")

@@ -598,7 +598,8 @@ class TestValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_penalty_params_reject_non_finite(self, name, value):
         values = {"lambda0": 1.0, "lambda1": 0.0, "lambda2": 0.0, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sign = "positive" if name == "lambda0" else "non-negative"
+        with pytest.raises(ValueError, match=f"^PenaltyParams: field '{name}' must be a {sign} finite number"):
             PenaltyParams(**values)
 
     def test_penalty_params_validation(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,7 +205,7 @@ class TestLambdaSweep:
     def test_negative_seed_gives_error_rows(self, name, options):
         points = lambda_sweep(_sweep_instance(), make_solver(name, options), [0.0, 1.0], seed=-1)
         assert [p.seed for p in points] == [-1, -1]
-        assert all(p.error.endswith("field 'seed' must be a non-negative integer, got -1") for p in points)
+        assert all(re.search(r"\bseed\b.* must be a whole number of at least 0, got -1$", p.error) for p in points)
 
     def test_output_order_matches_input(self):
         inst = _sweep_instance()
@@ -230,6 +232,12 @@ class TestGridSearch:
         assert best.lambda1 == l1
         assert len(cells) == 1
         assert feasible
+
+    @pytest.mark.parametrize("repeats", [0, 1.5, True, "2"])
+    def test_repeats_not_a_whole_number_of_at_least_one_rejected(self, repeats):
+        message = rf"^repeats must be a whole number of at least 1, got {re.escape(repr(repeats))}$"
+        with pytest.raises(ValueError, match=message):
+            grid_search(_sweep_instance(), make_solver("exact"), [1.0], [0.0], repeats=repeats)
 
     def test_prefers_feasible_cell(self):
         inst = _sweep_instance()
