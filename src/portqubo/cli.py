@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     # flag groups that several commands share
     instance_flags = _Parser(add_help=False)
     instance_flags.add_argument("--n", type=int, required=True)
-    instance_flags.add_argument("--r-star", type=float, default=0.0)
+    instance_flags.add_argument("--r-star", type=float, default=None)
     instance_flags.add_argument("--mode", choices=RETURN_MODES, default="none")
     instance_flags.add_argument("-o", "--output", required=True)
     penalty_flags = _Parser(add_help=False)

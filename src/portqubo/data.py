@@ -356,12 +356,9 @@ def load_instance(path) -> PortfolioInstance:
     universe = _universe_from_dict(doc, path)
     given = {key: doc[key] for key in ("n", "r_star", "return_mode") if key in doc}
     try:
-        instance = PortfolioInstance(universe=universe, **given)
+        return PortfolioInstance(universe=universe, **given)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    if instance.return_mode != "none" and "r_star" not in doc:
-        raise DataFormatError(f"{path}: missing field 'r_star'")
-    return instance
 
 
 def scale_returns(universe: AssetUniverse, factor: float) -> AssetUniverse:

@@ -148,12 +148,13 @@ class AssetUniverse:
 
 @dataclass(frozen=True)
 class PortfolioInstance:
-    """A selection problem over a universe: pick exactly ``n`` assets, with an
-    optional return target ``r_star`` interpreted per ``return_mode``."""
+    """A selection problem over a universe: pick exactly ``n`` assets, with a
+    return target ``r_star`` interpreted per ``return_mode``: required under
+    at_least and equality, 0.0 when not given under none."""
 
     universe: AssetUniverse
     n: int
-    r_star: float = 0.0
+    r_star: float | None = None
     return_mode: str = "none"
 
     def __post_init__(self):
@@ -161,6 +162,13 @@ class PortfolioInstance:
             raise ValueError(
                 f"return_mode must be one of {RETURN_MODES}, got {self.return_mode!r}"
             )
+        if self.r_star is None:  # not given: a target only the return modes need
+            if self.return_mode != "none":
+                raise ValueError(
+                    "PortfolioInstance: field 'r_star' must be a finite number, got no "
+                    f"value (return_mode {self.return_mode!r} needs a return target)"
+                )
+            object.__setattr__(self, "r_star", 0.0)
         read_counts(self, n=1)
         if self.n > self.universe.n_assets:
             raise ValueError(f"n must be in [1, {self.universe.n_assets}], got {self.n}")
@@ -215,6 +223,18 @@ def return_margin(instance: PortfolioInstance, returns) -> np.ndarray | float:
     return EQUALITY_RETURN_TOL - np.abs(returns - instance.r_star)
 
 
+def bit_vector(x, length: int, what: str) -> np.ndarray:
+    """``x`` as a new 1-D float64 array of ``length`` 0s and 1s; a
+    ContractViolation "bit vector shape <shape> does not match <what>
+    <length>" or "bit vector entries must be 0 or 1" otherwise."""
+    bits = np.asarray(x)
+    if bits.shape != (length,):
+        raise ContractViolation(f"bit vector shape {bits.shape} does not match {what} {length}")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ContractViolation("bit vector entries must be 0 or 1")
+    return bits.astype(np.float64)
+
+
 def solution_from_bits(
     instance: PortfolioInstance,
     x,
@@ -223,16 +243,7 @@ def solution_from_bits(
 ) -> Solution:
     """Build a Solution with risk/return/feasibility recomputed from ``x``,
     its bits checked and its return summed once."""
-    bits = np.asarray(x)
-    if bits.ndim != 1:
-        raise ContractViolation(f"bit vector must be 1-D, got shape {bits.shape}")
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ContractViolation("bit vector entries must be 0 or 1")
-    if bits.size != instance.n_assets:
-        raise ContractViolation(
-            f"bit vector length {bits.size} does not match N={instance.n_assets}"
-        )
-    bits = bits.astype(np.float64)
+    bits = bit_vector(x, instance.n_assets, "asset count")
     ret = float(portfolio_returns(instance.universe.mu, bits[None])[0])
     risk = float(portfolio_risks(instance.universe.sigma, bits[None])[0])
     cardinality = int(round(bits.sum()))

@@ -26,6 +26,7 @@ from .model import (
     ContractViolation,
     PortfolioInstance,
     Solution,
+    bit_vector,
     read_numbers,
     return_margin,
     solution_from_bits,
@@ -271,12 +272,7 @@ def build_qubo(
 
 def qubo_energy(q: QuboMatrix, x) -> float:
     """offset + sum of Q_ij x_i x_j (diagonal terms use x_i since x_i^2 = x_i)."""
-    bits = np.asarray(x)
-    if bits.shape != (q.dim,):
-        raise ContractViolation(f"bit vector shape {bits.shape} does not match QUBO dim {q.dim}")
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ContractViolation("bit vector entries must be 0 or 1")
-    chosen = np.flatnonzero(bits)
+    chosen = np.flatnonzero(bit_vector(x, q.dim, "QUBO dim"))
     return float(q.offset + q.upper[np.ix_(chosen, chosen)].sum())
 
 
@@ -314,9 +310,7 @@ def decode(
     energy: float | None = None,
 ) -> Solution:
     """Split QUBO bits into asset and slack parts and rebuild all metrics."""
-    arr = np.asarray(bits)
-    if arr.shape != (layout.dim,):
-        raise ContractViolation(f"bit vector shape {arr.shape} does not match layout dim {layout.dim}")
+    arr = bit_vector(bits, layout.dim, "layout dim")
     x, y = arr[: layout.n_assets], arr[layout.n_assets :]
     if not layout.n_slack:
         return solution_from_bits(instance, x, energy=energy)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, finite_number
 from .model import portfolio_returns, portfolio_risks, read_counts, return_margin
-from .model import solution_from_bits, whole_number
+from .model import bit_vector, solution_from_bits, whole_number
 from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
@@ -108,10 +108,8 @@ class FlipEvaluator:
         self.reset(bits)
 
     def reset(self, bits=None) -> None:
-        """Start again from `bits` (all zeros when None)."""
-        if bits is None:
-            bits = np.zeros(self.dim)
-        self.x = np.asarray(bits, dtype=np.float64).copy()
+        """Start again from `bits` (all zeros when None), checked by `bit_vector`."""
+        self.x = np.zeros(self.dim) if bits is None else bit_vector(bits, self.dim, "QUBO dim")
         self._signs = 1.0 - 2.0 * self.x
         self.fields = self.coupling @ self.x
         self.energy = float(

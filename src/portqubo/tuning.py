@@ -113,7 +113,7 @@ def estimate_lambda2(instance: PortfolioInstance) -> float:
     (max - min)/(n - 1); A2 is the mean strictly positive pairwise return
     difference among the same assets. Returns 0 when return_mode is 'none',
     when n < 2 (where A1 is undefined) or when the selected returns carry no
-    spread.
+    spread; a ValueError naming the assets when their differences overflow.
     """
     if instance.return_mode == "none" or instance.n < 2:
         return 0.0
@@ -122,14 +122,14 @@ def estimate_lambda2(instance: PortfolioInstance) -> float:
     s_sel = np.sort(sums[chosen])
     a1 = float((s_sel[-1] - s_sel[0]) / (instance.n - 1))
     mu_sel = instance.universe.mu[chosen]
-    pair_diffs = mu_sel[:, None] - mu_sel[None, :]
-    positive = pair_diffs[pair_diffs > 0]
-    if positive.size == 0:
-        return 0.0
-    a2 = float(positive.mean())
-    if a2 == 0.0:
-        return 0.0
-    return a1 / a2
+    with np.errstate(over="ignore"):  # named below
+        pair_diffs = mu_sel[:, None] - mu_sel[None, :]
+        positive = pair_diffs[pair_diffs > 0]
+        a2 = float(positive.mean()) if positive.size else 0.0
+    if math.isinf(a2):
+        symbols = ", ".join(instance.universe.symbols[i] for i in chosen)
+        raise ValueError(f"estimate_lambda2: the return differences of assets {symbols} overflow")
+    return a1 / a2 if a2 else 0.0
 
 
 def lambda_sweep(

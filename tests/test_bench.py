@@ -192,6 +192,21 @@ class TestRunBenchmark:
         assert len(ok) == 2 + 1 and not any(r.error for r in ok)
         assert [s.instance for s in report.summaries] == ["a-unreachable", "b-reachable"]
 
+    def test_failed_estimate_recorded_in_its_rows(self, tmp_path):
+        # the first three assets are chosen, and 1e308 - -1e308 overflows
+        universe = AssetUniverse(tuple("ABCDEF"), [1e308, -1e308, 0.0, 0.0, 0.0, 0.0], np.eye(6))
+        path = tmp_path / "huge.json"
+        save_instance(PortfolioInstance(universe, n=3, r_star=0.0, return_mode="at_least"), path)
+        plan = _plan(
+            instances=(str(path),),
+            solvers=({"name": "tabu", "id": "tabu", "options": {"max_iterations": 20}},),
+            seeds=(0, 1),
+        )
+        rows = [r for r in run_benchmark(plan).rows if r.solver == "tabu"]
+        assert [r.seed for r in rows] == [0, 1]
+        message = "estimate_lambda2: the return differences of assets A, B, C overflow"
+        assert all(r.error == message and math.isnan(r.lambda2) for r in rows)
+
     @pytest.mark.parametrize("policy", ["estimate", "grid"])
     def test_penalty_policy_estimates_once_per_instance(self, monkeypatch, policy):
         estimated = []

@@ -619,6 +619,15 @@ def test_return_penalty_nan_is_named_without_a_numpy_warning(huge_mu_instance, t
     assert capsys.readouterr().err == "error: QUBO coefficient (0, 0) must be finite, got nan\n"
 
 
+def test_return_difference_overflow_in_the_estimate_is_named(huge_mu_instance, tmp_path, capsys):
+    # the estimate read 0 and dropped the return penalty after a numpy warning
+    argv = ["build", str(huge_mu_instance), "--estimate", "-o", str(tmp_path / "q")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: estimate_lambda2: the return differences of assets A, B overflow\n"
+    assert not (tmp_path / "q").exists()
+
+
 def test_scaled_mu_overflow_is_named_without_a_numpy_warning(huge_mu_instance, tmp_path, capsys):
     argv = ["make-instance", str(huge_mu_instance), "--n", "1", "--scale-mu", "1e307"]
     assert cli_main([*argv, "-o", str(tmp_path / "scaled.json")]) == 2

@@ -134,6 +134,16 @@ class TestEstimateLambda2:
             )
             assert estimate_lambda2(inst) == 0.0
 
+    @pytest.mark.parametrize(
+        "mu", [[1e308, -1e308, 1e308, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0, 0.0, 0.0]],
+        ids=["difference", "sum-of-differences"],
+    )
+    def test_overflow_is_named(self, mu):
+        # each asset's row sum ties, so the first three are chosen
+        inst = PortfolioInstance(_universe(mu, np.eye(6)), n=3, r_star=0.0, return_mode="at_least")
+        with pytest.raises(ValueError, match=r"^estimate_lambda2: the return differences of assets A0, A1, A2 overflow$"):
+            estimate_lambda2(inst)
+
     def test_invariant_under_return_shift(self, rng):
         for _ in range(10):
             inst = random_instance(rng, 8, mode="at_least")
