@@ -68,6 +68,18 @@ MAX_QUBO_DIM = 8192
 """Largest dim a QuboMatrix accepts; its dense array then takes 512 MiB."""
 
 
+MAX_QUBO_MAGNITUDE = 2.0**1016
+"""Largest sum of |coefficient| over a QuboMatrix plus its |offset| (about
+7.0e305). Every energy and every flip gain is a signed subset sum of those
+terms, so none exceeds it in magnitude; x'Wx over the symmetric coupling
+counts each off-diagonal term twice, and SA's 100-sample mean |dE| sums 100
+gains first, so every sum stays below 2^1023, the float64 range, with room
+for rounding."""
+
+# elements of `upper` per block of the magnitude sum: no copy of the whole array
+_MAGNITUDE_BLOCK_ELEMENTS = 1 << 16
+
+
 def _check_dim(dim: int) -> None:
     """Checks dim against MAX_QUBO_DIM so a file header cannot ask for more
     memory than the bound allows."""
@@ -89,7 +101,10 @@ class QuboMatrix:
     ``upper`` is a read-only dim x dim float64 array, zero below the
     diagonal. The constructor takes the coefficients as a dict keyed by
     integer (i, j) with i <= j and rejects any that is not finite, as it
-    does a non-finite offset; ``coeffs`` gives the nonzero ones back in
+    does a non-finite offset. Every reader, ``build_qubo`` and the
+    constructor also reject a QUBO whose sum of |coefficient| plus |offset|
+    exceeds ``MAX_QUBO_MAGNITUDE``, so no energy, flip gain or SA
+    temperature estimate overflows. ``coeffs`` gives the nonzero ones back in
     row-major order. The offset carries the constant terms dropped from the
     quadratic expansion so energies stay comparable across encodings.
     """
@@ -119,9 +134,19 @@ class QuboMatrix:
         offset = float(offset)
         if not math.isfinite(offset):
             raise ValueError(f"QUBO offset must be finite, got {offset}")
-        if not np.isfinite(upper).all():
-            i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
-            raise ValueError(f"QUBO coefficient ({i}, {j}) must be finite, got {upper[i, j]}")
+        rows = max(1, _MAGNITUDE_BLOCK_ELEMENTS // len(upper))
+        with np.errstate(over="ignore"):
+            magnitude = abs(offset) + float(
+                sum(np.abs(upper[r : r + rows]).sum() for r in range(0, len(upper), rows))
+            )
+        if not magnitude <= MAX_QUBO_MAGNITUDE:  # NaN and inf too
+            if not np.isfinite(upper).all():
+                i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
+                raise ValueError(f"QUBO coefficient ({i}, {j}) must be finite, got {upper[i, j]}")
+            raise ValueError(
+                f"QUBO |coefficient| sum plus |offset| is {magnitude:.6g}, above "
+                "MAX_QUBO_MAGNITUDE = 2^1016 (about 7.02e305): energies could overflow"
+            )
         upper += 0.0  # -0.0 -> +0.0: a zero coefficient is no coefficient
         upper.setflags(write=False)
         object.__setattr__(self, "dim", upper.shape[0])
@@ -380,9 +405,11 @@ def read_qubo(path) -> QuboMatrix:
     """Read the text QUBO format written by :func:`write_qubo`: lines that
     are blank or start with `c` are skipped, one `p qubo <dim> <nnz>
     <offset>` line comes before exactly nnz `i j value` lines, with
-    0 <= i <= j < dim, no `i j` pair twice and only finite numbers. Any
+    0 <= i <= j < dim, no `i j` pair twice and only finite numbers, whose
+    magnitudes with the offset's sum to at most `MAX_QUBO_MAGNITUDE`. Any
     other file raises a ValueError naming `path:line` of its first fault in
-    file order (only a missing problem line names no line).
+    file order (only a missing problem line or a sum above the bound names
+    no line).
 
     A well-formed file is parsed by numpy's C tokenizer; the line reader,
     the plain reference that names faults, reads any other file."""
@@ -465,4 +492,7 @@ def _read_qubo_lines(path) -> QuboMatrix:
             f"{path}:{problem_lineno}: problem line declares {nnz} coefficients, "
             f"file has {len(coeffs)}"
         )
-    return QuboMatrix(dim, coeffs, offset)
+    try:
+        return QuboMatrix(dim, coeffs, offset)
+    except ValueError as exc:  # the magnitude rule: a fault of no one line
+        raise ValueError(f"{path}: {exc}") from None

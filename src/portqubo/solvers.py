@@ -95,7 +95,8 @@ class FlipEvaluator:
     Maintains local fields f_i = sum_j W_ij x_j so a flip's energy change and
     the running energy stay O(dim) per move instead of O(dim^2), and the flip
     signs s_i = 1 - 2 x_i (exactly +-1.0), so the gain of bit i is
-    s_i * (d_i + f_i).
+    s_i * (d_i + f_i). Tabu search builds and resets its state here and
+    runs `all_gains` and `flip` inline on these buffers.
     """
 
     def __init__(self, q: QuboMatrix, bits=None):
@@ -183,8 +184,9 @@ def solve_sa(
 
     Per restart `rng.integers(0, 2, size=dim)` draws the start; per sweep
     `rng.shuffle` of the list 0..dim-1 draws the site order and
-    `rng.standard_exponential(dim)` the thresholds, the streams of
-    `rng.permutation(dim)` and `rng.exponential(size=dim)`. Site k flips when
+    `rng.standard_exponential(out=)`, into one buffer of dim floats, the
+    thresholds: the streams of `rng.permutation(dim)` and
+    `rng.exponential(size=dim)`. Site k flips when
     its gain is <= 0 or beta * gain < threshold k. The state, and the best
     one, are kept as flip signs s_i = 1 - 2 x_i (exactly +-1.0), so bit i's
     gain is s_i * (d_i + f_i) and "bits lexicographically smaller" is "signs
@@ -203,6 +205,8 @@ def solve_sa(
     best_s: list[float] | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
+    shuffle, exponential = rng.shuffle, rng.standard_exponential
+    thresholds = np.empty(dim)
     for _ in range(config.restarts):
         x = rng.integers(0, 2, size=dim).astype(np.float64)
         fields = coupling @ x
@@ -215,20 +219,23 @@ def solve_sa(
             trace.append((evaluations, best_energy))
         for beta in betas:
             perm = sites.copy()
-            rng.shuffle(perm)
-            thresholds = rng.standard_exponential(dim).tolist()
-            for k, i in enumerate(perm):
+            shuffle(perm)
+            for i, threshold in zip(perm, exponential(out=thresholds).tolist()):
                 s = sg[i]
                 gain = s * (d[i] + field[i])
-                if gain <= 0.0 or beta * gain < thresholds[k]:
+                if gain <= 0.0 or beta * gain < threshold:
                     sg[i] = -s
                     energy += gain
-                    (add if s > 0.0 else subtract)(fields, rows[i], fields)
-                    if energy < best_energy:
-                        best_energy, best_s = energy, sg.copy()
-                        trace.append((evaluations + k + 1, best_energy))
-                    elif energy == best_energy and sg > best_s:
-                        best_s = sg.copy()
+                    if s > 0.0:
+                        add(fields, rows[i], fields)
+                    else:
+                        subtract(fields, rows[i], fields)
+                    if energy <= best_energy:
+                        if energy < best_energy:
+                            best_energy, best_s = energy, sg.copy()
+                            trace.append((evaluations + perm.index(i) + 1, best_energy))
+                        elif sg > best_s:
+                            best_s = sg.copy()
             evaluations += dim
             if deadline is not None and time.perf_counter() > deadline:
                 break
@@ -263,12 +270,15 @@ def solve_tabu(
       tabu bits and 0.0 on the rest, unless that least is +inf: then every
       bit is tabu, and i is the move.
 
-    This equals masking the gains of inadmissible moves with +inf provided
-    every gain is finite, which finite QUBO coefficients (QuboMatrix rejects
-    any other) give unless a sum overflows; with finite gains the least of
-    g + blocked is +inf exactly when every bit is tabu. `blocked` is
-    maintained: a bit is set each time it is flipped and cleared when its
-    last flip leaves the window of the last tenure moves.
+    This equals masking the gains of inadmissible moves with +inf because
+    every gain is finite (QuboMatrix bounds the sum of its coefficients'
+    magnitudes), so the least of g + blocked is +inf exactly when every bit
+    is tabu. `blocked` is maintained: a bit is set each time it is flipped
+    and cleared when its last flip leaves the window of the last tenure
+    moves.
+
+    Each restart binds the `FlipEvaluator`'s buffers to locals and runs its
+    gain update and flip inline, bitwise as `all_gains` and `flip` do.
 
     The first restart draws nothing from the RNG, so its outcome depends only
     on the QUBO and `max_iterations`. Without a deadline it is run once per
@@ -312,42 +322,54 @@ def _tabu_restart(
     best_energy, best_x, trace, evaluations = best
     dim = state.dim
     tenure = max(7, dim // 10)
-    if state.energy < best_energy:
-        best_energy, best_x = state.energy, state.x.tolist()
+    energy = state.energy
+    if energy < best_energy:
+        best_energy, best_x = energy, state.x.tolist()
         trace.append((evaluations, best_energy))
+    # the evaluator's buffers, updated in place as `all_gains` and `flip` do
+    diag, fields, signs, gains, x = state.diag, state.fields, state._signs, state._gains, state.x
+    xv, sv, fv, rows, d = state._x, state._s, state._f, state._rows, state._d
+    add, subtract, multiply, inf = np.add, np.subtract, np.multiply, math.inf
     # bit j is tabu at `step` while tabu_until[j] >= step
     tabu_until = [0] * dim
     blocked = np.zeros(dim)
+    block = memoryview(blocked)
     recent: deque[int] = deque()
     for step in range(1, max_iterations + 1):
         if len(recent) > tenure:
             e = recent.popleft()
             if tabu_until[e] < step:
-                blocked[e] = 0.0
-        gains = state.all_gains()
+                block[e] = 0.0
+        multiply(add(diag, fields, gains), signs, gains)
         evaluations += dim
         i = int(gains.argmin())
-        if tabu_until[i] >= step and not gains.item(i) + state.energy < best_energy:
-            j = int(np.add(gains, blocked, gains).argmin())
-            i = j if gains.item(j) < math.inf else i
-        energy = state.flip(i)
-        blocked[i] = math.inf
+        if tabu_until[i] >= step and not gains.item(i) + energy < best_energy:
+            j = int(add(gains, blocked, gains).argmin())
+            if gains.item(j) < inf:
+                i = j
+        s = sv[i]
+        energy += s * (d[i] + fv[i])
+        xv[i] += s
+        sv[i] = -s
+        if s > 0.0:
+            add(fields, rows[i], fields)
+        else:
+            subtract(fields, rows[i], fields)
+        block[i] = inf
         tabu_until[i] = step + tenure
         recent.append(i)
-        if energy < best_energy:
-            best_energy, best_x = energy, state.x.tolist()
-            trace.append((evaluations, best_energy))
-        elif energy == best_energy:
-            x = state.x.tolist()
-            if x < best_x:
-                best_x = x
+        if energy <= best_energy:
+            if energy < best_energy:
+                best_energy, best_x = energy, x.tolist()
+                trace.append((evaluations, best_energy))
+            else:
+                bits = x.tolist()
+                if bits < best_x:
+                    best_x = bits
         if deadline is not None and time.perf_counter() > deadline:
             break
+    state.energy = energy
     return best_energy, best_x, trace, evaluations
-
-
-def _population_energies(pop: np.ndarray, upper: np.ndarray, offset: float) -> np.ndarray:
-    return ((pop @ upper) * pop).sum(axis=1) + offset
 
 
 def solve_ga(
@@ -358,47 +380,60 @@ def solve_ga(
 
     The population is a bool array and each generation is built in place in
     the gathered parents: a crossing pair exchanges the bits where its mask
-    is 0 and the two differ, and mutation XORs the mutation mask."""
+    is 0 and the two differ, and mutation XORs the mutation mask. Energies
+    are ((pop @ U) * pop).sum(axis=1) + offset, computed into buffers
+    allocated once per call."""
     t0 = time.perf_counter()
     dim = q.dim
     pop_size = config.population
     rng = np.random.default_rng(config.seed)
-    upper = q.upper
+    upper, offset = q.upper, q.offset
+    values = np.empty((pop_size, dim))
+    products = np.empty((pop_size, dim))
+    energies = np.empty(pop_size)
+
+    def evaluate(pop: np.ndarray) -> None:
+        np.copyto(values, pop)
+        np.matmul(values, upper, out=products)
+        np.multiply(products, values, out=products)
+        np.add.reduce(products, axis=1, out=energies)
+        np.add(energies, offset, out=energies)
+
     pop = rng.integers(0, 2, size=(pop_size, dim)) == 1
-    values = pop.astype(np.float64)
-    energies = _population_energies(values, upper, q.offset)
+    evaluate(pop)
     evaluations = pop_size
-    best_idx = int(np.argmin(energies))
-    best_energy = float(energies[best_idx])
+    best_idx = int(energies.argmin())
+    best_energy = energies.item(best_idx)
     best_x = values[best_idx].tolist()
     trace: list[tuple[int, float]] = [(evaluations, best_energy)]
     half = pop_size // 2
+    # flat index of row r's first contender in the (pop_size, tournament) draws
+    row_starts = np.arange(0, pop_size * _GA_TOURNAMENT, _GA_TOURNAMENT)
+    rate = 1.0 / dim
     for _ in range(config.generations):
-        elite_order = np.argsort(energies, kind="stable")[:_GA_ELITES]
+        elite_order = energies.argsort(kind="stable")[:_GA_ELITES]
         contenders = rng.integers(0, pop_size, size=(pop_size, _GA_TOURNAMENT))
-        winners = contenders[
-            np.arange(pop_size), np.argmin(energies[contenders], axis=1)
-        ]
-        children = pop[winners]
-        mothers, fathers = children[0::2], children[1::2]
+        picks = energies.take(contenders).argmin(axis=1)
+        children = pop.take(contenders.take(picks + row_starts), axis=0)
+        # pair p is rows 2p (mother) and 2p + 1 (father)
+        pairs = children.reshape(half, 2, dim)
         do_cross = rng.random(half) < _GA_CROSSOVER
         swap = rng.integers(0, 2, size=(half, dim)) == 0
         swap &= do_cross[:, None]
-        swap &= mothers ^ fathers
-        mothers ^= swap
-        fathers ^= swap
-        children ^= rng.random((pop_size, dim)) < 1.0 / dim
-        children[:_GA_ELITES] = pop[elite_order]
+        swap &= pairs[:, 0] ^ pairs[:, 1]
+        pairs ^= swap[:, None]
+        children ^= rng.random((pop_size, dim)) < rate
+        children[:_GA_ELITES] = pop.take(elite_order, axis=0)
         pop = children
-        values = pop.astype(np.float64)
-        energies = _population_energies(values, upper, q.offset)
+        evaluate(pop)
         evaluations += pop_size
-        gen_best = int(np.argmin(energies))
-        if energies[gen_best] < best_energy:
-            best_energy = float(energies[gen_best])
+        gen_best = int(energies.argmin())
+        energy = energies.item(gen_best)
+        if energy < best_energy:
+            best_energy = energy
             best_x = values[gen_best].tolist()
             trace.append((evaluations, best_energy))
-        elif energies[gen_best] == best_energy:
+        elif energy == best_energy:
             x = values[gen_best].tolist()
             if x < best_x:
                 best_x = x

@@ -121,6 +121,28 @@ def test_non_finite_qubo_file_is_data_error(tmp_path, capsys, body):
     assert "that.qubo:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["sa", "tabu", "ga"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "p qubo 2 3 0\n0 0 1e308\n0 1 1e308\n1 1 1e308\n",
+        "p qubo 3 3 0\n0 0 1e308\n1 1 1e308\n2 2 -1\n",
+    ],
+)
+def test_qubo_file_whose_energies_overflow_is_data_error(tmp_path, capsys, solver, body):
+    # finite coefficients whose magnitudes sum to inf, so SA's temperature
+    # estimate, and energies and gains in general, could overflow
+    path = tmp_path / "huge.qubo"
+    path.write_text(body)
+    assert cli_main(["solve", str(path), "--solver", solver]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: QUBO |coefficient| sum plus |offset| is inf, above "
+        "MAX_QUBO_MAGNITUDE = 2^1016 (about 7.02e305): energies could overflow\n"
+    )
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

@@ -22,11 +22,15 @@ from portqubo import (
     read_qubo,
     slack_count,
     solution_from_bits,
+    solve_ga,
+    solve_qubo_bruteforce,
+    solve_sa,
+    solve_tabu,
     to_ising,
     write_qubo,
 )
 from portqubo import qubo as qubo_mod
-from portqubo.qubo import MAX_QUBO_DIM, VariableLayout
+from portqubo.qubo import MAX_QUBO_DIM, MAX_QUBO_MAGNITUDE, VariableLayout
 
 from conftest import (
     ising_couplings,
@@ -262,10 +266,10 @@ class TestIsing:
             ising_energy(m, [[1, -1]])
 
     def test_overflow_is_named_without_a_warning(self):
-        # the offset's sum overflows; the Ising model names it, numpy warns of nothing
-        q = QuboMatrix(dim=2, coeffs={(0, 0): 1.7e308, (1, 1): 1.7e308})
-        with pytest.raises(ValueError, match=r"^Ising offset must be finite, got inf$"):
-            to_ising(q)
+        # the Ising offset would sum to inf; the QUBO's magnitude rule names
+        # the overflow first, and numpy warns of nothing
+        with pytest.raises(ValueError, match=r"^QUBO \|coefficient\| sum plus \|offset\| is inf, above"):
+            QuboMatrix(dim=2, coeffs={(0, 0): 1.7e308, (1, 1): 1.7e308})
 
     def test_energy_rejects_non_spins(self):
         m = IsingModel(dim=1, h=[1.0], j={})
@@ -588,6 +592,36 @@ class TestValidation:
     def test_qubo_rejects_non_finite_coefficient(self, value):
         with pytest.raises(ValueError, match=r"coefficient \(1, 2\) must be finite"):
             QuboMatrix(dim=3, coeffs={(0, 0): 1.0, (1, 2): value})
+
+    def test_qubo_magnitude_bound(self):
+        # 2^1015 + 2^1014 + 2^1014 is exactly the bound; any more is over it
+        half, quarter = MAX_QUBO_MAGNITUDE / 2, MAX_QUBO_MAGNITUDE / 4
+        q = QuboMatrix(dim=2, coeffs={(0, 0): half, (0, 1): -quarter}, offset=-quarter)
+        assert q.upper.tolist() == [[half, -quarter], [0.0, 0.0]]
+        over = [
+            ({(0, 0): half, (0, 1): -quarter, (1, 1): MAX_QUBO_MAGNITUDE * 2.0**-40}, -quarter),
+            ({(0, 0): half, (0, 1): -quarter}, -quarter * (1.0 + 2.0**-40)),
+            ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): 1e308}, 0.0),
+        ]
+        for coeffs, offset in over:
+            with pytest.raises(ValueError, match=r"^QUBO \|coefficient\| sum plus \|offset\| is .*MAX_QUBO_MAGNITUDE = 2\^1016"):
+                QuboMatrix(dim=2, coeffs=coeffs, offset=offset)
+
+    def test_qubo_magnitude_bound_keeps_energies_finite(self):
+        # a QUBO at the bound: no solver's sums overflow, and none warns
+        coeffs = {(i, j): (-1.0) ** (i + j) for i in range(6) for j in range(i, 6)}
+        scale = MAX_QUBO_MAGNITUDE / (len(coeffs) + 1)
+        q = QuboMatrix(6, {k: v * scale for k, v in coeffs.items()}, offset=scale)
+        for solve in (solve_sa, solve_tabu, solve_ga):
+            result = solve(q)
+            assert math.isfinite(result.energy) and len(result.bits) == 6
+        bits, energy = solve_qubo_bruteforce(q)
+        assert math.isfinite(energy) and energy == pytest.approx(qubo_energy(q, bits))
+
+    def test_qubo_magnitude_rule_reaches_build_qubo(self):
+        inst = PortfolioInstance(_universe([1, 1], [[1.0, 0.0], [0.0, 1.0]]), n=1)
+        with pytest.raises(ValueError, match=r"^QUBO \|coefficient\| sum plus \|offset\| is"):
+            build_qubo(inst, PenaltyParams(5e305, 0.0, 0.0))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_qubo_rejects_non_finite_offset(self, value):

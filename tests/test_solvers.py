@@ -1,4 +1,5 @@
 
+import collections
 import gc
 import itertools
 import math
@@ -584,16 +585,17 @@ _TABU_CONFIGS = (
 
 def _tabu_moves(q, config) -> tuple:
     """(outcome, flipped bits) of `solve_tabu`, and the same pair of
-    `reference_tabu`."""
+    `reference_tabu`. Each step appends its flipped bit to the restart's
+    recency deque, so a deque that records its appends sees every move."""
     moves, expected_moves = [], []
-    flip = FlipEvaluator.flip
 
-    def recording_flip(state, i):
-        moves.append(i)
-        return flip(state, i)
+    class RecordingDeque(collections.deque):
+        def append(self, i):
+            moves.append(i)
+            super().append(i)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FlipEvaluator, "flip", recording_flip)
+        patch.setattr(solvers_mod, "deque", RecordingDeque)
         outcome = _outcome(solve_tabu(q, config))
     return (outcome, moves), (reference_tabu(q, config, expected_moves), expected_moves)
 
@@ -833,6 +835,23 @@ class TestGa:
         # integer coefficients in -2..2 make many individuals tie with the
         # incumbent
         q = _integer_qubo(np.random.default_rng(seed), dim, density)
+        config = GaConfig(population=2 * half_population, generations=generations, seed=seed)
+        assert _outcome(solve_ga(q, config)) == reference_ga(q, config)
+
+    @given(
+        dim=st.integers(1, 60),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        half_population=st.integers(2, 20),
+        generations=st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_real_valued_problems(
+        self, dim, density, seed, half_population, generations
+    ):
+        # real coefficients up to dim 60 and populations up to 40 take the
+        # energy product through BLAS kernels of several blockings
+        q = random_qubo(np.random.default_rng(seed), dim, density)
         config = GaConfig(population=2 * half_population, generations=generations, seed=seed)
         assert _outcome(solve_ga(q, config)) == reference_ga(q, config)
 
