@@ -23,7 +23,7 @@ import numpy as np
 from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, finite_number
 from .model import portfolio_returns, portfolio_risks, read_counts, return_margin
 from .model import bit_vector, solution_from_bits, whole_number
-from .qubo import QuboMatrix
+from .qubo import MAX_QUBO_MAGNITUDE, QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
 BRUTEFORCE_DIM_GUARD = 24
@@ -90,19 +90,18 @@ class GaConfig:
 
 
 class FlipEvaluator:
-    """Incremental energy bookkeeping for single-bit flips.
+    """The flip state that SA and tabu start each restart from.
 
-    Maintains local fields f_i = sum_j W_ij x_j so a flip's energy change and
-    the running energy stay O(dim) per move instead of O(dim^2), and the flip
-    signs s_i = 1 - 2 x_i (exactly +-1.0), so the gain of bit i is
-    s_i * (d_i + f_i). Tabu search builds and resets its state here and
-    runs `all_gains` and `flip` inline on these buffers.
+    Keeps the bits x, the local fields f_i = sum_j W_ij x_j, so a flip's
+    energy change costs O(dim) instead of O(dim^2), and the flip signs
+    s_i = 1 - 2 x_i (exactly +-1.0), so bit i's gain is s_i * (d_i + f_i).
+    Tabu flips inline on these buffers. SA updates `fields` in place but
+    keeps its signs in a list, so it reads the state only at `reset`.
     """
 
     def __init__(self, q: QuboMatrix, bits=None):
         self.diag, self.coupling = q.to_symmetric_parts()
-        self.offset = q.offset
-        self.dim = q.dim
+        self.offset, self.dim = q.offset, q.dim
         self._rows = list(self.coupling)
         self._d = self.diag.tolist()
         self._gains = np.empty(q.dim)
@@ -113,27 +112,9 @@ class FlipEvaluator:
         self.x = np.zeros(self.dim) if bits is None else bit_vector(bits, self.dim, "QUBO dim")
         self._signs = 1.0 - 2.0 * self.x
         self.fields = self.coupling @ self.x
-        self.energy = float(
-            self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields
-        )
+        self.energy = float(self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields)
         # Python-float views of the buffers the flips update in place
         self._x, self._s, self._f = map(memoryview, (self.x, self._signs, self.fields))
-
-    def all_gains(self) -> np.ndarray:
-        """Energy change of flipping each bit, in a buffer the next call reuses."""
-        g = self._gains
-        return np.multiply(np.add(self.diag, self.fields, g), self._signs, g)
-
-    def flip(self, i: int) -> float:
-        """Apply the flip and return the new energy. The fields gain or lose
-        coupling row i, which is contiguous, unlike column i; in place, that
-        is bitwise equal to adding s * row."""
-        s = self._s[i]
-        self.energy += s * (self._d[i] + self._f[i])
-        self._x[i] += s
-        self._s[i] = -s
-        (np.add if s > 0.0 else np.subtract)(self.fields, self._rows[i], self.fields)
-        return self.energy
 
     def bits(self) -> tuple[int, ...]:
         return tuple(int(b) for b in self.x)
@@ -153,19 +134,36 @@ def _result(best_x, energy: float, evaluations: int, t0: float, seed: int, trace
 
 
 def _estimate_betas(
-    d: np.ndarray, w: np.ndarray, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Betas giving ~0.8 initial and ~1e-4 final acceptance of the mean |dE|,
-    from the (diagonal, coupling) pair of `QuboMatrix.to_symmetric_parts`."""
-    states = rng.integers(0, 2, size=(100, len(d))).astype(np.float64)
-    idx = rng.integers(0, len(d), size=100)
-    fields = states @ w
+    q: QuboMatrix, rng: np.random.Generator
+) -> tuple[FlipEvaluator, float, float, int]:
+    """SA's flip state, betas giving ~0.8 initial and ~1e-4 final acceptance
+    of its mean |dE| over 100 random flips, and the power of two 2^k it is
+    scaled by: k = 0 unless ln(1e4) / mean |dE| is not finite. Then the state
+    is q without its offset times the 2^k that brings mean |dE| into [0.5, 1)
+    (or as near as the magnitude rule allows), and its betas come from the
+    same draws: exact, so SA's bits do not depend on the QUBO's scale. A
+    mean of 0, or one still too small, gives betas (1, 1e4)."""
+    state = FlipEvaluator(q)
+    states = rng.integers(0, 2, size=(100, q.dim)).astype(np.float64)
+    idx = rng.integers(0, q.dim, size=100)
     signs = 1.0 - 2.0 * states[np.arange(100), idx]
-    deltas = np.abs(signs * (d[idx] + fields[np.arange(100), idx]))
-    mean_delta = float(deltas.mean())
-    if mean_delta <= 0:
-        return 1.0, 1e4
-    return math.log(1 / 0.8) / mean_delta, math.log(1 / 1e-4) / mean_delta
+
+    def mean_delta() -> float:
+        fields = states @ state.coupling
+        return float(np.abs(signs * (state.diag[idx] + fields[np.arange(100), idx])).mean())
+
+    final = math.log(1 / 1e-4)
+    mean, k = mean_delta(), 0
+    if mean > 0 and not math.isfinite(final / mean):
+        # at most the k that keeps |coefficient| sum * 2^k below 2^1016
+        room = int(math.log2(MAX_QUBO_MAGNITUDE)) - math.frexp(float(np.abs(q.upper).sum()))[1]
+        k = max(0, min(-math.frexp(mean)[1], room))
+        if k:
+            state = FlipEvaluator(QuboMatrix._from_upper(np.ldexp(q.upper, k), 0.0))
+            mean = mean_delta()
+    if not (mean > 0 and math.isfinite(final / mean)):
+        return state, 1.0, 1e4, k
+    return state, math.log(1 / 0.8) / mean, final / mean, k
 
 
 def _beta_schedule(sweeps: int, beta_i: float, beta_f: float) -> np.ndarray:
@@ -182,23 +180,22 @@ def solve_sa(
     """Simulated annealing: randomized single-flip sweeps with Metropolis
     acceptance exp(-beta * dE), best-ever assignment kept across restarts.
 
-    Per restart `rng.integers(0, 2, size=dim)` draws the start; per sweep
-    `rng.shuffle` of the list 0..dim-1 draws the site order and
-    `rng.standard_exponential(out=)`, into one buffer of dim floats, the
-    thresholds: the streams of `rng.permutation(dim)` and
-    `rng.exponential(size=dim)`. Site k flips when
+    Per restart `rng.integers(0, 2, size=dim)` draws the start that
+    `FlipEvaluator.reset` builds; per sweep `rng.shuffle` of the list
+    0..dim-1 draws the site order and `rng.standard_exponential(out=)`, into
+    one buffer of dim floats, the thresholds: the streams of
+    `rng.permutation(dim)` and `rng.exponential(size=dim)`. Site k flips when
     its gain is <= 0 or beta * gain < threshold k. The state, and the best
-    one, are kept as flip signs s_i = 1 - 2 x_i (exactly +-1.0), so bit i's
-    gain is s_i * (d_i + f_i) and "bits lexicographically smaller" is "signs
-    larger". The fields take s * row i in place: adding or subtracting the
-    row, bitwise equal for s = +-1. The signs become bits once, at return."""
+    one, are kept as a list of flip signs s_i = 1 - 2 x_i (exactly +-1.0), so
+    bit i's gain is s_i * (d_i + f_i) and "bits lexicographically smaller" is
+    "signs larger". The fields take s * row i in place: adding or subtracting
+    the row, bitwise equal for s = +-1. The signs become bits once, at
+    return, and energies of a state scaled by 2^k become 2^-k * e + offset."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    diag, coupling = q.to_symmetric_parts()
-    betas = _beta_schedule(config.sweeps, *_estimate_betas(diag, coupling, rng)).tolist()
-    dim = q.dim
-    d = diag.tolist()
-    rows = list(coupling)
+    state, beta_i, beta_f, k = _estimate_betas(q, rng)
+    betas = _beta_schedule(config.sweeps, beta_i, beta_f).tolist()
+    dim, d, rows = q.dim, state._d, state._rows
     sites = list(range(dim))
     add, subtract = np.add, np.subtract
     best_energy = math.inf
@@ -208,12 +205,10 @@ def solve_sa(
     shuffle, exponential = rng.shuffle, rng.standard_exponential
     thresholds = np.empty(dim)
     for _ in range(config.restarts):
-        x = rng.integers(0, 2, size=dim).astype(np.float64)
-        fields = coupling @ x
-        # reads Python floats from the buffer the in-place updates write
-        field = memoryview(fields)
-        energy = float(q.offset + diag @ x + 0.5 * x @ fields)
-        sg = (1.0 - 2.0 * x).tolist()
+        state.reset(rng.integers(0, 2, size=dim))
+        # `field` reads Python floats from the buffer the in-place updates write
+        fields, field, energy = state.fields, state._f, state.energy
+        sg = state._signs.tolist()
         if energy < best_energy:
             best_energy, best_s = energy, sg.copy()
             trace.append((evaluations, best_energy))
@@ -241,6 +236,9 @@ def solve_sa(
                 break
         if deadline is not None and time.perf_counter() > deadline:
             break
+    if k:
+        best_energy = math.ldexp(best_energy, -k) + q.offset
+        trace = [(n, math.ldexp(e, -k) + q.offset) for n, e in trace]
     best_x = None if best_s is None else [s < 0.0 for s in best_s]
     return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
 
@@ -277,8 +275,8 @@ def solve_tabu(
     and cleared when its last flip leaves the window of the last tenure
     moves.
 
-    Each restart binds the `FlipEvaluator`'s buffers to locals and runs its
-    gain update and flip inline, bitwise as `all_gains` and `flip` do.
+    Each restart binds the `FlipEvaluator`'s buffers to locals and runs the
+    gains of every bit and the flip inline on them.
 
     The first restart draws nothing from the RNG, so its outcome depends only
     on the QUBO and `max_iterations`. Without a deadline it is run once per
@@ -326,7 +324,7 @@ def _tabu_restart(
     if energy < best_energy:
         best_energy, best_x = energy, state.x.tolist()
         trace.append((evaluations, best_energy))
-    # the evaluator's buffers, updated in place as `all_gains` and `flip` do
+    # the evaluator's buffers, which the steps below update in place
     diag, fields, signs, gains, x = state.diag, state.fields, state._signs, state._gains, state.x
     xv, sv, fv, rows, d = state._x, state._s, state._f, state._rows, state._d
     add, subtract, multiply, inf = np.add, np.subtract, np.multiply, math.inf

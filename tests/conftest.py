@@ -15,7 +15,7 @@ import pytest
 
 from portqubo import AssetUniverse, PortfolioInstance, QuboMatrix, slack_count
 from portqubo.model import EQUALITY_RETURN_TOL
-from portqubo.solvers import InfeasibleInstanceError
+from portqubo.solvers import FlipEvaluator, InfeasibleInstanceError
 
 
 def naive_qubo_energy(q: QuboMatrix, bits) -> float:
@@ -224,6 +224,27 @@ def reference_tabu(q: QuboMatrix, config, moves: list | None = None):
             elif energy == best_energy and bits < best_bits:
                 best_bits = bits
     return best_bits, best_energy, evaluations, trace
+
+
+class ReferenceFlipEvaluator(FlipEvaluator):
+    """The incremental step that SA and tabu run inline, written as methods
+    on the shipped `FlipEvaluator` state that `reset` builds."""
+
+    def all_gains(self) -> np.ndarray:
+        """Energy change of flipping each bit, in a buffer the next call reuses."""
+        g = self._gains
+        return np.multiply(np.add(self.diag, self.fields, g), self._signs, g)
+
+    def flip(self, i: int) -> float:
+        """Apply the flip and return the new energy. The fields gain or lose
+        coupling row i, which is contiguous, unlike column i; in place, that
+        is bitwise equal to adding s * row."""
+        s = self._s[i]
+        self.energy += s * (self._d[i] + self._f[i])
+        self._x[i] += s
+        self._s[i] = -s
+        (np.add if s > 0.0 else np.subtract)(self.fields, self._rows[i], self.fields)
+        return self.energy
 
 
 def reference_exhaustive_subsets(instance: PortfolioInstance) -> tuple[int, ...]:

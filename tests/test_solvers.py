@@ -45,7 +45,9 @@ from portqubo.data import SyntheticSpec, generate_synthetic, save_instance
 from portqubo.solvers import SOLVER_NAMES
 
 from conftest import (
+    ReferenceFlipEvaluator,
     naive_bruteforce,
+    naive_qubo_energy,
     random_psd,
     random_qubo,
     reference_bruteforce,
@@ -486,22 +488,42 @@ class TestExactSolver:
 
 
 class TestFlipEvaluator:
+    """The reference step on the shipped state that `reset` builds, against
+    the plain-loop energy of `naive_qubo_energy`."""
+
     def test_incremental_matches_scratch(self, rng):
         q = random_qubo(rng, 50)
-        state = FlipEvaluator(q)
+        state = ReferenceFlipEvaluator(q)
         for _ in range(1000):
             i = int(rng.integers(0, q.dim))
             state.flip(i)
-        scratch = qubo_energy(q, state.bits())
+        scratch = naive_qubo_energy(q, state.bits())
         assert state.energy == pytest.approx(scratch, rel=1e-9)
 
     def test_gain_predicts_flip(self, rng):
         q = random_qubo(rng, 12)
-        state = FlipEvaluator(q, rng.integers(0, 2, 12))
+        state = ReferenceFlipEvaluator(q, rng.integers(0, 2, 12))
         for i in range(12):
             predicted = state.energy + state.all_gains()[i]
             state.flip(i)
             assert state.energy == pytest.approx(predicted, rel=1e-12)
+            assert state.energy == pytest.approx(naive_qubo_energy(q, state.bits()), rel=1e-9)
+
+    def test_reset_gives_each_bits_energy_and_gains(self, rng):
+        q = random_qubo(rng, 12)
+        state = FlipEvaluator(q)
+        for bits in [np.zeros(12, dtype=int), *rng.integers(0, 2, size=(5, 12))]:
+            state.reset(bits)
+            energy = naive_qubo_energy(q, bits.tolist())
+            assert state.bits() == tuple(bits.tolist())
+            assert state.energy == pytest.approx(energy, rel=1e-12)
+            for i in range(12):
+                flipped = bits.copy()
+                flipped[i] ^= 1
+                gain = state._signs[i] * (state.diag[i] + state.fields[i])
+                assert energy + gain == pytest.approx(
+                    naive_qubo_energy(q, flipped.tolist()), rel=1e-9, abs=1e-9
+                )
 
 
 class TestSimulatedAnnealing:
@@ -541,6 +563,58 @@ class TestSimulatedAnnealing:
             if result.energy <= optimum + 1e-9 * (1 + abs(optimum)):
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("offset", [0.0, -1.5])
+    @pytest.mark.parametrize("coefficient", [1e-320, 3e-308], ids=["subnormal", "normal"])
+    def test_temperatures_stay_finite_near_underflow(self, coefficient, offset):
+        # mean |dE| is near `coefficient`, so ln(1e4) / mean |dE| overflows
+        c = coefficient
+        q = QuboMatrix(2, {(0, 0): c, (0, 1): -c, (1, 1): c}, offset=offset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, beta_i, beta_f, k = solvers_mod._estimate_betas(q, np.random.default_rng(0))
+            betas = solvers_mod._beta_schedule(5, beta_i, beta_f)
+            result = solve_sa(q, AnnealConfig(sweeps=5, restarts=2))
+        assert k > 0 and state.offset == 0.0
+        assert np.isfinite(betas).all() and (betas > 0).all()
+        # the scaled run's energies, 0 and 2^k * c, are mapped back to q's units
+        assert result.bits == (0, 0) and result.energy == offset
+        assert {energy for _, energy in result.energy_trace} <= {offset, c + offset}
+
+    def test_temperatures_stay_finite_when_the_magnitude_rule_caps_the_scale(self):
+        # 1e300 on a bit that none of seed 0's 100 sampled flips reads: mean
+        # |dE| is subnormal, 2^19 is the most the rule allows, and mean |dE|
+        # * 2^19 still overflows ln(1e4) / mean, so the betas are (1, 1e4)
+        q = QuboMatrix(400, {(0, 0): 1e300, **{(i, i): 1e-320 for i in range(1, 400)}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, beta_i, beta_f, k = solvers_mod._estimate_betas(q, np.random.default_rng(0))
+            result = solve_sa(q, AnnealConfig(sweeps=3, restarts=1))
+        assert (beta_i, beta_f, k) == (1.0, 1e4, 19)
+        assert state.diag[0] == math.ldexp(1e300, 19) and math.isfinite(result.energy)
+
+    @given(
+        dim=st.integers(1, 24),
+        density=st.sampled_from([0.1, 0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(-1022, -1016), st.integers(-1022, 1016)),
+        sweeps=st.integers(1, 30),
+        restarts=st.integers(1, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_do_not_depend_on_the_qubos_scale(self, dim, density, seed, k, sweeps, restarts):
+        # |coefficients| in [1, 2), so each one of q * 2^k is normal for
+        # k >= -1022; near that end mean |dE| * 2^k underflows ln(1e4) / mean
+        rng = np.random.default_rng(seed)
+        coeffs = {
+            (i, j): float(rng.choice([-1.0, 1.0]) * rng.uniform(1, 2))
+            for i in range(dim) for j in range(i, dim) if rng.random() < density
+        }
+        # within the magnitude rule: |coefficient| sum * 2^k below 2^1016
+        assume(k <= 1016 - math.frexp(math.fsum(map(abs, coeffs.values())))[1])
+        scaled = QuboMatrix(dim, {key: math.ldexp(v, k) for key, v in coeffs.items()})
+        config = AnnealConfig(sweeps=sweeps, seed=seed, restarts=restarts)
+        assert solve_sa(scaled, config).bits == solve_sa(QuboMatrix(dim, coeffs), config).bits
 
     @pytest.mark.parametrize("deadline", [-1.0, 1.5, 4.5, 5.5, 9.5])
     def test_deadline_cuts_after_a_whole_sweep(self, rng, monkeypatch, deadline):
