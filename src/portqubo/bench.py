@@ -25,14 +25,13 @@ from .data import (
     require_fields,
 )
 from .model import PortfolioInstance, read_counts, read_numbers, whole_number
-from .qubo import build_qubo
 from .solvers import (
     SUBSET_ENUMERATION_GUARD,
     InfeasibleInstanceError,
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import PENALTY_POLICIES, BenchRow, resolve_penalties, run_row, solve_row, solved_row
+from .tuning import PENALTY_POLICIES, BenchRow, resolve_penalties, seeded_runs, solved_row
 
 ORACLE_SOLVER_NAME = "oracle"
 
@@ -202,27 +201,17 @@ def run_benchmark(plan: BenchPlan, no_timing: bool = False) -> BenchReport:
     rows: list[BenchRow] = []
     summaries: list[InstanceSummary] = []
     for inst_id, instance in instances:
-        params = q = layout = build_error = None
         try:
             params = resolve_penalties(instance, plan.penalty_policy, *penalty_args)
-            q, layout = build_qubo(instance, params)
         except ValueError as exc:
-            build_error = str(exc)
-        template = run_row(inst_id, instance, params, q)
-        inst_rows: list[BenchRow] = []
-        for display, solver in solvers:
-            for seed in plan.seeds:
-                row = replace(template, solver=display, seed=seed, error=build_error)
-                if q is not None:
-                    try:
-                        row = solve_row(row, instance, solver, q, layout, seed)[0]
-                    except Exception as exc:
-                        row = replace(row, error=str(exc))
-                inst_rows.append(row)
+            params = exc
+        inst_rows = [row for row, _ in seeded_runs(instance, params, solvers, plan.seeds, inst_id)]
         if math.comb(instance.n_assets, instance.n) <= SUBSET_ENUMERATION_GUARD:
             try:
                 oracle = solve_exhaustive_subsets(instance)
-                row = replace(template, solver=ORACLE_SOLVER_NAME, optimal=True)
+                # the instance, dim and penalties of the first run
+                marks = dict(solver=ORACLE_SOLVER_NAME, seed=None, optimal=True, error=None)
+                row = replace(inst_rows[0], **marks)
                 inst_rows.append(solved_row(row, oracle, oracle.provenance["wall_time_s"]))
             except InfeasibleInstanceError:
                 pass

@@ -244,10 +244,14 @@ def _dispatch(args) -> int:
             f"best lambda1={best.lambda1:.17g} lambda2={best.lambda2:.17g} "
             f"feasible={feasible}"
         )
+        runs = [run for cell in cells for run in cell.runs]
         if args.output:
-            runs = [run for cell in cells for run in cell.runs]
             _emit(bench_mod.rows_csv(runs, bench_mod.RUN_COLUMNS), args.output)
-        return EXIT_OK if feasible else EXIT_INFEASIBLE
+        failed = [r for r in runs if r.error is not None]
+        for r in failed:
+            where = f"lambda1={r.lambda1:.17g} lambda2={r.lambda2:.17g} seed {r.seed}"
+            print(f"error: {where}: {r.error}", file=sys.stderr)
+        return EXIT_DATA if failed else EXIT_OK if feasible else EXIT_INFEASIBLE
 
     if args.command == "sweep":
         instance = data_mod.load_instance(args.instance)

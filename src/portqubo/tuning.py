@@ -8,7 +8,7 @@ difference among the same n assets. Both are starting points for a grid
 search, not guarantees.
 
 Every seeded solve, a sweep point, a grid run or a benchmark run, is a
-``BenchRow`` made by ``solve_row``; ``bench`` renders these rows as CSV.
+``BenchRow`` made by ``seeded_runs``; ``bench`` renders these rows as CSV.
 """
 
 from __future__ import annotations
@@ -52,20 +52,6 @@ class BenchRow:
     error: str | None = None
 
 
-def run_row(inst_id: str, instance: PortfolioInstance, params: PenaltyParams | None, q) -> BenchRow:
-    """The row of a run of `instance` under `params` on `q`, before it is
-    solved: NaN lambdas without penalties, dim 0 without a QUBO."""
-    return BenchRow(
-        instance=inst_id,
-        n_assets=instance.n_assets,
-        n=instance.n,
-        r_star=instance.r_star,
-        qubo_dim=0 if q is None else q.dim,
-        lambda1=math.nan if params is None else params.lambda1,
-        lambda2=math.nan if params is None else params.lambda2,
-    )
-
-
 def solved_row(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
     """`row` with the energy, risk, return and feasibility of `sol`, all
     recomputed from its bits by the model."""
@@ -73,12 +59,38 @@ def solved_row(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
     return replace(row, **metrics, wall_time_s=wall_time_s)
 
 
-def solve_row(row: BenchRow, instance, solver, q, layout, seed: int) -> tuple[BenchRow, Solution]:
-    """One seeded solve of `q`, the QUBO of `instance` that `row` names,
-    decoded: the row with its seed and metrics, and the Solution."""
-    result = solver(q, seed)
-    sol = decode(instance, layout, result.bits, energy=result.energy)
-    return solved_row(replace(row, seed=seed), sol, result.wall_time_s), sol
+def seeded_runs(
+    instance: PortfolioInstance, params: PenaltyParams | Exception, solvers, seeds, inst_id=""
+) -> list[tuple[BenchRow, Solution | None]]:
+    """The run of each (name, solver) pair in `solvers` with each seed, in
+    that order, on the QUBO of `instance` under `params`, built once: its row
+    and its decoded Solution. A failed build or solve, or `params` given as
+    the error that resolving them raised, is the error of the rows it leaves
+    unsolved, which have no Solution, NaN lambdas without penalties and dim 0
+    without a QUBO."""
+    resolved = isinstance(params, PenaltyParams)
+    lambdas = (params.lambda1, params.lambda2) if resolved else (math.nan, math.nan)
+    q, error = None, (None if resolved else str(params))
+    if resolved:
+        try:
+            q, layout = build_qubo(instance, params)
+        except Exception as exc:
+            error = str(exc)
+    dim = 0 if q is None else q.dim
+    row = BenchRow(inst_id, instance.n_assets, instance.n, instance.r_star, dim, *lambdas)
+    runs = []
+    for name, solver in solvers:
+        for seed in seeds:
+            run, sol = replace(row, solver=name, seed=seed, error=error), None
+            if q is not None:
+                try:
+                    result = solver(q, seed)
+                    sol = decode(instance, layout, result.bits, energy=result.energy)
+                    run = solved_row(run, sol, result.wall_time_s)
+                except Exception as exc:
+                    run, sol = replace(run, error=str(exc)), None
+            runs.append((run, sol))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -140,20 +152,12 @@ def lambda_sweep(
     seed: int = 0,
 ) -> list[BenchRow]:
     """Solve the instance once per lambda1 value and record the decoded risk
-    and feasibility; build and solver failures are recorded, not raised."""
+    and feasibility; every value is checked before the first solve, and
+    build and solver failures are recorded, not raised."""
     if not lambda1_values:
         raise ValueError("lambda1_values must be nonempty")
-    points = []
-    for l1 in lambda1_values:
-        params = PenaltyParams(base.lambda0, float(l1), base.lambda2)
-        q = None
-        try:
-            q, layout = build_qubo(instance, params)
-            row = solve_row(run_row("", instance, params, q), instance, solver, q, layout, seed)[0]
-        except Exception as exc:
-            row = replace(run_row("", instance, params, q), seed=seed, error=str(exc))
-        points.append(row)
-    return points
+    penalties = [PenaltyParams(base.lambda0, float(l1), base.lambda2) for l1 in lambda1_values]
+    return [seeded_runs(instance, params, [("", solver)], [seed])[0][0] for params in penalties]
 
 
 def _violation(instance: PortfolioInstance, sol: Solution) -> float:
@@ -184,7 +188,10 @@ def grid_search(
     lambda1 + lambda2 and then lexicographically. With no feasible cell, the
     least violation of any run wins and the flag is False: |cardinality - n|
     plus the return's shortfall past its constraint, beyond the tolerance
-    under equality (``GridCell.residual``).
+    under equality (``GridCell.residual``). Every cell's penalties are
+    checked before the first solve. A failed run counts as infeasible and
+    adds no residual; only when every run fails does the search raise, with
+    the first run's message.
     """
     if grid1 is None:
         grid1 = default_grid(estimate_lambda1(instance))
@@ -194,24 +201,23 @@ def grid_search(
         raise ValueError("grids must be nonempty")
     repeats = whole_number(repeats, 1, "repeats")
     cells = []
-    for l1 in grid1:
-        for l2 in grid2:
-            params = PenaltyParams(1.0, float(l1), float(l2))
-            q, layout = build_qubo(instance, params)
-            row = run_row("", instance, params, q)
-            solved = [solve_row(row, instance, solver, q, layout, s) for s in range(repeats)]
-            risks = [sol.risk for _, sol in solved if sol.feasible]
-            violations = [_violation(instance, sol) for _, sol in solved]
-            cells.append(
-                GridCell(
-                    lambda1=params.lambda1,
-                    lambda2=params.lambda2,
-                    feasible=bool(risks),
-                    best_risk=min(risks, default=float("nan")),
-                    residual=min(violations, default=float("inf")),
-                    runs=tuple(point for point, _ in solved),
-                )
+    for params in [PenaltyParams(1.0, float(l1), float(l2)) for l1 in grid1 for l2 in grid2]:
+        runs = seeded_runs(instance, params, [("", solver)], range(repeats))
+        sols = [sol for _, sol in runs if sol is not None]
+        risks = [sol.risk for sol in sols if sol.feasible]
+        violations = [_violation(instance, sol) for sol in sols]
+        cells.append(
+            GridCell(
+                lambda1=params.lambda1,
+                lambda2=params.lambda2,
+                feasible=bool(risks),
+                best_risk=min(risks, default=float("nan")),
+                residual=min(violations, default=float("inf")),
+                runs=tuple(row for row, _ in runs),
             )
+        )
+    if all(run.error is not None for cell in cells for run in cell.runs):
+        raise ValueError(cells[0].runs[0].error)
     feasible_cells = [c for c in cells if c.feasible]
     score = (lambda c: c.best_risk) if feasible_cells else (lambda c: c.residual)
     best = min(

@@ -284,6 +284,25 @@ def test_tune_output_is_the_cells_runs_in_order(synth_instance, tmp_path, capsys
     ]
 
 
+def test_tune_records_failed_runs_writes_the_grid_and_exits_2(synth_instance, tmp_path, capsys):
+    # a lambda1 of 1e308 gives an infinite QUBO offset: its cell fails to build
+    grid_path = tmp_path / "grid.csv"
+    argv = ["tune", str(synth_instance), "--solver", "tabu", "--repeats", "2"]
+    assert cli_main(argv + ["--grid1", "10", "1e308", "--grid2", "0", "-o", str(grid_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "best lambda1=10 lambda2=0 feasible=True\n"
+    message = "QUBO offset must be finite, got inf"
+    assert err.splitlines() == [
+        f"error: lambda1=1e+308 lambda2=0 seed {seed}: {message}" for seed in (0, 1)
+    ]
+    rows = [line.split(",") for line in grid_path.read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["10", "0", "0"], ["10", "0", "1"],
+        ["1e+308", "0", "0"], ["1e+308", "0", "1"],
+    ]
+    assert [row[4:6] for row in rows[2:]] == [["nan", "false"]] * 2
+
+
 def test_tune_and_report_flow(synth_instance, tmp_path, capsys):
     grid_path = tmp_path / "grid.csv"
     code = cli_main(

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -217,6 +218,18 @@ class TestLambdaSweep:
         assert [p.seed for p in points] == [-1, -1]
         assert all(re.search(r"\bseed\b.* must be a whole number of at least 0, got -1$", p.error) for p in points)
 
+    def test_every_value_checked_before_the_first_solve(self):
+        calls = []
+
+        def counting(q, seed, _exact=make_solver("exact")):
+            calls.append(seed)
+            return _exact(q, seed)
+
+        message = r"^PenaltyParams: field 'lambda1' must be a non-negative finite number, got -1\.0$"
+        with pytest.raises(ValueError, match=message):
+            lambda_sweep(_sweep_instance(), counting, [1.0, 0.0, -1.0])
+        assert calls == []
+
     def test_output_order_matches_input(self):
         inst = _sweep_instance()
         solver = make_solver("exact")
@@ -345,6 +358,59 @@ class TestGridSearch:
             assert cell.feasible == bool(feasible)
             if feasible:
                 assert cell.best_risk == min(feasible)
+
+    def test_every_cell_checked_before_the_first_solve(self):
+        calls = []
+
+        def counting(q, seed, _exact=make_solver("exact")):
+            calls.append(seed)
+            return _exact(q, seed)
+
+        message = r"^PenaltyParams: field 'lambda2' must be a non-negative finite number, got -1\.0$"
+        with pytest.raises(ValueError, match=message):
+            grid_search(_sweep_instance(), counting, [1.0, 2.0], [0.0, -1.0], repeats=2)
+        assert calls == []
+
+    def test_failed_cell_is_recorded_and_the_best_of_the_others_wins(self):
+        # the solver fails on both runs of the middle cell, which would
+        # otherwise win the tie at the best feasible risk by its smaller lambda1
+        inst = _sweep_instance()
+        l1 = estimate_lambda1(inst)
+        exact = make_solver("exact")
+        calls = []
+
+        def flaky(q, seed):
+            calls.append(seed)
+            if 3 <= len(calls) <= 4:
+                raise RuntimeError(f"boom {seed}")
+            return exact(q, seed)
+
+        best, cells, feasible = grid_search(inst, flaky, [0.0, 10 * l1, 20 * l1], [0.0], repeats=2)
+        failed = cells[1]
+        assert [(r.seed, r.error, r.feasible) for r in failed.runs] == [
+            (0, "boom 0", False), (1, "boom 1", False)
+        ]
+        assert all(math.isnan(r.energy) and math.isnan(r.risk) for r in failed.runs)
+        assert not failed.feasible and math.isnan(failed.best_risk)
+        assert failed.residual == math.inf
+        assert feasible and cells[2].feasible
+        assert best == PenaltyParams(1.0, 20 * l1, 0.0)
+        reference = grid_search(inst, exact, [0.0, 20 * l1], [0.0], repeats=2)[1]
+
+        def outcomes(cell):
+            return [(r.lambda1, r.seed, r.energy, r.risk, r.feasible) for r in cell.runs]
+
+        assert [outcomes(c) for c in (cells[0], cells[2])] == [outcomes(c) for c in reference]
+
+    def test_every_run_failed_raises_the_first_message(self):
+        calls = []
+
+        def broken(q, seed):
+            calls.append(seed)
+            raise ValueError(f"failed call {len(calls)}")
+
+        with pytest.raises(ValueError, match=r"^failed call 1$"):
+            grid_search(_sweep_instance(), broken, [0.0, 1.0], [0.0], repeats=2)
 
     def test_rejects_empty_grid(self):
         inst = _sweep_instance()
