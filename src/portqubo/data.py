@@ -176,15 +176,16 @@ def compute_stats(panel: PricePanel, log_returns: bool = False) -> AssetUniverse
     if len(panel.dates) < 3:
         raise DataFormatError("need at least 3 periods to estimate a covariance")
     prices = panel.prices
-    if log_returns:
-        period = np.log(prices[1:] / prices[:-1]) * 100.0
-        mu = np.log(prices[-1] / prices[0]) * 100.0
-    else:
-        period = (prices[1:] - prices[:-1]) / prices[:-1] * 100.0
-        mu = (prices[-1] - prices[0]) / prices[0] * 100.0
-    sigma = np.cov(period, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
-    sigma = (sigma + sigma.T) / 2.0  # exact symmetry despite fp accumulation
+    # the AssetUniverse names a non-finite or too large mu or sigma
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if log_returns:
+            period = np.log(prices[1:] / prices[:-1]) * 100.0
+            mu = np.log(prices[-1] / prices[0]) * 100.0
+        else:
+            period = (prices[1:] - prices[:-1]) / prices[:-1] * 100.0
+            mu = (prices[-1] - prices[0]) / prices[0] * 100.0
+        sigma = np.atleast_2d(np.cov(period, rowvar=False, ddof=1))
+        sigma = (sigma + sigma.T) / 2.0  # exact symmetry despite fp accumulation
     return AssetUniverse(symbols=panel.symbols, mu=mu, sigma=sigma)
 
 

@@ -26,6 +26,7 @@ from .model import (
     ContractViolation,
     PortfolioInstance,
     Solution,
+    abs_sum,
     bit_vector,
     read_numbers,
     return_margin,
@@ -75,9 +76,6 @@ terms, so none exceeds it in magnitude; x'Wx over the symmetric coupling
 counts each off-diagonal term twice, and SA's 100-sample mean |dE| sums 100
 gains first, so every sum stays below 2^1023, the float64 range, with room
 for rounding."""
-
-# elements of `upper` per block of the magnitude sum: no copy of the whole array
-_MAGNITUDE_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_dim(dim: int) -> None:
@@ -134,11 +132,7 @@ class QuboMatrix:
         offset = float(offset)
         if not math.isfinite(offset):
             raise ValueError(f"QUBO offset must be finite, got {offset}")
-        rows = max(1, _MAGNITUDE_BLOCK_ELEMENTS // len(upper))
-        with np.errstate(over="ignore"):
-            magnitude = abs(offset) + float(
-                sum(np.abs(upper[r : r + rows]).sum() for r in range(0, len(upper), rows))
-            )
+        magnitude = abs(offset) + abs_sum(upper)
         if not magnitude <= MAX_QUBO_MAGNITUDE:  # NaN and inf too
             if not np.isfinite(upper).all():
                 i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
@@ -168,12 +162,14 @@ class QuboMatrix:
 
 @dataclass(frozen=True, init=False, eq=False)
 class IsingModel:
-    """Spin formulation: linear fields ``h`` and strictly upper couplings.
+    """Spin formulation of a QUBO: linear fields ``h`` and strictly upper
+    couplings ``J``, a read-only vector and a read-only dim x dim float64
+    array, zero on and below the diagonal.
 
-    ``J`` is a read-only dim x dim float64 array, zero on and below the
-    diagonal, and ``h`` a read-only vector. The constructor takes the
-    couplings as a dict keyed by integer (i, j) with i < j and rejects a
-    field, coupling or offset that is not finite.
+    Only ``to_ising`` makes one, from a QuboMatrix, whose magnitude rule
+    bounds sum|h| + sum|J| + |offset| by ``MAX_QUBO_MAGNITUDE``, so no
+    field, coupling or spin energy overflows; calling the class raises a
+    TypeError.
     """
 
     dim: int
@@ -181,43 +177,8 @@ class IsingModel:
     J: np.ndarray
     offset: float
 
-    def __init__(
-        self, dim: int, h, j: dict[tuple[int, int], float], offset: float = 0.0
-    ):
-        couplings = _zero_upper(dim)
-        for (a, b), v in j.items():
-            a, b = operator.index(a), operator.index(b)
-            if not (0 <= a < b < dim):
-                raise ValueError(f"coupling index ({a}, {b}) must satisfy 0 <= i < j < dim")
-            couplings[a, b] = float(v)
-        self._set(dim, h, couplings, offset)
-
-    @classmethod
-    def _from_arrays(cls, h: np.ndarray, couplings: np.ndarray, offset: float) -> IsingModel:
-        m = cls.__new__(cls)
-        m._set(len(h), h, couplings, offset)
-        return m
-
-    def _set(self, dim: int, h, couplings: np.ndarray, offset: float) -> None:
-        h = np.array(h, dtype=np.float64)
-        if h.shape != (dim,):
-            raise ValueError(f"h has shape {h.shape}, expected ({dim},)")
-        offset = float(offset)
-        if not math.isfinite(offset):
-            raise ValueError(f"Ising offset must be finite, got {offset}")
-        if not np.isfinite(h).all():
-            i = int(np.flatnonzero(~np.isfinite(h))[0])
-            raise ValueError(f"Ising field h[{i}] must be finite, got {h[i]}")
-        if not np.isfinite(couplings).all():
-            a, b = np.argwhere(~np.isfinite(couplings))[0].tolist()
-            raise ValueError(f"Ising coupling ({a}, {b}) must be finite, got {couplings[a, b]}")
-        couplings += 0.0  # -0.0 -> +0.0: a zero coupling is no coupling
-        h.setflags(write=False)
-        couplings.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "J", couplings)
-        object.__setattr__(self, "offset", offset)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an IsingModel is made only by to_ising")
 
 
 def slack_count(mu) -> int:
@@ -305,10 +266,15 @@ def to_ising(q: QuboMatrix) -> IsingModel:
     """Exact energy-preserving conversion under the spin map s = 2x - 1."""
     diag = q.upper.diagonal()
     quarter = np.triu(q.upper, 1) / 4.0
-    with np.errstate(over="ignore"):  # the IsingModel names a non-finite value
-        h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
-        offset = q.offset + diag.sum() / 2.0 + quarter.sum()
-    return IsingModel._from_arrays(h, quarter, offset)
+    h = diag / 2.0 + quarter.sum(axis=1) + quarter.sum(axis=0)
+    offset = float(q.offset + diag.sum() / 2.0 + quarter.sum())
+    quarter += 0.0  # -0.0 -> +0.0, after the sums: a zero coupling is no coupling
+    h.setflags(write=False)
+    quarter.setflags(write=False)
+    m = IsingModel.__new__(IsingModel)
+    for name, value in (("dim", q.dim), ("h", h), ("J", quarter), ("offset", offset)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def ising_energy(m: IsingModel, s) -> float:

@@ -488,7 +488,7 @@ def solve_exhaustive_subsets(instance: PortfolioInstance) -> Solution:
     of its `portfolio_returns`, batched per block: a call per subset takes
     seconds when all lie on the boundary. The chosen subset is therefore the
     one that scoring every subset directly chooses, and its Solution is
-    feasible, provided no sum overflows.
+    feasible.
     """
     n_assets, n = instance.n_assets, instance.n
     count = math.comb(n_assets, n)
@@ -663,8 +663,7 @@ def _near_minimal_blocks(
     # needs twice both bounds; this is twice that, room for its own rounding
     eps = np.finfo(np.float64).eps
     window = 4.0 * dim * dim * eps * (float(np.abs(upper).sum()) + abs(offset))
-    # NaN or inf sums keep every block
-    return np.flatnonzero(~(mins > mins.min() + window))
+    return np.flatnonzero(mins <= mins.min() + window)
 
 
 def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
@@ -689,8 +688,7 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     the block path gives a skipped block is therefore strictly above the
     one it gives the screen's best assignment, so a skipped block can
     neither win nor tie, and the bits and energy are those of running the
-    block path on every block, provided no sum overflows (non-finite
-    screened sums keep every block). QUBOs with many ties near the minimum,
+    block path on every block. QUBOs with many ties near the minimum,
     such as all-zero ones, recompute every block."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")

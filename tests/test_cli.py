@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from portqubo import (
+    AssetUniverse,
     PortfolioInstance,
     QuboMatrix,
     SyntheticSpec,
@@ -14,6 +15,7 @@ from portqubo import (
     make_solver,
     read_qubo,
     save_instance,
+    save_universe,
     solution_from_bits,
     write_qubo,
 )
@@ -24,8 +26,6 @@ from conftest import straddling_instance
 
 @pytest.fixture
 def diag_instance(tmp_path):
-    from portqubo import AssetUniverse
-
     universe = AssetUniverse(("A", "B", "C"), [1.0, 1.0, 1.0], np.diag([1.0, 2.0, 3.0]))
     inst = PortfolioInstance(universe, n=1)
     path = tmp_path / "diag.json"
@@ -35,8 +35,6 @@ def diag_instance(tmp_path):
 
 @pytest.fixture
 def synth_instance(tmp_path):
-    from portqubo import AssetUniverse
-
     rng = np.random.default_rng(7)
     factors = np.abs(rng.standard_normal((16, 8)))
     sigma = factors.T @ factors / 16 + 0.1 * np.eye(8)
@@ -92,8 +90,6 @@ def test_missing_file_is_data_error(capsys):
 
 
 def test_infeasible_instance_exit_code(tmp_path, capsys):
-    from portqubo import AssetUniverse
-
     universe = AssetUniverse(("A", "B"), [1.0, 1.0], np.eye(2))
     inst = PortfolioInstance(universe, n=2, r_star=10.0, return_mode="at_least")
     path = tmp_path / "inf.json"
@@ -442,6 +438,9 @@ def test_plan_field_of_wrong_type_is_data_error(tmp_path, capsys, overrides, mes
         ({"synthetic": {**_SYNTH, "return_range": [-1e308, 1e308]}, "n": 2},
          "SyntheticSpec: field 'return_range' must have low < high and a finite high - low, "
          "got (-1e+308, 1e+308)\n"),
+        # a universe whose returns the instance magnitude rule rejects
+        ({"synthetic": {**_SYNTH, "return_range": [0, 1e308]}, "n": 2},
+         "universe N (sum |sigma| + sum |mu|) is "),
     ],
 )
 def test_plan_entry_the_model_rejects_is_named(tmp_path, capsys, entry, message):
@@ -641,38 +640,58 @@ def test_build_overflow_is_named_without_a_warning(synth_instance, tmp_path, cap
     assert capsys.readouterr().err == "error: QUBO offset must be finite, got inf\n"
 
 
+_OVER_BOUND = (
+    "universe N (sum |sigma| + sum |mu|) is inf, above MAX_INSTANCE_MAGNITUDE = 2^1016 "
+    "(about 7.02e305): sums could overflow"
+)
+
+
 @pytest.fixture
 def huge_mu_instance(tmp_path):
-    """An at_least instance whose returns sum to inf - inf in the return penalty."""
-    from portqubo import AssetUniverse
-
-    universe = AssetUniverse(tuple("ABCDEF"), [1e308, -1e308, 1e308, 0.0, 0.0, 0.0], np.eye(6))
+    """An at_least instance file whose returns sum to inf - inf in the return
+    penalty, above the instance magnitude rule, so no record can write it."""
+    doc = {
+        "symbols": list("ABCDEF"),
+        "mu": [1e308, -1e308, 1e308, 0.0, 0.0, 0.0],
+        "sigma": np.eye(6).ravel().tolist(),
+        "n": 2,
+        "r_star": 1.0,
+        "return_mode": "at_least",
+    }
     path = tmp_path / "huge.json"
-    save_instance(PortfolioInstance(universe, n=2, r_star=1.0, return_mode="at_least"), path)
+    path.write_text(json.dumps(doc))
     return path
 
 
 def test_return_penalty_nan_is_named_without_a_numpy_warning(huge_mu_instance, tmp_path, capsys):
+    # the instance rule names the returns before a build sums them
     argv = ["build", str(huge_mu_instance), "--lambda1", "1", "--lambda2", "1", "-o", str(tmp_path / "q")]
-    # 1023 slack bits represent 2^1023 - 1, written short
-    with pytest.warns(UserWarning, match=r"surpluses up to 8\.98847e\+307; "):
-        assert cli_main(argv) == 2
-    assert capsys.readouterr().err == "error: QUBO coefficient (0, 0) must be finite, got nan\n"
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {huge_mu_instance}: {_OVER_BOUND}\n"
+    assert not (tmp_path / "q").exists()
 
 
 def test_return_difference_overflow_in_the_estimate_is_named(huge_mu_instance, tmp_path, capsys):
     # the estimate read 0 and dropped the return penalty after a numpy warning
     argv = ["build", str(huge_mu_instance), "--estimate", "-o", str(tmp_path / "q")]
     assert cli_main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == "error: estimate_lambda2: the return differences of assets A, B overflow\n"
+    assert capsys.readouterr().err == f"error: {huge_mu_instance}: {_OVER_BOUND}\n"
     assert not (tmp_path / "q").exists()
 
 
 def test_scaled_mu_overflow_is_named_without_a_numpy_warning(huge_mu_instance, tmp_path, capsys):
-    argv = ["make-instance", str(huge_mu_instance), "--n", "1", "--scale-mu", "1e307"]
-    assert cli_main([*argv, "-o", str(tmp_path / "scaled.json")]) == 2
-    assert capsys.readouterr().err == "error: mu has non-finite entries\n"
+    # an in-bound universe whose mu * 1e307 overflows before any record sees it
+    universe = AssetUniverse(("A", "B"), [100.0, 1.0], np.eye(2))
+    save_universe(universe, tmp_path / "universe.json")
+    scaled = tmp_path / "scaled.json"
+    for path, err in [
+        (tmp_path / "universe.json", "error: mu has non-finite entries\n"),
+        (huge_mu_instance, f"error: {huge_mu_instance}: {_OVER_BOUND}\n"),
+    ]:
+        argv = ["make-instance", str(path), "--n", "1", "--scale-mu", "1e307", "-o", str(scaled)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == err
+        assert not scaled.exists()
 
 
 @pytest.fixture

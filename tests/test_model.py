@@ -13,6 +13,7 @@ from portqubo import (
     solve_exhaustive_subsets,
 )
 from portqubo.model import RETURN_MODES, finite_number, portfolio_returns, portfolio_risks
+from portqubo.model import MAX_INSTANCE_MAGNITUDE, abs_sum
 from portqubo.model import whole_number
 
 from conftest import (
@@ -280,6 +281,41 @@ def test_risk_does_not_depend_on_the_layout_sigma_is_given_in(rng):
 def test_instance_rejects_non_finite_r_star(bad):
     with pytest.raises(ValueError, match="r_star"):
         PortfolioInstance(_universe([1.0, 2.0], np.eye(2)), n=1, r_star=bad, return_mode="at_least")
+
+
+@pytest.mark.parametrize(
+    ("mu", "sigma"),
+    [
+        ([1.0], [[0.0]]),
+        ([0.0], [[1.0]]),
+        ([0.25, -0.25], np.zeros((2, 2))),
+        ([0.0, 0.0], np.full((2, 2), 0.125)),
+    ],
+    ids=["mu", "sigma", "mu of 2 assets", "sigma of 2 assets"],
+)
+def test_magnitude_rule_accepts_its_bound_and_names_the_sum_above_it(mu, sigma):
+    # N (sum |sigma| + sum |mu|) of exactly 2^1016, then of the float above it
+    bound = MAX_INSTANCE_MAGNITUDE
+    assert bound == 2.0**1016
+    universe = _universe(np.multiply(mu, bound), np.multiply(sigma, bound))
+    above = np.nextafter(bound, np.inf)
+    message = (
+        r" is 7\.02224e\+305, above MAX_INSTANCE_MAGNITUDE = 2\^1016 \(about 7\.02e305\): "
+        "sums could overflow$"
+    )
+    with pytest.raises(ValueError, match=r"^universe N \(sum \|sigma\| \+ sum \|mu\|\)" + message):
+        _universe(np.multiply(mu, above), np.multiply(sigma, above))
+    for r_star in (bound, -bound):
+        assert PortfolioInstance(universe, 1, r_star, "at_least").r_star == r_star
+    with pytest.raises(ValueError, match=r"^PortfolioInstance: \|r_star\|" + message):
+        PortfolioInstance(universe, 1, -above, "at_least")
+
+
+def test_abs_sum_is_the_sum_of_magnitudes_block_by_block(rng):
+    # 300 x 300 entries take two blocks of rows, 10^5 entries of a vector two blocks
+    for a in (rng.standard_normal((300, 300)), rng.standard_normal(10**5), -np.eye(3)):
+        assert abs_sum(a) == pytest.approx(float(np.abs(a).sum()), rel=1e-12)
+    assert abs_sum(np.full((2, 2), 1e308)) == np.inf  # and no numpy warning
 
 
 @pytest.mark.parametrize("n", [2, np.int64(2), 2.0, np.float64(2.0)])
