@@ -39,7 +39,6 @@ from .solvers import (
     SolveResult,
     TabuConfig,
     make_solver,
-    run_restarts,
     solve_exhaustive_subsets,
     solve_ga,
     solve_qubo_bruteforce,

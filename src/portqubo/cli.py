@@ -17,7 +17,6 @@ from .model import RETURN_MODES, ContractViolation, PortfolioInstance, whole_num
 from .qubo import (
     PenaltyParams,
     build_qubo,
-    decode,
     read_qubo,
     write_qubo,
 )
@@ -25,10 +24,9 @@ from .solvers import (
     SOLVER_NAMES,
     InfeasibleInstanceError,
     make_solver,
-    run_restarts,
     solve_exhaustive_subsets,
 )
-from .tuning import grid_search, lambda_sweep, resolve_penalties
+from .tuning import grid_search, lambda_sweep, resolve_penalties, seeded_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,14 +135,24 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _compile(instance, args):
-    """(penalties, QUBO, layout): `--estimate`, or no lambda given, is the estimate policy."""
+def _penalties(instance, args) -> PenaltyParams:
+    """The penalties of `build` and `solve`, printed when estimated:
+    `--estimate`, or no lambda given, is the estimate policy."""
     given = (args.lambda1, args.lambda2)
     policy = "estimate" if args.estimate or given == (None, None) else "explicit"
     params = resolve_penalties(instance, policy, *given)
     if policy == "estimate":
         print(f"estimated lambda1={params.lambda1:.17g} lambda2={params.lambda2:.17g}")
-    return (params, *build_qubo(instance, params))
+    return params
+
+
+def _failed(runs, where: str) -> bool:
+    """Print `error: <where>: <error>` for each failed run, one whose `error`
+    is not None, with `where` formatted by the run as `r`; whether any failed."""
+    failed = [r for r in runs if r.error is not None]
+    for r in failed:
+        print(f"error: {where.format(r=r)}: {r.error}", file=sys.stderr)
+    return bool(failed)
 
 
 def _write_instance(universe, args) -> int:
@@ -177,10 +185,12 @@ def _cmd_solve(args) -> int:
         if given:
             target = "a .qubo target" if is_qubo else "--solver exact"
             raise _UsageError(f"solve with {target} takes no {' or '.join(given)}")
+    seeds = range(args.seed, args.seed + args.restarts)
+    # the least energy wins, and on ties the first seed
     if is_qubo:
         q = read_qubo(args.target)
         solver = make_solver(args.solver)
-        result = run_restarts(solver, q, [args.seed + k for k in range(args.restarts)])
+        result = min((solver(q, seed) for seed in seeds), key=lambda r: r.energy)
         print(f"bits={''.join(str(b) for b in result.bits)}")
         print(f"energy={result.energy:.17g}")
         return EXIT_OK
@@ -190,10 +200,12 @@ def _cmd_solve(args) -> int:
         print(f"x={list(sol.x)}")
         print(f"risk={sol.risk:.17g} return={sol.ret:.17g} feasible={sol.feasible}")
         return EXIT_OK
-    _, q, layout = _compile(instance, args)
-    solver = make_solver(args.solver)
-    result = run_restarts(solver, q, [args.seed + k for k in range(args.restarts)])
-    sol = decode(instance, layout, result.bits, energy=result.energy)
+    params = _penalties(instance, args)
+    runs = seeded_runs(instance, params, [(args.solver, make_solver(args.solver))], seeds)
+    failed = [row.error for row, _ in runs if row.error is not None]
+    if failed:
+        raise ValueError(failed[0])
+    _, sol = min(runs, key=lambda run: run[0].energy)
     print(f"x={list(sol.x)}")
     print(
         f"risk={sol.risk:.17g} return={sol.ret:.17g} energy={sol.energy:.17g} "
@@ -222,7 +234,8 @@ def _dispatch(args) -> int:
 
     if args.command == "build":
         instance = data_mod.load_instance(args.instance)
-        params, q, layout = _compile(instance, args)
+        params = _penalties(instance, args)
+        q, layout = build_qubo(instance, params)
         write_qubo(q, args.output)
         print(
             f"wrote {args.output}: dim={q.dim} (assets={layout.n_assets} "
@@ -247,10 +260,7 @@ def _dispatch(args) -> int:
         runs = [run for cell in cells for run in cell.runs]
         if args.output:
             _emit(bench_mod.rows_csv(runs, bench_mod.RUN_COLUMNS), args.output)
-        failed = [r for r in runs if r.error is not None]
-        for r in failed:
-            where = f"lambda1={r.lambda1:.17g} lambda2={r.lambda2:.17g} seed {r.seed}"
-            print(f"error: {where}: {r.error}", file=sys.stderr)
+        failed = _failed(runs, "lambda1={r.lambda1:.17g} lambda2={r.lambda2:.17g} seed {r.seed}")
         return EXIT_DATA if failed else EXIT_OK if feasible else EXIT_INFEASIBLE
 
     if args.command == "sweep":
@@ -260,26 +270,19 @@ def _dispatch(args) -> int:
         base = PenaltyParams(1.0, 0.0, args.lambda2)
         points = lambda_sweep(instance, solver, values, base, seed=args.seed)
         _emit(bench_mod.rows_csv(points, bench_mod.RUN_COLUMNS), args.output)
-        failed = [p for p in points if p.error is not None]
-        for p in failed:
-            print(f"error: lambda1={p.lambda1:.17g}: {p.error}", file=sys.stderr)
-        return EXIT_DATA if failed else EXIT_OK
+        return EXIT_DATA if _failed(points, "lambda1={r.lambda1:.17g}") else EXIT_OK
 
     if args.command == "bench":
         plan = bench_mod.load_plan(args.plan)
         report = bench_mod.run_benchmark(plan, no_timing=args.no_timing)
         _emit(bench_mod.render_report(report, "csv"), args.output)
-        failed = [r for r in report.rows if r.error]
-        for r in failed:
-            print(f"error: {r.instance}/{r.solver}/seed {r.seed}: {r.error}", file=sys.stderr)
+        failed = _failed(report.rows, "{r.instance}/{r.solver}/seed {r.seed}")
         return EXIT_DATA if failed else EXIT_OK
 
-    if args.command == "report":
-        report = bench_mod.parse_report_csv(args.results)
-        _emit(bench_mod.render_report(report, args.format), args.output)
-        return EXIT_OK
-
-    raise _UsageError("missing command")
+    # "report": the parser admits no other command
+    report = bench_mod.parse_report_csv(args.results)
+    _emit(bench_mod.render_report(report, args.format), args.output)
+    return EXIT_OK
 
 
 def cli_main(argv=None) -> int:

@@ -49,7 +49,6 @@ class SolveResult:
     energy: float
     evaluations: int
     wall_time_s: float
-    seed: int | None = None
     energy_trace: list[tuple[int, float]] | None = None
 
 
@@ -120,7 +119,7 @@ class FlipEvaluator:
         return tuple(int(b) for b in self.x)
 
 
-def _result(best_x, energy: float, evaluations: int, t0: float, seed: int, trace) -> SolveResult:
+def _result(best_x, energy: float, evaluations: int, t0: float, trace) -> SolveResult:
     """SolveResult of a heuristic whose best-ever 0/1 assignment is `best_x`
     (None when no energy compared below infinity)."""
     return SolveResult(
@@ -128,7 +127,6 @@ def _result(best_x, energy: float, evaluations: int, t0: float, seed: int, trace
         energy=energy,
         evaluations=evaluations,
         wall_time_s=time.perf_counter() - t0,
-        seed=seed,
         energy_trace=trace,
     )
 
@@ -240,7 +238,7 @@ def solve_sa(
         best_energy = math.ldexp(best_energy, -k) + q.offset
         trace = [(n, math.ldexp(e, -k) + q.offset) for n, e in trace]
     best_x = None if best_s is None else [s < 0.0 for s in best_s]
-    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
+    return _result(best_x, best_energy, evaluations, t0, trace)
 
 
 # per live QUBO: (max_iterations, outcome, seconds) of the first restart of
@@ -307,7 +305,7 @@ def solve_tabu(
         state.reset(rng.integers(0, 2, size=dim))
         best = _tabu_restart(state, best, max_iterations, deadline)
     best_energy, best_x, trace, evaluations = best
-    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
+    return _result(best_x, best_energy, evaluations, t0, trace)
 
 
 def _tabu_restart(
@@ -437,7 +435,7 @@ def solve_ga(
                 best_x = x
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return _result(best_x, best_energy, evaluations, t0, config.seed, trace)
+    return _result(best_x, best_energy, evaluations, t0, trace)
 
 
 @dataclass
@@ -728,19 +726,6 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     return bits, best_energy
 
 
-def run_restarts(
-    solver: Callable[[QuboMatrix, int], SolveResult],
-    q: QuboMatrix,
-    seeds: list[int],
-) -> SolveResult:
-    """Run `solver(q, seed)` for each seed and keep the minimum-energy result
-    (ties broken by smaller seed)."""
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    results = [solver(q, seed) for seed in seeds]
-    return min(results, key=lambda r: (r.energy, r.seed if r.seed is not None else 0))
-
-
 SOLVER_NAMES = ("sa", "tabu", "ga", "exact")
 
 
@@ -768,10 +753,10 @@ def make_solver(
     def run(q, seed):
         # looked up per call, so a wrapper bound to these names later is called
         if config is None:
-            seed = whole_number(seed, 0, f"solver {name!r}: seed")
+            whole_number(seed, 0, f"solver {name!r}: seed")
             t0 = time.perf_counter()
             bits, energy = solve_qubo_bruteforce(q)
-            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0, seed)
+            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0)
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

@@ -59,6 +59,12 @@ def solved_row(row: BenchRow, sol: Solution, wall_time_s: float) -> BenchRow:
     return replace(row, **metrics, wall_time_s=wall_time_s)
 
 
+def _message(exc: Exception) -> str:
+    """A failed run's error: the exception's message, or its type's name
+    when it has none, so that no failed run reads as unfailed."""
+    return str(exc) or type(exc).__name__
+
+
 def seeded_runs(
     instance: PortfolioInstance, params: PenaltyParams | Exception, solvers, seeds, inst_id=""
 ) -> list[tuple[BenchRow, Solution | None]]:
@@ -67,15 +73,15 @@ def seeded_runs(
     and its decoded Solution. A failed build or solve, or `params` given as
     the error that resolving them raised, is the error of the rows it leaves
     unsolved, which have no Solution, NaN lambdas without penalties and dim 0
-    without a QUBO."""
+    without a QUBO. A run has failed exactly when its row's error is not None."""
     resolved = isinstance(params, PenaltyParams)
     lambdas = (params.lambda1, params.lambda2) if resolved else (math.nan, math.nan)
-    q, error = None, (None if resolved else str(params))
+    q, error = None, (None if resolved else _message(params))
     if resolved:
         try:
             q, layout = build_qubo(instance, params)
         except Exception as exc:
-            error = str(exc)
+            error = _message(exc)
     dim = 0 if q is None else q.dim
     row = BenchRow(inst_id, instance.n_assets, instance.n, instance.r_star, dim, *lambdas)
     runs = []
@@ -88,7 +94,7 @@ def seeded_runs(
                     sol = decode(instance, layout, result.bits, energy=result.energy)
                     run = solved_row(run, sol, result.wall_time_s)
                 except Exception as exc:
-                    run, sol = replace(run, error=str(exc)), None
+                    run, sol = replace(run, error=_message(exc)), None
             runs.append((run, sol))
     return runs
 
@@ -125,7 +131,8 @@ def estimate_lambda2(instance: PortfolioInstance) -> float:
     (max - min)/(n - 1); A2 is the mean strictly positive pairwise return
     difference among the same assets. Returns 0 when return_mode is 'none',
     when n < 2 (where A1 is undefined) or when the selected returns carry no
-    spread.
+    spread. A quotient that overflows raises a ValueError naming A1 and A2:
+    no magnitude bound on the instance keeps it finite.
     """
     if instance.return_mode == "none" or instance.n < 2:
         return 0.0
@@ -137,7 +144,10 @@ def estimate_lambda2(instance: PortfolioInstance) -> float:
     pair_diffs = mu_sel[:, None] - mu_sel[None, :]
     positive = pair_diffs[pair_diffs > 0]
     a2 = float(positive.mean()) if positive.size else 0.0
-    return a1 / a2 if a2 else 0.0
+    estimate = a1 / a2 if a2 else 0.0
+    if not math.isfinite(estimate):
+        raise ValueError(f"lambda2 estimate A1/A2 = {a1:.17g}/{a2:.17g} is not finite")
+    return estimate
 
 
 def lambda_sweep(

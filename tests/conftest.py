@@ -309,6 +309,14 @@ def straddling_instance(rng: np.random.Generator, mode: str):
                 return PortfolioInstance(universe, n, float(r_star), mode), x
 
 
+def overflowing_lambda2_instance() -> PortfolioInstance:
+    """An at_least instance well inside the magnitude rule whose lambda2
+    estimate A1/A2 = 1e300 / 1e-10 overflows: the chosen assets' row sums
+    spread widely and their returns nearly tie."""
+    universe = AssetUniverse(("A", "B"), [0.0, 1e-10], np.diag([0.0, 1e300]))
+    return PortfolioInstance(universe, 2, 0.0, "at_least")
+
+
 def ising_couplings(m) -> dict:
     """The nonzero couplings of an Ising model keyed by (i, j), in row-major order."""
     rows, cols = np.nonzero(m.J)

@@ -29,7 +29,7 @@ from portqubo import tuning as tuning_mod
 from portqubo.bench import BenchPlan, BenchReport, BenchRow, ORACLE_SOLVER_NAME
 from portqubo.solvers import SUBSET_ENUMERATION_GUARD
 
-from conftest import straddling_instance
+from conftest import overflowing_lambda2_instance, straddling_instance
 
 
 def _plan(**overrides):
@@ -191,6 +191,21 @@ class TestRunBenchmark:
         ok = [r for r in report.rows if r.instance == "b-reachable"]
         assert len(ok) == 2 + 1 and not any(r.error for r in ok)
         assert [s.instance for s in report.summaries] == ["a-unreachable", "b-reachable"]
+
+    def test_overflowing_lambda2_estimate_recorded_and_matrix_continues(self, tmp_path):
+        path = tmp_path / "a-flat.json"
+        save_instance(overflowing_lambda2_instance(), path)
+        plan = _plan(
+            instances=(str(path), {"synthetic": {"n_assets": 8, "seed": 1}, "n": 3, "id": "b"}),
+            seeds=(0, 1),
+        )
+        report = run_benchmark(plan)
+        failed = [r for r in report.rows if r.instance == "a-flat" and r.solver == "sa"]
+        assert [r.seed for r in failed] == [0, 1]
+        assert all(r.error.startswith("lambda2 estimate A1/A2 = ") for r in failed)
+        assert all(math.isnan(r.lambda1) and math.isnan(r.lambda2) for r in failed)
+        ok = [r for r in report.rows if r.instance == "b"]
+        assert len(ok) == 2 + 1 and not any(r.error for r in ok)
 
     @pytest.mark.parametrize("policy", ["estimate", "grid"])
     def test_penalty_policy_estimates_once_per_instance(self, monkeypatch, policy):

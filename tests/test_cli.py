@@ -6,9 +6,13 @@ import pytest
 
 from portqubo import (
     AssetUniverse,
+    PenaltyParams,
     PortfolioInstance,
     QuboMatrix,
+    SolveResult,
     SyntheticSpec,
+    build_qubo,
+    decode,
     generate_synthetic,
     grid_search,
     load_instance,
@@ -19,9 +23,12 @@ from portqubo import (
     solution_from_bits,
     write_qubo,
 )
+from portqubo import cli as cli_mod
+from portqubo import solvers as solvers_mod
+from portqubo import tuning as tuning_mod
 from portqubo.cli import cli_main
 
-from conftest import straddling_instance
+from conftest import overflowing_lambda2_instance, straddling_instance
 
 
 @pytest.fixture
@@ -797,3 +804,123 @@ def test_solve_with_both_lambdas_prints_what_it_did(at_least_instance, capsys):
         "x=[1, 1, 0, 0, 1, 0, 0, 0]\n"
         "risk=3.5326238198717892 return=6.1314202406641574 energy=3.6189802181362865 feasible=True\n"
     )
+
+
+@pytest.mark.parametrize("solver", ["sa", "tabu"])
+@pytest.mark.parametrize("target", ["inst.json", "q.qubo"])
+def test_solve_with_restarts_prints_the_least_energy_run(tmp_path, capsys, solver, target):
+    instance = PortfolioInstance(generate_synthetic(SyntheticSpec(n_assets=24, seed=6)), n=8)
+    q, layout = build_qubo(instance, PenaltyParams(1.0, 50.0, 0.0))
+    runs = [make_solver(solver)(q, seed) for seed in (5, 6, 7)]
+    best = min(runs, key=lambda r: r.energy)
+    # seed 5 does not find the least energy, so the output shows which run won
+    assert best.bits != runs[0].bits
+    path = tmp_path / target
+    if target.endswith(".qubo"):
+        write_qubo(q, path)
+        flags, code = [], 0
+        want = f"bits={''.join(map(str, best.bits))}\nenergy={best.energy:.17g}\n"
+    else:
+        save_instance(instance, path)
+        flags = ["--lambda1", "50", "--lambda2", "0"]
+        sol = decode(instance, layout, best.bits, energy=best.energy)
+        code = 0 if sol.feasible else 3
+        want = (
+            f"x={list(sol.x)}\nrisk={sol.risk:.17g} return={sol.ret:.17g} "
+            f"energy={sol.energy:.17g} feasible={sol.feasible}\n"
+        )
+    argv = ["solve", str(path), "--solver", solver, "--seed", "5", "--restarts", "3", *flags]
+    assert cli_main(argv) == code
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("target", ["inst.json", "q.qubo"])
+def test_solve_with_restarts_gives_a_tie_to_the_first_seed(tmp_path, monkeypatch, capsys, target):
+    # every assignment of a zero QUBO, or of a zero-risk instance at lambda1 0,
+    # has energy 0: each seed answers a different one
+    answers = {5: (0, 1, 0), 6: (1, 0, 0), 7: (0, 0, 1)}
+
+    def solve_tabu(q, config, deadline):
+        return SolveResult(answers[config.seed], 0.0, 1, 0.0)
+
+    monkeypatch.setattr(solvers_mod, "solve_tabu", solve_tabu)
+    path = tmp_path / target
+    if target.endswith(".qubo"):
+        write_qubo(QuboMatrix(3, {}), path)
+        flags, want = [], "bits=010\nenergy=0\n"
+    else:
+        universe = AssetUniverse(("A", "B", "C"), [0.0] * 3, np.zeros((3, 3)))
+        save_instance(PortfolioInstance(universe, n=1), path)
+        flags = ["--lambda1", "0"]
+        want = "x=[0, 1, 0]\nrisk=0 return=0 energy=0 feasible=True\n"
+    argv = ["solve", str(path), "--solver", "tabu", "--seed", "5", "--restarts", "3", *flags]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_solve_with_restarts_builds_the_qubo_once(synth_instance, monkeypatch, capsys):
+    built = []
+
+    def counting(instance, params):
+        built.append(params)
+        return build_qubo(instance, params)
+
+    for module in (cli_mod, tuning_mod):
+        monkeypatch.setattr(module, "build_qubo", counting)
+    argv = ["solve", str(synth_instance), "--solver", "tabu", "--lambda1", "50", "--restarts", "3"]
+    assert cli_main(argv) == 0
+    assert built == [PenaltyParams(1.0, 50.0, 0.0)]
+
+
+def test_solve_build_failure_under_restarts_is_one_error(synth_instance, capsys):
+    argv = ["solve", str(synth_instance), "--solver", "sa", "--lambda1", "1e308", "--restarts", "3"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", "error: QUBO offset must be finite, got inf\n")
+
+
+@pytest.mark.parametrize(
+    "argv, errors",
+    [
+        (["solve", "{inst}", "--lambda1", "50", "--restarts", "2"], ["RuntimeError"]),
+        (["sweep", "{inst}", "--lambda1-from", "0", "--lambda1-to", "1", "--points", "2",
+          "--seed", "1", "-o", "{out}"],
+         ["lambda1=0: RuntimeError", "lambda1=1: RuntimeError"]),
+        (["tune", "{inst}", "--grid1", "1", "--grid2", "0", "--repeats", "2", "-o", "{out}"],
+         ["lambda1=1 lambda2=0 seed 1: RuntimeError"]),
+        (["bench", "{plan}", "--no-timing", "-o", "{out}"], ["synth/tabu/seed 1: RuntimeError"]),
+    ],
+    ids=["solve", "sweep", "tune", "bench"],
+)
+def test_a_run_that_raises_without_a_message_fails_by_its_type(
+    synth_instance, tmp_path, monkeypatch, capsys, argv, errors
+):
+    # seed 1's tabu run raises an exception whose message is empty: bench
+    # counted it as a success, and the other commands printed `error: ...: `
+    def solve_tabu(q, config, deadline, _original=solvers_mod.solve_tabu):
+        if config.seed == 1:
+            raise RuntimeError()
+        return _original(q, config, deadline=deadline)
+
+    monkeypatch.setattr(solvers_mod, "solve_tabu", solve_tabu)
+    plan = tmp_path / "plan.json"
+    plan.write_text(_plan_text(instances=[str(synth_instance)], solvers=["tabu"], seeds=[0, 1]))
+    paths = {"inst": synth_instance, "plan": plan, "out": tmp_path / "out.csv"}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "bench":
+        argv += ["--solver", "tabu"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+
+
+def test_overflowing_lambda2_estimate_is_named(tmp_path, capsys):
+    # build printed `PenaltyParams: field 'lambda2' ... got inf`, a lambda never given
+    path = tmp_path / "flat.json"
+    save_instance(overflowing_lambda2_instance(), path)
+    message = "error: lambda2 estimate A1/A2 = 1.0000000000000001e+300/1e-10 is not finite\n"
+    for argv in (
+        ["build", str(path), "--estimate", "-o", str(tmp_path / "q.qubo")],
+        ["tune", str(path), "--solver", "exact", "--grid1", "1"],
+    ):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "q.qubo").exists()

@@ -53,7 +53,11 @@ def _package_imports(path: Path) -> set[str]:
     [
         # the number rules every record applies sit at the bottom of the graph
         ("model", set()),
+        ("data", {"model"}),
+        ("qubo", {"model", "data"}),
         ("solvers", {"model", "qubo"}),
+        ("tuning", {"model", "qubo", "solvers"}),
+        ("bench", {"data", "model", "solvers", "tuning"}),
     ],
 )
 def test_module_imports_only_the_layers_below_it(module, allowed):

@@ -30,7 +30,6 @@ from portqubo import (
     build_qubo,
     make_solver,
     qubo_energy,
-    run_restarts,
     solution_from_bits,
     solve_exhaustive_subsets,
     solve_ga,
@@ -445,7 +444,7 @@ def _int64_bits(value: float):
 
 class TestExactSolver:
     """The solver of make_solver("exact"): `solve_qubo_bruteforce` with the
-    seed and the enumeration count attached."""
+    enumeration count attached."""
 
     def test_one_solver_across_dims_matches_reference(self):
         solver = make_solver("exact")
@@ -457,7 +456,7 @@ class TestExactSolver:
                 ref_bits, ref_energy = reference_bruteforce(q)
                 assert result.bits == ref_bits
                 assert _int64_bits(result.energy) == _int64_bits(ref_energy)
-                assert (result.evaluations, result.seed) == (1 << dim, 3)
+                assert result.evaluations == 1 << dim
 
     def test_solver_calls_the_oracle_bound_at_call_time(self, rng, monkeypatch):
         # perfbench's tracer times the oracle by rebinding this name
@@ -938,37 +937,6 @@ class TestGa:
             GaConfig(population=population)
 
 
-class TestRunRestarts:
-    def test_single_seed_matches_direct_call(self, rng):
-        q = random_qubo(rng, 10)
-        solver = make_solver("sa", {"sweeps": 50, "restarts": 2})
-        direct = solver(q, 7)
-        wrapped = run_restarts(solver, q, [7])
-        assert wrapped.bits == direct.bits
-        assert wrapped.energy == direct.energy
-
-    def test_order_independent(self, rng):
-        q = random_qubo(rng, 10)
-        solver = make_solver("sa", {"sweeps": 50, "restarts": 1})
-        a = run_restarts(solver, q, [1, 2, 3])
-        b = run_restarts(solver, q, [3, 1, 2])
-        assert a.bits == b.bits and a.energy == b.energy and a.seed == b.seed
-
-    def test_best_of_dominates_each_run(self, rng):
-        q = random_qubo(rng, 16)
-        solver = make_solver("sa", {"sweeps": 100, "restarts": 1})
-        seeds = [0, 1, 2, 3, 4]
-        best = run_restarts(solver, q, seeds)
-        runs = [solver(q, seed) for seed in seeds]
-        assert best.energy == min(run.energy for run in runs)
-        assert best.seed == min(run.seed for run in runs if run.energy == best.energy)
-
-    def test_empty_seeds_rejected(self, rng):
-        q = random_qubo(rng, 4)
-        with pytest.raises(ValueError):
-            run_restarts(make_solver("exact"), q, [])
-
-
 class TestMakeSolver:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown solver"):
@@ -1055,7 +1023,7 @@ class TestMakeSolver:
         message = r"^solver 'exact': seed must be a whole number of at least 0, got "
         with pytest.raises(ValueError, match=message):
             make_solver("exact")(random_qubo(rng, 4), seed)
-        assert type(make_solver("exact")(random_qubo(rng, 4), np.int64(3)).seed) is int
+        make_solver("exact")(random_qubo(rng, 4), np.int64(3))
 
     @pytest.mark.parametrize(
         "name, options, solve, config",
@@ -1070,7 +1038,7 @@ class TestMakeSolver:
         solver = make_solver(name, options)
         for seed in (0, 3):
             got, want = solver(q, seed), solve(q, config(seed=seed, **options))
-            assert (got.bits, got.energy, got.seed) == (want.bits, want.energy, seed)
+            assert (got.bits, got.energy) == (want.bits, want.energy)
 
     @pytest.mark.parametrize("name", ["sa", "tabu", "ga"])
     def test_solver_calls_the_name_bound_at_call_time(self, rng, monkeypatch, name):

@@ -21,7 +21,7 @@ from portqubo.solvers import make_solver
 from portqubo.bench import RUN_COLUMNS, rows_csv
 from portqubo.tuning import _row_prefix_sums, default_grid, resolve_penalties
 
-from conftest import random_instance
+from conftest import overflowing_lambda2_instance, random_instance
 
 
 def _universe(mu, sigma):
@@ -134,6 +134,20 @@ class TestEstimateLambda2:
                 _universe([1.0, 2.0], np.eye(2)), n=1, r_star=1.0, return_mode=mode
             )
             assert estimate_lambda2(inst) == 0.0
+
+    def test_overflowing_quotient_is_named(self):
+        # it returned inf, which PenaltyParams then named as a lambda2 never given
+        inst = overflowing_lambda2_instance()
+        message = r"^lambda2 estimate A1/A2 = 1\.0000000000000001e\+300/1e-10 is not finite$"
+        for estimate in (
+            lambda: estimate_lambda2(inst),
+            lambda: resolve_penalties(inst, "estimate"),
+            lambda: grid_search(inst, make_solver("exact"), [1.0], None),
+        ):
+            with pytest.raises(ValueError, match=message):
+                estimate()
+        # a given lambda2 needs no estimate
+        assert resolve_penalties(inst, "estimate", lambda2=1.0).lambda2 == 1.0
 
     def test_invariant_under_return_shift(self, rng):
         for _ in range(10):
