@@ -26,7 +26,7 @@ from .solvers import (
     make_solver,
     solve_exhaustive_subsets,
 )
-from .tuning import grid_search, lambda_sweep, resolve_penalties, seeded_runs
+from .tuning import _message, grid_search, lambda_sweep, resolve_penalties, seeded_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,7 +190,10 @@ def _cmd_solve(args) -> int:
     if is_qubo:
         q = read_qubo(args.target)
         solver = make_solver(args.solver)
-        result = min((solver(q, seed) for seed in seeds), key=lambda r: r.energy)
+        try:  # a failed run fails as an instance target's does
+            result = min((solver(q, seed) for seed in seeds), key=lambda r: r.energy)
+        except Exception as exc:
+            raise ValueError(_message(exc)) from None
         print(f"bits={''.join(str(b) for b in result.bits)}")
         print(f"energy={result.energy:.17g}")
         return EXIT_OK

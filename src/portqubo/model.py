@@ -74,16 +74,19 @@ def read_numbers(record, **sign: str) -> None:
     _read_fields(record, finite_number, sign)
 
 
-MAX_INSTANCE_MAGNITUDE = 2.0**1016
-"""Largest N (sum |sigma_ij| + sum |mu_i|) of a universe of N assets, and
-largest |r_star| of an instance (about 7.02e305). A risk x'Sx and each of
-its partial sums, as in the estimates' row sums and the subset oracle's
-running sums, count each |sigma_ij| at most twice; a return, a return
-difference and a return margin are within sum |mu| + |r_star|. The positive
-return differences of n <= N assets, which estimate_lambda2 averages, sum
-to at most (n - 1) sum |mu|: hence the factor N, without which 512 assets
-of mu = +-2^1007 overflow that sum. Every sum stays below 2^1018, far
-inside the float64 range of 2^1024, with room for rounding."""
+MAX_MAGNITUDE = 2.0**1016
+"""Largest N (sum |sigma_ij| + sum |mu_i|) of a universe of N assets, |r_star|
+of an instance, and sum |coefficient| + |offset| of a QuboMatrix (about
+7.02e305). A risk x'Sx and each of its partial sums, as in the estimates'
+row sums and the subset oracle's running sums, count each |sigma_ij| at most
+twice; a return, a return difference and a return margin are within
+sum |mu| + |r_star|. The positive return differences of n <= N assets, which
+estimate_lambda2 averages, sum to at most (n - 1) sum |mu|: hence the factor
+N, without which 512 assets of mu = +-2^1007 overflow that sum. Every QUBO
+energy and flip gain is a signed subset sum of its terms; x'Wx over the
+symmetric coupling counts each off-diagonal term twice, and SA's 100-sample
+mean |dE| sums 100 gains first. So every sum stays below 2^1023, inside the
+float64 range of 2^1024, with room for rounding."""
 
 # elements per block of `abs_sum`: no |.| copy of a whole array
 _MAGNITUDE_BLOCK_ELEMENTS = 1 << 16
@@ -99,12 +102,11 @@ def abs_sum(a: np.ndarray) -> float:
         return float(sum(np.abs(a[r : r + rows]).sum() for r in range(0, len(a), rows)))
 
 
-def _check_magnitude(what: str, value: float) -> None:
-    if not value <= MAX_INSTANCE_MAGNITUDE:  # inf too
-        raise ValueError(
-            f"{what} is {value:.6g}, above MAX_INSTANCE_MAGNITUDE = 2^1016 (about "
-            "7.02e305): sums could overflow"
-        )
+def check_magnitude(what: str, value: float) -> None:
+    """Rejects a ``value`` above MAX_MAGNITUDE, as it does NaN and inf, naming ``what``."""
+    if not value <= MAX_MAGNITUDE:
+        message = "above MAX_MAGNITUDE = 2^1016 (about 7.02e305): sums could overflow"
+        raise ValueError(f"{what} is {value:.6g}, {message}")
 
 
 # the largest N at which a Cholesky factor proves the eigenvalue rule holds
@@ -137,7 +139,7 @@ def _has_cholesky(sigma: np.ndarray) -> bool:
 class AssetUniverse:
     """A set of assets with expected returns (percent over the horizon) and a
     covariance matrix of period returns (percent squared), of finite entries
-    within ``MAX_INSTANCE_MAGNITUDE``."""
+    within ``MAX_MAGNITUDE``."""
 
     symbols: tuple[str, ...]
     mu: np.ndarray
@@ -161,7 +163,7 @@ class AssetUniverse:
             raise ValueError("mu has non-finite entries")
         if not np.isfinite(sigma).all():
             raise ValueError("sigma has non-finite entries")
-        _check_magnitude("universe N (sum |sigma| + sum |mu|)", n * (abs_sum(sigma) + abs_sum(mu)))
+        check_magnitude("universe N (sum |sigma| + sum |mu|)", n * (abs_sum(sigma) + abs_sum(mu)))
         if np.abs(sigma - sigma.T).max() > 1e-9:
             raise ValueError("sigma is not symmetric within 1e-9")
         if n > _CHOLESKY_MAX_N or not _has_cholesky(sigma):
@@ -186,7 +188,7 @@ class PortfolioInstance:
     """A selection problem over a universe: pick exactly ``n`` assets, with a
     return target ``r_star`` interpreted per ``return_mode``: required under
     at_least and equality, 0.0 when not given under none, and of magnitude
-    at most ``MAX_INSTANCE_MAGNITUDE``."""
+    at most ``MAX_MAGNITUDE``."""
 
     universe: AssetUniverse
     n: int
@@ -209,7 +211,7 @@ class PortfolioInstance:
         if self.n > self.universe.n_assets:
             raise ValueError(f"n must be in [1, {self.universe.n_assets}], got {self.n}")
         read_numbers(self, r_star="")
-        _check_magnitude("PortfolioInstance: |r_star|", abs(self.r_star))
+        check_magnitude("PortfolioInstance: |r_star|", abs(self.r_star))
 
     @property
     def n_assets(self) -> int:

@@ -28,6 +28,7 @@ from .model import (
     Solution,
     abs_sum,
     bit_vector,
+    check_magnitude,
     read_numbers,
     return_margin,
     solution_from_bits,
@@ -69,15 +70,6 @@ MAX_QUBO_DIM = 8192
 """Largest dim a QuboMatrix accepts; its dense array then takes 512 MiB."""
 
 
-MAX_QUBO_MAGNITUDE = 2.0**1016
-"""Largest sum of |coefficient| over a QuboMatrix plus its |offset| (about
-7.0e305). Every energy and every flip gain is a signed subset sum of those
-terms, so none exceeds it in magnitude; x'Wx over the symmetric coupling
-counts each off-diagonal term twice, and SA's 100-sample mean |dE| sums 100
-gains first, so every sum stays below 2^1023, the float64 range, with room
-for rounding."""
-
-
 def _check_dim(dim: int) -> None:
     """Checks dim against MAX_QUBO_DIM so a file header cannot ask for more
     memory than the bound allows."""
@@ -101,7 +93,7 @@ class QuboMatrix:
     integer (i, j) with i <= j and rejects any that is not finite, as it
     does a non-finite offset. Every reader, ``build_qubo`` and the
     constructor also reject a QUBO whose sum of |coefficient| plus |offset|
-    exceeds ``MAX_QUBO_MAGNITUDE``, so no energy, flip gain or SA
+    exceeds ``model.MAX_MAGNITUDE``, so no energy, flip gain or SA
     temperature estimate overflows. ``coeffs`` gives the nonzero ones back in
     row-major order. The offset carries the constant terms dropped from the
     quadratic expansion so energies stay comparable across encodings.
@@ -133,14 +125,10 @@ class QuboMatrix:
         if not math.isfinite(offset):
             raise ValueError(f"QUBO offset must be finite, got {offset}")
         magnitude = abs(offset) + abs_sum(upper)
-        if not magnitude <= MAX_QUBO_MAGNITUDE:  # NaN and inf too
-            if not np.isfinite(upper).all():
-                i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
-                raise ValueError(f"QUBO coefficient ({i}, {j}) must be finite, got {upper[i, j]}")
-            raise ValueError(
-                f"QUBO |coefficient| sum plus |offset| is {magnitude:.6g}, above "
-                "MAX_QUBO_MAGNITUDE = 2^1016 (about 7.02e305): energies could overflow"
-            )
+        if not math.isfinite(magnitude) and not np.isfinite(upper).all():
+            i, j = np.argwhere(~np.isfinite(upper))[0].tolist()
+            raise ValueError(f"QUBO coefficient ({i}, {j}) must be finite, got {upper[i, j]}")
+        check_magnitude("QUBO |coefficient| sum plus |offset|", magnitude)
         upper += 0.0  # -0.0 -> +0.0: a zero coefficient is no coefficient
         upper.setflags(write=False)
         object.__setattr__(self, "dim", upper.shape[0])
@@ -167,7 +155,7 @@ class IsingModel:
     array, zero on and below the diagonal.
 
     Only ``to_ising`` makes one, from a QuboMatrix, whose magnitude rule
-    bounds sum|h| + sum|J| + |offset| by ``MAX_QUBO_MAGNITUDE``, so no
+    bounds sum|h| + sum|J| + |offset| by ``model.MAX_MAGNITUDE``, so no
     field, coupling or spin energy overflows; calling the class raises a
     TypeError.
     """
@@ -372,7 +360,7 @@ def read_qubo(path) -> QuboMatrix:
     are blank or start with `c` are skipped, one `p qubo <dim> <nnz>
     <offset>` line comes before exactly nnz `i j value` lines, with
     0 <= i <= j < dim, no `i j` pair twice and only finite numbers, whose
-    magnitudes with the offset's sum to at most `MAX_QUBO_MAGNITUDE`. Any
+    magnitudes with the offset's sum to at most `model.MAX_MAGNITUDE`. Any
     other file raises a ValueError naming `path:line` of its first fault in
     file order (only a missing problem line or a sum above the bound names
     no line).

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EQUALITY_RETURN_TOL, PortfolioInstance, Solution, finite_number
+from .model import EQUALITY_RETURN_TOL, MAX_MAGNITUDE, PortfolioInstance, Solution, abs_sum
 from .model import portfolio_returns, portfolio_risks, read_counts, return_margin
-from .model import bit_vector, solution_from_bits, whole_number
-from .qubo import MAX_QUBO_MAGNITUDE, QuboMatrix
+from .model import bit_vector, finite_number, solution_from_bits, whole_number
+from .qubo import QuboMatrix
 
 SUBSET_ENUMERATION_GUARD = 10**7
 BRUTEFORCE_DIM_GUARD = 24
@@ -43,7 +43,8 @@ class InfeasibleInstanceError(RuntimeError):
 
 @dataclass
 class SolveResult:
-    """Outcome of one solver invocation on a QUBO."""
+    """Outcome of one solver invocation on a QUBO; ``bits`` is always a
+    tuple of dim 0/1 ints."""
 
     bits: tuple[int, ...]
     energy: float
@@ -119,16 +120,12 @@ class FlipEvaluator:
         return tuple(int(b) for b in self.x)
 
 
-def _result(best_x, energy: float, evaluations: int, t0: float, trace) -> SolveResult:
-    """SolveResult of a heuristic whose best-ever 0/1 assignment is `best_x`
-    (None when no energy compared below infinity)."""
-    return SolveResult(
-        bits=None if best_x is None else tuple(int(b) for b in best_x),
-        energy=energy,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        energy_trace=trace,
-    )
+def _result(best_x, energy: float, evaluations: int, t0: float, trace=None) -> SolveResult:
+    """SolveResult of a solver whose best 0/1 assignment is `best_x`. The
+    magnitude rule keeps every restart's first energy finite, so a solver
+    has one once its first restart has begun."""
+    bits = tuple(int(b) for b in best_x)
+    return SolveResult(bits, energy, evaluations, time.perf_counter() - t0, trace)
 
 
 def _estimate_betas(
@@ -153,8 +150,8 @@ def _estimate_betas(
     final = math.log(1 / 1e-4)
     mean, k = mean_delta(), 0
     if mean > 0 and not math.isfinite(final / mean):
-        # at most the k that keeps |coefficient| sum * 2^k below 2^1016
-        room = int(math.log2(MAX_QUBO_MAGNITUDE)) - math.frexp(float(np.abs(q.upper).sum()))[1]
+        # at most the k that keeps |coefficient| sum * 2^k below MAX_MAGNITUDE
+        room = int(math.log2(MAX_MAGNITUDE)) - math.frexp(abs_sum(q.upper))[1]
         k = max(0, min(-math.frexp(mean)[1], room))
         if k:
             state = FlipEvaluator(QuboMatrix._from_upper(np.ldexp(q.upper, k), 0.0))
@@ -197,7 +194,7 @@ def solve_sa(
     sites = list(range(dim))
     add, subtract = np.add, np.subtract
     best_energy = math.inf
-    best_s: list[float] | None = None
+    best_s: list[float] = []  # set by the first restart
     trace: list[tuple[int, float]] = []
     evaluations = 0
     shuffle, exponential = rng.shuffle, rng.standard_exponential
@@ -237,8 +234,7 @@ def solve_sa(
     if k:
         best_energy = math.ldexp(best_energy, -k) + q.offset
         trace = [(n, math.ldexp(e, -k) + q.offset) for n, e in trace]
-    best_x = None if best_s is None else [s < 0.0 for s in best_s]
-    return _result(best_x, best_energy, evaluations, t0, trace)
+    return _result([s < 0.0 for s in best_s], best_energy, evaluations, t0, trace)
 
 
 # per live QUBO: (max_iterations, outcome, seconds) of the first restart of
@@ -755,8 +751,7 @@ def make_solver(
         if config is None:
             whole_number(seed, 0, f"solver {name!r}: seed")
             t0 = time.perf_counter()
-            bits, energy = solve_qubo_bruteforce(q)
-            return SolveResult(bits, energy, 1 << q.dim, time.perf_counter() - t0)
+            return _result(*solve_qubo_bruteforce(q), 1 << q.dim, t0)
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

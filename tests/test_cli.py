@@ -142,7 +142,7 @@ def test_qubo_file_whose_energies_overflow_is_data_error(tmp_path, capsys, solve
     assert captured.out == ""
     assert captured.err == (
         f"error: {path}: QUBO |coefficient| sum plus |offset| is inf, above "
-        "MAX_QUBO_MAGNITUDE = 2^1016 (about 7.02e305): energies could overflow\n"
+        "MAX_MAGNITUDE = 2^1016 (about 7.02e305): sums could overflow\n"
     )
 
 
@@ -648,7 +648,7 @@ def test_build_overflow_is_named_without_a_warning(synth_instance, tmp_path, cap
 
 
 _OVER_BOUND = (
-    "universe N (sum |sigma| + sum |mu|) is inf, above MAX_INSTANCE_MAGNITUDE = 2^1016 "
+    "universe N (sum |sigma| + sum |mu|) is inf, above MAX_MAGNITUDE = 2^1016 "
     "(about 7.02e305): sums could overflow"
 )
 
@@ -882,6 +882,7 @@ def test_solve_build_failure_under_restarts_is_one_error(synth_instance, capsys)
     "argv, errors",
     [
         (["solve", "{inst}", "--lambda1", "50", "--restarts", "2"], ["RuntimeError"]),
+        (["solve", "{qubo}", "--restarts", "2"], ["RuntimeError"]),
         (["sweep", "{inst}", "--lambda1-from", "0", "--lambda1-to", "1", "--points", "2",
           "--seed", "1", "-o", "{out}"],
          ["lambda1=0: RuntimeError", "lambda1=1: RuntimeError"]),
@@ -889,7 +890,7 @@ def test_solve_build_failure_under_restarts_is_one_error(synth_instance, capsys)
          ["lambda1=1 lambda2=0 seed 1: RuntimeError"]),
         (["bench", "{plan}", "--no-timing", "-o", "{out}"], ["synth/tabu/seed 1: RuntimeError"]),
     ],
-    ids=["solve", "sweep", "tune", "bench"],
+    ids=["solve", "solve .qubo", "sweep", "tune", "bench"],
 )
 def test_a_run_that_raises_without_a_message_fails_by_its_type(
     synth_instance, tmp_path, monkeypatch, capsys, argv, errors
@@ -904,7 +905,9 @@ def test_a_run_that_raises_without_a_message_fails_by_its_type(
     monkeypatch.setattr(solvers_mod, "solve_tabu", solve_tabu)
     plan = tmp_path / "plan.json"
     plan.write_text(_plan_text(instances=[str(synth_instance)], solvers=["tabu"], seeds=[0, 1]))
-    paths = {"inst": synth_instance, "plan": plan, "out": tmp_path / "out.csv"}
+    qubo = tmp_path / "synth.qubo"
+    write_qubo(build_qubo(load_instance(synth_instance), PenaltyParams(1.0, 50.0))[0], qubo)
+    paths = {"inst": synth_instance, "plan": plan, "out": tmp_path / "out.csv", "qubo": qubo}
     argv = [a.format(**paths) for a in argv]
     if argv[0] != "bench":
         argv += ["--solver", "tabu"]

@@ -4,7 +4,7 @@ length holding only 0s and 1s), the `r_star` presence rule of
 `PortfolioInstance` (a return target is required under at_least and
 equality, and reads 0.0 when not given under none) and the instance
 magnitude rule (N (sum |sigma| + sum |mu|) of a universe of N assets and
-|r_star| at most `MAX_INSTANCE_MAGNITUDE`, so that no sum overflows)."""
+|r_star| at most `MAX_MAGNITUDE`, so that no sum overflows)."""
 
 import json
 import math
@@ -203,7 +203,7 @@ def test_a_missing_return_target_reads_zero_under_none(tmp_path, entry):
 
 def _over_bound(what: str, value: str) -> str:
     return (
-        rf"{re.escape(what)} is {re.escape(value)}, above MAX_INSTANCE_MAGNITUDE = 2\^1016 "
+        rf"{re.escape(what)} is {re.escape(value)}, above MAX_MAGNITUDE = 2\^1016 "
         r"\(about 7\.02e305\): sums could overflow$"
     )
 

@@ -13,7 +13,7 @@ from portqubo import (
     solve_exhaustive_subsets,
 )
 from portqubo.model import RETURN_MODES, finite_number, portfolio_returns, portfolio_risks
-from portqubo.model import MAX_INSTANCE_MAGNITUDE, abs_sum
+from portqubo.model import MAX_MAGNITUDE, abs_sum
 from portqubo.model import whole_number
 
 from conftest import (
@@ -295,12 +295,12 @@ def test_instance_rejects_non_finite_r_star(bad):
 )
 def test_magnitude_rule_accepts_its_bound_and_names_the_sum_above_it(mu, sigma):
     # N (sum |sigma| + sum |mu|) of exactly 2^1016, then of the float above it
-    bound = MAX_INSTANCE_MAGNITUDE
+    bound = MAX_MAGNITUDE
     assert bound == 2.0**1016
     universe = _universe(np.multiply(mu, bound), np.multiply(sigma, bound))
     above = np.nextafter(bound, np.inf)
     message = (
-        r" is 7\.02224e\+305, above MAX_INSTANCE_MAGNITUDE = 2\^1016 \(about 7\.02e305\): "
+        r" is 7\.02224e\+305, above MAX_MAGNITUDE = 2\^1016 \(about 7\.02e305\): "
         "sums could overflow$"
     )
     with pytest.raises(ValueError, match=r"^universe N \(sum \|sigma\| \+ sum \|mu\|\)" + message):

@@ -30,7 +30,8 @@ from portqubo import (
     write_qubo,
 )
 from portqubo import qubo as qubo_mod
-from portqubo.qubo import MAX_QUBO_DIM, MAX_QUBO_MAGNITUDE, VariableLayout
+from portqubo.model import MAX_MAGNITUDE
+from portqubo.qubo import MAX_QUBO_DIM, VariableLayout
 
 from conftest import (
     ising_couplings,
@@ -576,26 +577,29 @@ class TestValidation:
 
     def test_qubo_magnitude_bound(self):
         # 2^1015 + 2^1014 + 2^1014 is exactly the bound; any more is over it
-        half, quarter = MAX_QUBO_MAGNITUDE / 2, MAX_QUBO_MAGNITUDE / 4
+        half, quarter = MAX_MAGNITUDE / 2, MAX_MAGNITUDE / 4
         q = QuboMatrix(dim=2, coeffs={(0, 0): half, (0, 1): -quarter}, offset=-quarter)
         assert q.upper.tolist() == [[half, -quarter], [0.0, 0.0]]
         over = [
-            ({(0, 0): half, (0, 1): -quarter, (1, 1): MAX_QUBO_MAGNITUDE * 2.0**-40}, -quarter),
+            ({(0, 0): half, (0, 1): -quarter, (1, 1): MAX_MAGNITUDE * 2.0**-40}, -quarter),
             ({(0, 0): half, (0, 1): -quarter}, -quarter * (1.0 + 2.0**-40)),
             ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): 1e308}, 0.0),
         ]
         for coeffs, offset in over:
-            with pytest.raises(ValueError, match=r"^QUBO \|coefficient\| sum plus \|offset\| is .*MAX_QUBO_MAGNITUDE = 2\^1016"):
+            with pytest.raises(ValueError, match=r"^QUBO \|coefficient\| sum plus \|offset\| is .*MAX_MAGNITUDE = 2\^1016"):
                 QuboMatrix(dim=2, coeffs=coeffs, offset=offset)
 
-    def test_qubo_magnitude_bound_keeps_energies_finite(self):
-        # a QUBO at the bound: no solver's sums overflow, and none warns
+    @pytest.mark.parametrize("deadline", [None, -1.0], ids=["no deadline", "deadline passed"])
+    def test_qubo_magnitude_bound_keeps_energies_finite(self, deadline):
+        # a QUBO at the bound: no solver's sums overflow, and none warns; a
+        # deadline that has passed still leaves the first restart's bits
         coeffs = {(i, j): (-1.0) ** (i + j) for i in range(6) for j in range(i, 6)}
-        scale = MAX_QUBO_MAGNITUDE / (len(coeffs) + 1)
+        scale = MAX_MAGNITUDE / (len(coeffs) + 1)
         q = QuboMatrix(6, {k: v * scale for k, v in coeffs.items()}, offset=scale)
         for solve in (solve_sa, solve_tabu, solve_ga):
-            result = solve(q)
-            assert math.isfinite(result.energy) and len(result.bits) == 6
+            result = solve(q, deadline=deadline)
+            assert math.isfinite(result.energy) and type(result.bits) is tuple
+            assert len(result.bits) == 6 and all(type(b) is int and b in (0, 1) for b in result.bits)
         bits, energy = solve_qubo_bruteforce(q)
         assert math.isfinite(energy) and energy == pytest.approx(qubo_energy(q, bits))
         spins = 2 * np.array(bits) - 1
