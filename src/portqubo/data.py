@@ -56,7 +56,8 @@ class SyntheticSpec:
     def __post_init__(self):
         read_counts(self, n_assets=1, n_factors=1, seed=0)
         if self.n_factors > self.n_assets:
-            raise ValueError("n_factors must be in [1, n_assets]")
+            rule = f"must be at most n_assets = {self.n_assets}, got {self.n_factors}"
+            raise ValueError(f"SyntheticSpec: field 'n_factors' {rule}")
         bound = "SyntheticSpec: a bound of field 'return_range'"
         low, high = (finite_number(v, "", bound) for v in self.return_range)
         # numpy's uniform draws only where high - low is a finite float

@@ -92,11 +92,10 @@ class GaConfig:
 class FlipEvaluator:
     """The flip state that SA and tabu start each restart from.
 
-    Keeps the bits x, the local fields f_i = sum_j W_ij x_j, so a flip's
-    energy change costs O(dim) instead of O(dim^2), and the flip signs
-    s_i = 1 - 2 x_i (exactly +-1.0), so bit i's gain is s_i * (d_i + f_i).
-    Tabu flips inline on these buffers. SA updates `fields` in place but
-    keeps its signs in a list, so it reads the state only at `reset`.
+    Keeps each bit x_i only as its flip sign s_i = 1 - 2 x_i (exactly +-1.0),
+    with the local fields f_i = sum_j W_ij x_j: bit i's gain is s_i * (d_i + f_i),
+    and a flip costs O(dim). Tabu flips inline on these buffers; SA updates
+    `fields` in place but keeps its signs in a list: it reads them at `reset`.
     """
 
     def __init__(self, q: QuboMatrix, bits=None):
@@ -109,15 +108,15 @@ class FlipEvaluator:
 
     def reset(self, bits=None) -> None:
         """Start again from `bits` (all zeros when None), checked by `bit_vector`."""
-        self.x = np.zeros(self.dim) if bits is None else bit_vector(bits, self.dim, "QUBO dim")
-        self._signs = 1.0 - 2.0 * self.x
-        self.fields = self.coupling @ self.x
-        self.energy = float(self.offset + self.diag @ self.x + 0.5 * self.x @ self.fields)
+        x = np.zeros(self.dim) if bits is None else bit_vector(bits, self.dim, "QUBO dim")
+        self._signs = 1.0 - 2.0 * x
+        self.fields = self.coupling @ x
+        self.energy = float(self.offset + self.diag @ x + 0.5 * x @ self.fields)
         # Python-float views of the buffers the flips update in place
-        self._x, self._s, self._f = map(memoryview, (self.x, self._signs, self.fields))
+        self._s, self._f = memoryview(self._signs), memoryview(self.fields)
 
     def bits(self) -> tuple[int, ...]:
-        return tuple(int(b) for b in self.x)
+        return tuple(int(s < 0.0) for s in self._s)
 
 
 def _result(best_x, energy: float, evaluations: int, t0: float, trace=None) -> SolveResult:
@@ -270,7 +269,8 @@ def solve_tabu(
     moves.
 
     Each restart binds the `FlipEvaluator`'s buffers to locals and runs the
-    gains of every bit and the flip inline on them.
+    gains of every bit and the flip inline on them. As in SA, the best state
+    is a list of flip signs: "bits lexicographically smaller" is "signs larger".
 
     The first restart draws nothing from the RNG, so its outcome depends only
     on the QUBO and `max_iterations`. Without a deadline it is run once per
@@ -280,47 +280,45 @@ def solve_tabu(
     """
     t0 = time.perf_counter()
     dim = q.dim
-    max_iterations = (
-        config.max_iterations if config.max_iterations is not None else 50 * dim
-    )
+    max_iterations = 50 * dim if config.max_iterations is None else config.max_iterations
     state = FlipEvaluator(q)
     kept = None if deadline is not None else _FIRST_RESTARTS.get(q)
     if kept is not None and kept[0] == max_iterations:
         first, first_s = kept[1:]
         t0 -= first_s
     else:
-        first = _tabu_restart(state, (math.inf, None, [], 0), max_iterations, deadline)
+        first = _tabu_restart(state, (math.inf, [], [], 0), max_iterations, deadline)
         if deadline is None:
             _FIRST_RESTARTS[q] = (max_iterations, first, time.perf_counter() - t0)
-    best_energy, best_x, trace, evaluations = first
-    best = best_energy, best_x, list(trace), evaluations  # `first` may be kept
+    best_energy, best_s, trace, evaluations = first
+    best = best_energy, best_s, list(trace), evaluations  # `first` may be kept
     rng = np.random.default_rng(config.seed)
     for _ in range(1, config.restarts):
         if deadline is not None and time.perf_counter() > deadline:
             break
         state.reset(rng.integers(0, 2, size=dim))
         best = _tabu_restart(state, best, max_iterations, deadline)
-    best_energy, best_x, trace, evaluations = best
-    return _result(best_x, best_energy, evaluations, t0, trace)
+    best_energy, best_s, trace, evaluations = best
+    return _result([s < 0.0 for s in best_s], best_energy, evaluations, t0, trace)
 
 
 def _tabu_restart(
     state: FlipEvaluator, best: tuple, max_iterations: int, deadline: float | None
 ) -> tuple:
     """One restart of `solve_tabu` from the bits `state` holds. `best` is the
-    outcome of the restarts before it, (best energy, best bits as a list,
-    trace, evaluations); returns the outcome after this one, its trace
+    outcome of the restarts before it, (best energy, best flip signs as a
+    list, trace, evaluations); returns the outcome after this one, its trace
     extended in place."""
-    best_energy, best_x, trace, evaluations = best
+    best_energy, best_s, trace, evaluations = best
     dim = state.dim
     tenure = max(7, dim // 10)
     energy = state.energy
     if energy < best_energy:
-        best_energy, best_x = energy, state.x.tolist()
+        best_energy, best_s = energy, state._signs.tolist()
         trace.append((evaluations, best_energy))
     # the evaluator's buffers, which the steps below update in place
-    diag, fields, signs, gains, x = state.diag, state.fields, state._signs, state._gains, state.x
-    xv, sv, fv, rows, d = state._x, state._s, state._f, state._rows, state._d
+    diag, fields, signs, gains = state.diag, state.fields, state._signs, state._gains
+    sv, fv, rows, d = state._s, state._f, state._rows, state._d
     add, subtract, multiply, inf = np.add, np.subtract, np.multiply, math.inf
     # bit j is tabu at `step` while tabu_until[j] >= step
     tabu_until = [0] * dim
@@ -341,7 +339,6 @@ def _tabu_restart(
                 i = j
         s = sv[i]
         energy += s * (d[i] + fv[i])
-        xv[i] += s
         sv[i] = -s
         if s > 0.0:
             add(fields, rows[i], fields)
@@ -352,16 +349,14 @@ def _tabu_restart(
         recent.append(i)
         if energy <= best_energy:
             if energy < best_energy:
-                best_energy, best_x = energy, x.tolist()
+                best_energy, best_s = energy, signs.tolist()
                 trace.append((evaluations, best_energy))
-            else:
-                bits = x.tolist()
-                if bits < best_x:
-                    best_x = bits
+            elif (sg := signs.tolist()) > best_s:
+                best_s = sg
         if deadline is not None and time.perf_counter() > deadline:
             break
     state.energy = energy
-    return best_energy, best_x, trace, evaluations
+    return best_energy, best_s, trace, evaluations
 
 
 def solve_ga(
@@ -370,10 +365,11 @@ def solve_ga(
     """Generational GA on the penalized bitstring representation: tournament
     selection, uniform crossover, per-bit mutation, elitism.
 
-    The population is a bool array and each generation is built in place in
-    the gathered parents: a crossing pair exchanges the bits where its mask
-    is 0 and the two differ, and mutation XORs the mutation mask. Energies
-    are ((pop @ U) * pop).sum(axis=1) + offset, computed into buffers
+    The population is one bool array and each generation is built in place
+    in the gathered parents: a crossing pair exchanges the bits where its
+    mask is 0 and the two differ, and mutation XORs the mutation mask.
+    Energies are ((pop @ U) * pop).sum(axis=1) + offset, computed on a float
+    copy of pop (cheaper than casting it in matmul and multiply) into buffers
     allocated once per call."""
     t0 = time.perf_counter()
     dim = q.dim
@@ -396,7 +392,7 @@ def solve_ga(
     evaluations = pop_size
     best_idx = int(energies.argmin())
     best_energy = energies.item(best_idx)
-    best_x = values[best_idx].tolist()
+    best_x = pop[best_idx].tolist()
     trace: list[tuple[int, float]] = [(evaluations, best_energy)]
     half = pop_size // 2
     # flat index of row r's first contender in the (pop_size, tournament) draws
@@ -423,12 +419,10 @@ def solve_ga(
         energy = energies.item(gen_best)
         if energy < best_energy:
             best_energy = energy
-            best_x = values[gen_best].tolist()
+            best_x = pop[gen_best].tolist()
             trace.append((evaluations, best_energy))
-        elif energy == best_energy:
-            x = values[gen_best].tolist()
-            if x < best_x:
-                best_x = x
+        elif energy == best_energy and (x := pop[gen_best].tolist()) < best_x:
+            best_x = x
         if deadline is not None and time.perf_counter() > deadline:
             break
     return _result(best_x, best_energy, evaluations, t0, trace)
@@ -656,13 +650,14 @@ def _near_minimal_blocks(
     # dim^2 eps / 2 (sum|U| + |offset|) of the true energy. Skipping a block
     # needs twice both bounds; this is twice that, room for its own rounding
     eps = np.finfo(np.float64).eps
-    window = 4.0 * dim * dim * eps * (float(np.abs(upper).sum()) + abs(offset))
+    window = 4.0 * dim * dim * eps * (abs_sum(upper) + abs(offset))
     return np.flatnonzero(mins <= mins.min() + window)
 
 
-def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
+def solve_qubo_bruteforce(q: QuboMatrix, time_limit_s=None) -> tuple[tuple[int, ...], float]:
     """Exact QUBO oracle: the least energy of all 2^dim assignments,
-    lexicographic tie-break on the bit vector.
+    lexicographic tie-break on the bit vector. Past `time_limit_s` seconds
+    it raises a ValueError before its next block: it reports no unproven answer.
 
     Blocks of `_BRUTEFORCE_BLOCK_ROWS` = 2^12 rows go through float64
     buffers allocated once per call, each row through the same operations:
@@ -686,6 +681,7 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     such as all-zero ones, recompute every block."""
     if q.dim > BRUTEFORCE_DIM_GUARD:
         raise ValueError(f"dim {q.dim} exceeds the brute-force guard {BRUTEFORCE_DIM_GUARD}")
+    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
     dim = q.dim
     total = 1 << dim
     upper = q.upper
@@ -704,7 +700,10 @@ def solve_qubo_bruteforce(q: QuboMatrix) -> tuple[tuple[int, ...], float]:
     bits[:, high:] = low_bits
     # column i holds code bit dim-1-i
     high_shifts = np.arange(dim - 1, dim - 1 - high, -1)
-    for b in blocks:
+    for done, b in enumerate(blocks):
+        if deadline is not None and time.perf_counter() > deadline:
+            scored = f"{done} of {len(blocks)} blocks scored, no minimum proven"
+            raise ValueError(f"exact: time_limit_s = {time_limit_s:g} s passed with {scored}")
         start = b << low
         bits[:, :high] = (start >> high_shifts) & 1
         np.matmul(bits, upper, out=energies)
@@ -732,7 +731,7 @@ def make_solver(
     Its options, `time_limit_s` and the fields of its config but `seed`, are
     checked here, once: any other key, or a bad value, raises a ValueError
     naming it. `exact` takes no config, checks its seed by the configs' rule
-    and ignores a valid `time_limit_s`."""
+    and fails with a ValueError once a run passes its `time_limit_s`."""
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVER_NAMES)}")
     options = dict(options or {})
@@ -751,7 +750,7 @@ def make_solver(
         if config is None:
             whole_number(seed, 0, f"solver {name!r}: seed")
             t0 = time.perf_counter()
-            return _result(*solve_qubo_bruteforce(q), 1 << q.dim, t0)
+            return _result(*solve_qubo_bruteforce(q, deadline_s), 1 << q.dim, t0)
         solve = {"sa": solve_sa, "tabu": solve_tabu, "ga": solve_ga}[name]
         deadline = None if deadline_s is None else time.perf_counter() + deadline_s
         return solve(q, replace(config, seed=seed), deadline=deadline)

@@ -241,7 +241,6 @@ class ReferenceFlipEvaluator(FlipEvaluator):
         is bitwise equal to adding s * row."""
         s = self._s[i]
         self.energy += s * (self._d[i] + self._f[i])
-        self._x[i] += s
         self._s[i] = -s
         (np.add if s > 0.0 else np.subtract)(self.fields, self._rows[i], self.fields)
         return self.energy

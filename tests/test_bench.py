@@ -135,6 +135,18 @@ class TestRunBenchmark:
         # the oracle row is still present and feasible
         assert any(r.solver == ORACLE_SOLVER_NAME for r in report.rows)
 
+    def test_exact_past_the_time_limit_recorded_in_row(self):
+        plan = _plan(
+            solvers=({"name": "exact"},),
+            instances=({"synthetic": {"n_assets": 20, "seed": 3}, "n": 4, "id": "dim20"},),
+            time_limit_s=1e-6,
+        )
+        rows = run_benchmark(plan).rows
+        (failed,) = [r for r in rows if r.error]
+        assert failed.solver == "exact" and math.isnan(failed.energy)
+        assert failed.error.startswith("exact: time_limit_s = 1e-06 s passed with 0 of ")
+        assert [r.solver for r in rows if not r.error] == [ORACLE_SOLVER_NAME]
+
     def test_failed_build_recorded_and_matrix_continues(self):
         # an explicit lambda2 cannot build a QUBO for a return_mode 'none' instance
         plan = _plan(

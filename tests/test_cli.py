@@ -188,6 +188,12 @@ def test_ingest_make_instance_flow(tmp_path, capsys):
     assert doc["n"] == 1
 
 
+def test_synth_with_fewer_assets_than_default_factors_names_the_field(tmp_path, capsys):
+    assert cli_main(["synth", "--assets", "2", "--n", "1", "-o", str(tmp_path / "i.json")]) == 2
+    err = capsys.readouterr().err
+    assert "SyntheticSpec: field 'n_factors' must be at most n_assets = 2, got 3" in err
+
+
 def test_synth_build_solve_flow(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert (

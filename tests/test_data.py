@@ -187,7 +187,9 @@ class TestSynthetic:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_assets=5, n_factors=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^SyntheticSpec: field 'n_factors' must be at most n_assets = 5, got 6$"
+        ):
             SyntheticSpec(n_assets=5, n_factors=6)
         with pytest.raises(ValueError):
             SyntheticSpec(n_assets=5, return_range=(3.0, 1.0))

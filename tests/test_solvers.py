@@ -463,13 +463,24 @@ class TestExactSolver:
         solver = make_solver("exact")
         calls = []
 
-        def oracle(q):
-            calls.append(q.dim)
+        def oracle(q, time_limit_s):
+            calls.append((q.dim, time_limit_s))
             return (0,) * q.dim, 0.0
 
         monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", oracle)
         assert solver(random_qubo(rng, 4), 3).bits == (0,) * 4
-        assert calls == [4]
+        assert calls == [(4, None)]
+
+    def test_time_limit_stops_the_enumeration_before_the_next_block(self, monkeypatch):
+        # each clock read is a second after the last: the run starts at 1,
+        # the oracle's deadline is 2 + 2.5, and blocks 0 and 1 are scored at
+        # reads 3 and 4. The all-zero QUBO ties everywhere, so the screen
+        # keeps all 256 blocks and only the limit stops the enumeration
+        clock = itertools.count(1.0)
+        monkeypatch.setattr(solvers_mod, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        message = r"^exact: time_limit_s = 2\.5 s passed with 2 of 256 blocks scored, no minimum proven$"
+        with pytest.raises(ValueError, match=message):
+            make_solver("exact", {"time_limit_s": 2.5})(QuboMatrix(dim=20, coeffs={}), 0)
 
     def test_sweep_csv_equals_reference_oracle(self, tmp_path, monkeypatch):
         path = tmp_path / "instance.json"
@@ -481,7 +492,7 @@ class TestExactSolver:
             return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
 
         rows = rows_but_wall_time(tmp_path / "oracle.csv")
-        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", lambda q: reference_bruteforce(q))
+        monkeypatch.setattr(solvers_mod, "solve_qubo_bruteforce", lambda q, _: reference_bruteforce(q))
         assert rows_but_wall_time(tmp_path / "reference.csv") == rows
         assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"true", "false"}
 
@@ -935,6 +946,19 @@ class TestGa:
     def test_population_not_even_and_at_least_4_rejected(self, population, rule):
         with pytest.raises(ValueError, match=f"^GaConfig: field 'population' must {rule}, got {population}$"):
             GaConfig(population=population)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.5])
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_ties_everywhere_give_all_zero_bits(name, offset):
+    # every assignment ties, so the tie rule alone picks the bits: SA and
+    # tabu keep the lexicographically smallest bits they reach, the largest
+    # flip signs, and a comparison the wrong way round keeps others. GA
+    # compares only each generation's first least energy, its first elite,
+    # so on these QUBOs it keeps its first random individual
+    for dim in range(1, 13):
+        result = make_solver(name)(QuboMatrix(dim, {}, offset), 0)
+        assert result.bits == (0,) * dim and result.energy == offset
 
 
 class TestMakeSolver:
